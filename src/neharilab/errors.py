@@ -104,10 +104,6 @@ class EmptyFamily(NehariLabError, ValueError):
     pass
 
 
-class DescentDiverged(NehariLabError, RuntimeError):
-    """Descent value increased repeatedly with backtracking disabled."""
-
-
 # --- solver ---------------------------------------------------------------
 
 class RayMissesNehari(NehariLabError, RuntimeError):

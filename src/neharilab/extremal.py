@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DescentDiverged, EmptyFamily
+from .errors import EmptyFamily
 from .fibering import lambda_n
 from .functionals import ReducedTriple, reduced_triple, workspace
 from .grid import GridFunction, sample_profile
@@ -48,7 +48,6 @@ class DescentOptions:
     step_max: float = 4.0
     backtrack_max: int = 40
     floor_factor: float = 1e-10
-    backtrack: bool = True
 
 
 @dataclass
@@ -134,36 +133,22 @@ def refine_descent(start: GridFunction, params: ProblemParams,
     val = float(lambda_n(reduced_triple(GridFunction(start.grid, u), params), p, q))
     history = [val]
     step = opts.step0
-    increases = 0
     for _ in range(opts.max_iters):
         _, gvec = _lambda_n_gradient(ws, u, params, opts.floor_factor)
         z = ws.solve_G(gvec)
         accepted = False
         s = step
-        if opts.backtrack:
-            for _bt in range(opts.backtrack_max):
-                trial = np.clip(u - s * z, 0.0, None)
-                if not np.any(trial > 0.0):
-                    s *= 0.5
-                    continue
-                trial = trial / np.sqrt(ws.norm_sq(trial))
-                tval = float(lambda_n(reduced_triple(GridFunction(start.grid, trial), params), p, q))
-                if tval < val:
-                    accepted = True
-                    break
-                s *= 0.5
-        else:
+        for _bt in range(opts.backtrack_max):
             trial = np.clip(u - s * z, 0.0, None)
+            if not np.any(trial > 0.0):
+                s *= 0.5
+                continue
             trial = trial / np.sqrt(ws.norm_sq(trial))
             tval = float(lambda_n(reduced_triple(GridFunction(start.grid, trial), params), p, q))
-            accepted = tval < val
-            if not accepted:
-                increases += 1
-                if increases >= 5:
-                    raise DescentDiverged(
-                        "Lambda_n increased on 5 consecutive raw steps; enable backtracking"
-                    )
-                continue
+            if tval < val:
+                accepted = True
+                break
+            s *= 0.5
         if not accepted:
             break
         u, val = trial, tval

@@ -6,7 +6,9 @@ On the truncated radial domain the energy-space norm is
 
 with central differences (one-sided closure at both ends, hard zero at r = R)
 so the discrete inner product is the bilinear form of a symmetric positive
-definite matrix G built once per (grid, potential) pair.
+definite matrix G built once per (grid, potential) pair.  G = omega (D^T W D
++ diag(w V)) is pentadiagonal, so it is stored as its three upper bands,
+assembled in O(M) and factored by banded Cholesky.
 
 The nonlocal interaction
 
@@ -35,7 +37,8 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
+from scipy.linalg.blas import dsbmv
 
 from .errors import (
     GridTooLarge,
@@ -50,6 +53,7 @@ from .params import ProblemParams
 
 DEFAULT_FLOOR_FACTOR = 1e-10
 _DIRECT_MAX_M = 24
+_DIRECT_BLOCK_ENTRIES = 2**16  # pair entries per direct-engine block: temporaries stay ~MB
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,9 @@ class ReducedTriple:
 
 class FunctionalWorkspace:
     def __init__(self, grid, params: ProblemParams):
-        self.grid = grid
+        # a weak reference: the grid keys the workspace cache, so a strong one
+        # would keep every cached grid alive
+        self.grid = weakref.proxy(grid)
         self.params = params
         r = grid.radii
         self.a = params.a_values(r)
@@ -84,30 +90,41 @@ class FunctionalWorkspace:
     # -- radial operator -----------------------------------------------------
 
     def _build_radial_operator(self):
+        """Upper bands Gb of G: Gb[2 + i - j, j] = G[i, j] for j - 2 <= i <= j.
+
+        Row i of D has entries c_i at two columns, so it adds w_i c_i^2 to
+        both diagonal entries and -w_i c_i^2 to the coupling between them.
+        """
         g = self.grid
         r, w, M = g.nodes, g.weights, g.M
-        D = np.zeros((M, M))
-        D[0, 0] = -1.0 / (r[1] - r[0])
-        D[0, 1] = 1.0 / (r[1] - r[0])
-        idx = np.arange(1, M - 1)
-        D[idx, idx - 1] = -1.0 / (r[idx + 1] - r[idx - 1])
-        D[idx, idx + 1] = 1.0 / (r[idx + 1] - r[idx - 1])
-        D[M - 1, M - 1] = -1.0 / (g.R - r[M - 1])  # hard zero at r = R
-        G = g.omega * (D.T @ (w[:, None] * D) + np.diag(w * self.V))
-        self.G = 0.5 * (G + G.T)
-        self.D = D
+        Gb = np.zeros((3, M), order="F")  # the layout BLAS and LAPACK take
+        main = Gb[2]
+        main[:] = w * self.V
+        t0 = w[0] / (r[1] - r[0]) ** 2          # row 0: one-sided, columns 0, 1
+        main[:2] += t0
+        Gb[1, 1] = -t0
+        t = w[1:-1] / (r[2:] - r[:-2]) ** 2      # interior rows: columns i -/+ 1
+        main[:-2] += t
+        main[2:] += t
+        Gb[0, 2:] = -t
+        main[-1] += w[-1] / (g.R - r[-1]) ** 2  # hard zero at r = R
+        Gb *= g.omega
+        self.Gb = Gb
 
     def cho(self):
         if self._cho is None:
-            self._cho = cho_factor(self.G)
+            self._cho = cholesky_banded(self.Gb)
         return self._cho
 
     def solve_G(self, rhs):
-        return cho_solve(self.cho(), rhs)
+        return cho_solve_banded((self.cho(), False), rhs)
 
     def solve_shifted(self, diag, rhs):
-        """Solve (G + diag(diag)) z = rhs; the shift must keep it SPD."""
-        return np.linalg.solve(self.G + np.diag(diag), rhs)
+        """Solve (G + diag(diag)) z = rhs; the shift must keep it SPD
+        (LinAlgError otherwise)."""
+        ab = self.Gb.copy(order="F")
+        ab[2] += diag
+        return solveh_banded(ab, rhs, overwrite_ab=True)
 
     # -- kernel ---------------------------------------------------------------
 
@@ -148,15 +165,12 @@ class FunctionalWorkspace:
         return float(np.sqrt(self.space_integral(np.asarray(vals) ** 2)))
 
     def norm_sq(self, u_vals) -> float:
-        g = self.grid
-        if g.kind == "radial":
-            return float(u_vals @ (self.G @ u_vals))
         return self.inner(u_vals, u_vals)
 
     def inner(self, u_vals, phi_vals) -> float:
         g = self.grid
         if g.kind == "radial":
-            return float(u_vals @ (self.G @ phi_vals))
+            return float(u_vals @ self.apply_G(phi_vals))
         m, h = g.m, g.h
         u3 = u_vals.reshape(m, m, m)
         p3 = phi_vals.reshape(m, m, m)
@@ -168,7 +182,7 @@ class FunctionalWorkspace:
         return float(h**3 * total)
 
     def apply_G(self, u_vals):
-        return self.G @ u_vals
+        return dsbmv(2, 1.0, self.Gb, u_vals)
 
     # -- nonlocal potential ----------------------------------------------------
 
@@ -193,7 +207,7 @@ class FunctionalWorkspace:
         gv = f * rad ** (-alpha)
         n = len(gv)
         out = np.empty(n)
-        block = max(1, int(2**22 // n))
+        block = max(1, _DIRECT_BLOCK_ENTRIES // n)
         for s0 in range(0, n, block):
             sl = slice(s0, min(s0 + block, n))
             d = np.linalg.norm(X[sl, None, :] - X[None, :, :], axis=2)
@@ -267,22 +281,22 @@ def nonlocal_potential(u: GridFunction, params: ProblemParams) -> GridFunction:
     return GridFunction(u.grid, ws.w_u(u.values))
 
 
-def steinweiss_B_radial(u: GridFunction, params: ProblemParams) -> float:
-    """B(u) on a radial grid via the closed-form angular kernel (N = 3)."""
-    if u.grid.kind != "radial":
-        raise UnsupportedDimension("radial engine needs a radial grid")
+def _B_by_engine(u: GridFunction, params: ProblemParams, kind: str) -> float:
+    if u.grid.kind != kind:
+        raise UnsupportedDimension(f"this engine needs a {kind} grid, got {u.grid.kind}")
     ws = workspace(u.grid, params)
     f = ws.b * np.abs(u.values) ** params.p
     return ws.space_integral(f * ws.w_u(u.values))
+
+
+def steinweiss_B_radial(u: GridFunction, params: ProblemParams) -> float:
+    """B(u) on a radial grid via the closed-form angular kernel (N = 3)."""
+    return _B_by_engine(u, params, "radial")
 
 
 def steinweiss_B_direct(u: GridFunction, params: ProblemParams) -> float:
     """B(u) by brute-force pair summation on a Cartesian box (m <= 24)."""
-    if u.grid.kind != "cartesian":
-        raise UnsupportedDimension("direct engine needs a Cartesian grid")
-    ws = workspace(u.grid, params)
-    f = ws.b * np.abs(u.values) ** params.p
-    return ws.space_integral(f * ws.w_u(u.values))
+    return _B_by_engine(u, params, "cartesian")
 
 
 def steinweiss_B(u: GridFunction, params: ProblemParams) -> float:

@@ -138,8 +138,6 @@ def validate(params: ProblemParams) -> ProblemParams:
         weight.append(
             f"2*alpha + mu = {2 * params.alpha + params.mu} must be < N = {params.N}"
         )
-    if params.alpha < 0.0:
-        weight.append(f"alpha must be nonnegative, got {params.alpha}")
 
     if not (0.0 < params.q < 1.0):
         singular.append(f"q must lie in (0, 1), got {params.q}")

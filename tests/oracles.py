@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
 Each oracle avoids the code path it checks: maximizers come from a log-grid
-scan plus golden-section refinement, integrals from adaptive quadrature, and
-derivatives from central differences.
+scan plus golden-section refinement, integrals from adaptive quadrature,
+derivatives from central differences, and the energy operator from a dense
+D^T W D product.
 """
 
 import numpy as np
@@ -56,3 +57,18 @@ def random_triples(rng, n, decades=3.0):
 
 def random_exponents(rng, n, p_lo=1.15, p_hi=4.5, q_lo=0.05, q_hi=0.95):
     return rng.uniform(p_lo, p_hi, n), rng.uniform(q_lo, q_hi, n)
+
+
+def dense_energy_operator(grid, V):
+    """G = omega (D^T W D + diag(w V)) assembled densely from the difference
+    matrix D (one-sided closure at r_0, hard zero at r = R)."""
+    r, w, M = grid.nodes, grid.weights, grid.M
+    D = np.zeros((M, M))
+    D[0, 0] = -1.0 / (r[1] - r[0])
+    D[0, 1] = 1.0 / (r[1] - r[0])
+    idx = np.arange(1, M - 1)
+    D[idx, idx - 1] = -1.0 / (r[idx + 1] - r[idx - 1])
+    D[idx, idx + 1] = 1.0 / (r[idx + 1] - r[idx - 1])
+    D[M - 1, M - 1] = -1.0 / (grid.R - r[M - 1])
+    G = grid.omega * (D.T @ (w[:, None] * D) + np.diag(w * V))
+    return 0.5 * (G + G.T)

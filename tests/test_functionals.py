@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ from scipy import integrate as scipy_integrate
 
 import neharilab as nl
 from neharilab.errors import GridTooLarge, NotInPositiveCone, SingularMassWarning
+from neharilab import functionals
 from neharilab.functionals import workspace
+
+from oracles import dense_energy_operator
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +59,57 @@ def test_cartesian_norm_matches_radial_on_gaussian(params):
         errs.append(abs(nl.norm_sq(nl.sample_profile("gaussian", 1.0, cg), params) - ref) / ref)
     assert errs[-1] < 0.02
     assert errs[2] < errs[1] < errs[0]
+
+
+# --- banded energy operator ------------------------------------------------------
+
+def _dense_bands(G):
+    """Upper bands of G in the (3, M) layout of scipy's banded Cholesky."""
+    M = len(G)
+    Gb = np.zeros((3, M))
+    for k in range(3):
+        Gb[2 - k, k:] = np.diagonal(G, k)
+    return Gb
+
+
+@pytest.mark.parametrize("M", [64, 256])
+def test_energy_operator_bands_match_dense_oracle(params, M):
+    g = nl.build_radial_grid(20.0, M, 2.0)
+    ws = workspace(g, params)
+    G = dense_energy_operator(g, ws.V)
+    # the central difference couples nodes i -/+ 1: nothing beyond offset 2
+    assert not np.any(np.triu(G, 3))
+    ref = _dense_bands(G)
+    assert np.all(np.abs(ws.Gb - ref) <= 1e-14 * np.abs(ref))
+
+
+@pytest.mark.parametrize("M", [64, 256])
+def test_banded_operations_match_dense_linear_algebra(params, rng, M):
+    g = nl.build_radial_grid(20.0, M, 2.0)
+    ws = workspace(g, params)
+    G = dense_energy_operator(g, ws.V)
+    u, v = rng.uniform(0.0, 1.0, (2, M))
+    Gu = G @ u
+    np.testing.assert_allclose(ws.apply_G(u), Gu, rtol=0, atol=1e-14 * np.max(np.abs(Gu)))
+    assert ws.norm_sq(u) == pytest.approx(u @ Gu, rel=1e-13)
+    assert ws.inner(v, u) == pytest.approx(v @ Gu, rel=1e-13)
+    z = np.linalg.solve(G, u)
+    np.testing.assert_allclose(ws.solve_G(u), z, rtol=0, atol=1e-12 * np.max(np.abs(z)))
+    shift = rng.uniform(0.0, 1.0, M) * np.diagonal(G)
+    z = np.linalg.solve(G + np.diag(shift), u)
+    np.testing.assert_allclose(ws.solve_shifted(shift, u), z, rtol=0,
+                               atol=1e-12 * np.max(np.abs(z)))
+
+
+def test_workspace_cache_does_not_keep_grid_alive(params):
+    g = nl.build_radial_grid(10.0, 32, 2.0)
+    ws = workspace(g, params)
+    assert ws.grid.kind == "radial" and ws.grid.nodes is g.nodes
+    entries = len(functionals._workspaces)
+    ref = weakref.ref(g)
+    del g
+    assert ref() is None
+    assert len(functionals._workspaces) == entries - 1
 
 
 # --- A(u) ----------------------------------------------------------------------
