@@ -50,10 +50,10 @@ from .extremal import (
 from .solver import (
     SolveResult,
     SolverOptions,
-    envelope_gradient,
     minimize_on_branch,
     project_to_nehari,
     solve_pair,
+    strong_form_defect,
     weak_residual,
 )
 from .sweep import (

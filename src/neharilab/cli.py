@@ -132,6 +132,8 @@ def load_config(path: str | None) -> RunConfig:
             )
             if cfg.solver.tol <= 0 or cfg.solver.floor_factor <= 0:
                 raise ConfigError("solver tolerances must be positive")
+            if not 0.0 < cfg.solver.step0 <= 1.0:
+                raise ConfigError(f"solver step0 must lie in (0, 1], got {cfg.solver.step0}")
         if ini.has_section("sweep"):
             s = ini["sweep"]
             cfg.sweep_points = s.getint("points", cfg.sweep_points)
@@ -277,13 +279,16 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     grid, prm, est = _estimate(cfg)
-    lams = sweep_mod.default_lambda_grid(
-        est.lambda_star,
-        points=args.points or cfg.sweep_points,
-        frac_min=args.frac_min or cfg.sweep_frac_min,
-        frac_max=args.frac_max or cfg.sweep_frac_max,
-        spacing=args.spacing or cfg.sweep_spacing,
-    )
+    try:
+        lams = sweep_mod.default_lambda_grid(
+            est.lambda_star,
+            points=cfg.sweep_points if args.points is None else args.points,
+            frac_min=cfg.sweep_frac_min if args.frac_min is None else args.frac_min,
+            frac_max=cfg.sweep_frac_max if args.frac_max is None else args.frac_max,
+            spacing=cfg.sweep_spacing if args.spacing is None else args.spacing,
+        )
+    except ValueError as err:
+        raise ConfigError(f"bad sweep grid: {err}") from err
     ref = reduced_triple(est.minimizer, prm)
     result = sweep_mod.run_sweep(lams, prm, grid, ref, init=est.minimizer, opts=cfg.solver)
     out = args.out or os.path.join(cfg.output_dir, "sweep.csv")

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyFamily
+from .errors import EmptyFamily, NotInPositiveCone
 from .fibering import lambda_n
-from .functionals import ReducedTriple, reduced_triple, workspace
+from .functionals import DEFAULT_FLOOR_FACTOR, reduced_triple, workspace
 from .grid import GridFunction, sample_profile
 from .params import ProblemParams, fibering_constants
 
@@ -29,6 +29,11 @@ DEFAULT_FAMILIES = (
     ("inverse_poly", 1.5),
 )
 DEFAULT_SIGMAS = (0.35, 0.5, 0.7, 1.0, 1.4, 2.0, 2.8, 4.0)
+REL_TOL = 1e-8        # relative decrease over PATIENCE accepted steps that stops the descent
+PATIENCE = 10
+STEP0 = 1.0
+STEP_MAX = 4.0
+BACKTRACK_MAX = 40
 
 
 @dataclass
@@ -42,12 +47,6 @@ class SweepEntry:
 @dataclass
 class DescentOptions:
     max_iters: int = 250
-    rel_tol: float = 1e-8       # relative decrease over `patience` iterations
-    patience: int = 10
-    step0: float = 1.0
-    step_max: float = 4.0
-    backtrack_max: int = 40
-    floor_factor: float = 1e-10
 
 
 @dataclass
@@ -97,24 +96,21 @@ def family_sweep(families, sigmas, grid, params: ProblemParams):
     return best_val, best_u, trace
 
 
-def _lambda_n_gradient(ws, u_vals, params: ProblemParams, floor_factor: float):
-    """Nodal gradient of Lambda_n by the quotient rule on (E, A, B)."""
+def _lambda_n_gradient(ws, ev, params: ProblemParams):
+    """Nodal gradient of Lambda_n at the evaluation ev by the quotient rule on (E, A, B)."""
     p, q = params.p, params.q
     g = ws.grid
-    E = ws.norm_sq(u_vals)
-    A = ws.space_integral(ws.a * np.abs(u_vals) ** q)
-    f = ws.b * np.abs(u_vals) ** p
-    wu = ws.w_u(u_vals)
-    B = ws.space_integral(f * wu)
+    u_vals = ev.u
+    E, A, B = ev.triple.as_tuple()
     kappa = (2 * p - q) / (2 * p - 2)
     nu = (2 - q) / (2 * p - 2)
-    val = float(lambda_n(ReducedTriple(E=E, A=A, B=B), p, q))
-    uf = np.maximum(u_vals, floor_factor * np.max(u_vals))
+    val = float(lambda_n(ev.triple, p, q))
+    uf = np.maximum(u_vals, DEFAULT_FLOOR_FACTOR * np.max(u_vals))
     quad = g.omega * g.weights
     gE = 2.0 * ws.apply_G(u_vals)
     gA = quad * ws.a * q * uf ** (q - 1.0)
-    gB = quad * ws.b * 2.0 * p * np.abs(u_vals) ** (p - 1.0) * wu
-    return val, val * (kappa * gE / E - gA / A - nu * gB / B)
+    gB = quad * ws.b * 2.0 * p * np.abs(u_vals) ** (p - 1.0) * ev.w_u
+    return val * (kappa * gE / E - gA / A - nu * gB / B)
 
 
 def refine_descent(start: GridFunction, params: ProblemParams,
@@ -123,42 +119,44 @@ def refine_descent(start: GridFunction, params: ProblemParams,
 
     Iterates are clipped to the nonnegative cone and renormalized to E = 1
     (free by 0-homogeneity).  Steps are Riesz-preconditioned through the
-    energy operator and accepted on simple decrease with halving backtracking.
+    energy operator and accepted on simple decrease with halving backtracking;
+    the accepted trial's evaluation supplies the next gradient.
     Returns (value, minimizer, history); the value never exceeds the start's.
     """
     opts = opts or DescentOptions()
+    if not start.in_positive_cone:
+        raise NotInPositiveCone("descent needs a nonnegative start that is not identically zero")
     ws = workspace(start.grid, params)
     p, q = params.p, params.q
-    u = start.values / np.sqrt(ws.norm_sq(start.values))
-    val = float(lambda_n(reduced_triple(GridFunction(start.grid, u), params), p, q))
+    ev = ws.evaluate(start.values / np.sqrt(ws.norm_sq(start.values)))
+    val = float(lambda_n(ev.triple, p, q))
     history = [val]
-    step = opts.step0
+    step = STEP0
     for _ in range(opts.max_iters):
-        _, gvec = _lambda_n_gradient(ws, u, params, opts.floor_factor)
-        z = ws.solve_G(gvec)
+        z = ws.solve_G(_lambda_n_gradient(ws, ev, params))
         accepted = False
         s = step
-        for _bt in range(opts.backtrack_max):
-            trial = np.clip(u - s * z, 0.0, None)
+        for _bt in range(BACKTRACK_MAX):
+            trial = np.clip(ev.u - s * z, 0.0, None)
             if not np.any(trial > 0.0):
                 s *= 0.5
                 continue
-            trial = trial / np.sqrt(ws.norm_sq(trial))
-            tval = float(lambda_n(reduced_triple(GridFunction(start.grid, trial), params), p, q))
+            trial_ev = ws.evaluate(trial / np.sqrt(ws.norm_sq(trial)))
+            tval = float(lambda_n(trial_ev.triple, p, q))
             if tval < val:
                 accepted = True
                 break
             s *= 0.5
         if not accepted:
             break
-        u, val = trial, tval
+        ev, val = trial_ev, tval
         history.append(val)
-        step = min(2.0 * s, opts.step_max)
-        if len(history) > opts.patience and (
-            history[-opts.patience - 1] - history[-1] < opts.rel_tol * abs(history[-1])
+        step = min(2.0 * s, STEP_MAX)
+        if len(history) > PATIENCE and (
+            history[-PATIENCE - 1] - history[-1] < REL_TOL * abs(history[-1])
         ):
             break
-    return val, GridFunction(start.grid, u), history
+    return val, GridFunction(start.grid, ev.u), history
 
 
 def estimate_lambda_star(params: ProblemParams, grid,

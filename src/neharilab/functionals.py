@@ -28,6 +28,10 @@ has two independent engines in N = 3:
 
 Both engines evaluate B through the nonlocal potential w_u, so the discrete
 identity D(u, u) = B(u) holds exactly.
+
+One evaluation per point: FunctionalWorkspace.evaluate computes w_u once and
+returns it with (E, A, B); the triple, the energy, the Euler-Lagrange defect
+and its weak residual are all read from that record.
 """
 
 from __future__ import annotations
@@ -66,6 +70,15 @@ class ReducedTriple:
 
     def as_tuple(self):
         return self.E, self.A, self.B
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """A nodal vector u with its nonlocal potential w_u and its (E, A, B)."""
+
+    u: np.ndarray
+    w_u: np.ndarray
+    triple: ReducedTriple
 
 
 # --------------------------------------------------------------------------
@@ -220,6 +233,53 @@ class FunctionalWorkspace:
         out += gv * 4.0 * np.pi * rho ** (3.0 - mu) / (3.0 - mu)
         return rad ** (-alpha) * out
 
+    def nonlocal_factor(self, u_vals) -> np.ndarray:
+        """b |u|^(p-2) u, the factor of w_u in J'(u)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fac = self.b * np.abs(u_vals) ** (self.params.p - 2.0) * u_vals
+        fac[u_vals == 0.0] = 0.0  # |u|^(p-2) u -> 0 as u -> 0 for p > 1
+        return fac
+
+    # -- one evaluation per point ---------------------------------------------
+
+    def evaluate(self, u_vals) -> Evaluation:
+        """w_u(u) and (E, A, B) = (u.Gu, int a|u|^q, int b|u|^p w_u), one w_u."""
+        wu = self.w_u(u_vals)
+        return Evaluation(u_vals, wu, ReducedTriple(
+            E=self.norm_sq(u_vals),
+            A=self.space_integral(self.a * np.abs(u_vals) ** self.params.q),
+            B=self.space_integral(self.b * np.abs(u_vals) ** self.params.p * wu),
+        ))
+
+    def defect(self, ev: Evaluation, lam: float,
+               floor_factor: float = DEFAULT_FLOOR_FACTOR,
+               include_nonlocal: bool = True, source=None):
+        """Strong-form Euler-Lagrange defect d at ev and its weak residual.
+
+        d_i = (G u)_i/(omega w_i) - lambda a_i max(u_i, eps)^(q-1)
+              - b_i u_i^(p-1) (w_u)_i  [- source_i]
+
+        The residual is the quadrature-weighted norm of d over the largest of
+        the term norms, so 1e-4 means the defect is 1e-4 of the dominant
+        balance.  Radial grids only.
+        """
+        g, uv = self.grid, ev.u
+        d = self.apply_G(uv) / (g.omega * g.weights)
+        scales = [self.wnorm(d)]
+        if lam != 0.0:
+            sing = np.maximum(uv, floor_factor * float(np.max(uv))) ** (self.params.q - 1.0)
+            d = d - lam * self.a * sing
+            scales.append(lam * self.wnorm(self.a * sing))
+        if include_nonlocal:
+            term = self.nonlocal_factor(uv) * ev.w_u
+            d = d - term
+            scales.append(self.wnorm(term))
+        if source is not None:
+            source = np.asarray(source, dtype=float)
+            d = d - source
+            scales.append(self.wnorm(source))
+        return d, self.wnorm(d) / max(scales)
+
 
 _workspaces: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
@@ -284,9 +344,7 @@ def nonlocal_potential(u: GridFunction, params: ProblemParams) -> GridFunction:
 def _B_by_engine(u: GridFunction, params: ProblemParams, kind: str) -> float:
     if u.grid.kind != kind:
         raise UnsupportedDimension(f"this engine needs a {kind} grid, got {u.grid.kind}")
-    ws = workspace(u.grid, params)
-    f = ws.b * np.abs(u.values) ** params.p
-    return ws.space_integral(f * ws.w_u(u.values))
+    return workspace(u.grid, params).evaluate(u.values).triple.B
 
 
 def steinweiss_B_radial(u: GridFunction, params: ProblemParams) -> float:
@@ -297,13 +355,6 @@ def steinweiss_B_radial(u: GridFunction, params: ProblemParams) -> float:
 def steinweiss_B_direct(u: GridFunction, params: ProblemParams) -> float:
     """B(u) by brute-force pair summation on a Cartesian box (m <= 24)."""
     return _B_by_engine(u, params, "cartesian")
-
-
-def steinweiss_B(u: GridFunction, params: ProblemParams) -> float:
-    """Dispatch B(u) to the grid's engine."""
-    if u.grid.kind == "radial":
-        return steinweiss_B_radial(u, params)
-    return steinweiss_B_direct(u, params)
 
 
 def floored_fraction(u: GridFunction, params: ProblemParams,
@@ -346,27 +397,18 @@ def singular_action(u: GridFunction, phi: GridFunction, params: ProblemParams,
 def nonlocal_action(u: GridFunction, phi: GridFunction, params: ProblemParams) -> float:
     """D(u, phi) = int b |u|^(p-2) u phi w_u dx; D(u, u) = B(u) exactly."""
     ws = workspace(u.grid, params)
-    uv = u.values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fac = ws.b * np.abs(uv) ** (params.p - 2.0) * uv
-    fac[uv == 0.0] = 0.0  # |u|^(p-2) u -> 0 as u -> 0 for p > 1
-    return ws.space_integral(fac * ws.w_u(uv) * phi.values)
+    return ws.space_integral(ws.nonlocal_factor(u.values) * ws.w_u(u.values) * phi.values)
 
 
 def reduced_triple(u: GridFunction, params: ProblemParams) -> ReducedTriple:
     """Bundle (||u||^2, A(u), B(u)); u must lie in the positive cone."""
     _require_cone(u)
-    return ReducedTriple(
-        E=norm_sq(u, params),
-        A=weight_a(u, params),
-        B=steinweiss_B(u, params),
-    )
+    return workspace(u.grid, params).evaluate(u.values).triple
 
 
 def energy(u: GridFunction, lam: float, params: ProblemParams) -> float:
     """J_lambda(u) = ||u||^2/2 - (lambda/q) A(u) - B(u)/(2p)."""
-    t = reduced_triple(u, params)
-    return 0.5 * t.E - lam / params.q * t.A - t.B / (2.0 * params.p)
+    return energy_from_triple(reduced_triple(u, params), lam, params)
 
 
 def energy_from_triple(triple: ReducedTriple, lam: float, params: ProblemParams) -> float:
@@ -390,26 +432,11 @@ def strong_form_defect(u: GridFunction, lam: float, params: ProblemParams,
                        source=None) -> np.ndarray:
     """Nodal Euler-Lagrange defect d with sum_i d_i phi_i w_i = J'(u)[phi].
 
-    d_i = (G u)_i/(omega w_i) - lambda a_i max(u_i, eps)^(q-1)
-          - b_i u_i^(p-1) (w_u)_i  [- source_i]
-
-    Radial grids only (the solver's habitat).
+    At an on-branch point it is also the nodal gradient of the
+    branch-reduced energy (envelope theorem).  Radial grids only; see
+    FunctionalWorkspace.defect for the formula.
     """
     if u.grid.kind != "radial":
         raise UnsupportedDimension("strong-form defect implemented on radial grids")
     ws = workspace(u.grid, params)
-    g = u.grid
-    uv = u.values
-    eps = floor_factor * float(np.max(uv))
-    uf = np.maximum(uv, eps)
-    d = ws.apply_G(uv) / (g.omega * g.weights)
-    if lam != 0.0:
-        d = d - lam * ws.a * uf ** (params.q - 1.0)
-    if include_nonlocal:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fac = ws.b * np.abs(uv) ** (params.p - 2.0) * uv
-        fac[uv == 0.0] = 0.0
-        d = d - fac * ws.w_u(uv)
-    if source is not None:
-        d = d - np.asarray(source, dtype=float)
-    return d
+    return ws.defect(ws.evaluate(u.values), lam, floor_factor, include_nonlocal, source)[0]

@@ -16,8 +16,12 @@ the plain gradient action J'_lambda(u)[.], so the strong-form defect
           - b_i u_i^(p-1) (w_u)_i
 
 is both the descent direction source and the convergence measure (its
-quadrature-weighted norm, relative to the size of its largest term).  Steps
-are preconditioned by the SPD operator G + diag(omega w lambda a (1-q) u^(q-2)),
+quadrature-weighted norm, relative to the size of its largest term).  One
+evaluation per point (FunctionalWorkspace.evaluate: w_u and (E, A, B))
+supplies an iterate's energy, defect and residual, so the defect and the
+residual share it; each backtracking trial gets one evaluation for its
+projection, and the accepted point t * trial one more.  Steps are
+preconditioned by the SPD operator G + diag(omega w lambda a (1-q) u^(q-2)),
 which carries the stiffness of both the elliptic part and the singular term;
 acceptance is Armijo sufficient decrease with a residual-decrease fallback
 once energy differences sit at machine precision.
@@ -32,7 +36,7 @@ import numpy as np
 from . import fibering
 from .errors import NoConvergence, RayMissesNehari, UnsupportedDimension
 from .fibering import Branch, DoubleRoot, NoRoot, nehari_roots
-from .functionals import (
+from .functionals import (  # strong_form_defect: public here next to weak_residual
     DEFAULT_FLOOR_FACTOR,
     ReducedTriple,
     energy_from_triple,
@@ -44,6 +48,9 @@ from .grid import GridFunction, sample_profile
 from .params import ProblemParams
 
 REINIT_SIGMAS = (1.0, 0.5, 2.0, 0.25, 4.0, 0.125)
+STEP_MAX = 1.0        # a full preconditioned step; SolverOptions.step0 lies in (0, 1]
+BACKTRACK_MAX = 60
+ARMIJO = 0.25
 
 
 @dataclass
@@ -51,9 +58,6 @@ class SolverOptions:
     tol: float = 1e-4              # weak-residual convergence target
     max_iters: int = 400
     step0: float = 1.0
-    step_max: float = 1.0
-    backtrack_max: int = 60
-    armijo: float = 0.25
     floor_factor: float = DEFAULT_FLOOR_FACTOR
     reinit_budget: int = 6
 
@@ -77,15 +81,6 @@ class SolveResult:
         return float(np.sqrt(self.triple.E))
 
 
-def _triple_of(ws, params, u_vals) -> ReducedTriple:
-    f = ws.b * np.abs(u_vals) ** params.p
-    return ReducedTriple(
-        E=ws.norm_sq(u_vals),
-        A=ws.space_integral(ws.a * np.abs(u_vals) ** params.q),
-        B=ws.space_integral(f * ws.w_u(u_vals)),
-    )
-
-
 def project_to_nehari(u: GridFunction, lam: float, branch: Branch,
                       params: ProblemParams) -> GridFunction:
     """Return t_branch(u) * u on the requested Nehari branch.
@@ -94,61 +89,32 @@ def project_to_nehari(u: GridFunction, lam: float, branch: Branch,
     or only the tangency point).
     """
     ws = workspace(u.grid, params)
-    t = _project_values(ws, params, u.values, lam, branch)[0]
+    t = _project_values(params, ws.evaluate(u.values), lam, branch)[0]
     return GridFunction(u.grid, t * u.values)
 
 
-def _project_values(ws, params, u_vals, lam, branch):
-    triple = _triple_of(ws, params, u_vals)
-    roots = nehari_roots(triple, lam, params.p, params.q)
+def _project_values(params, ev, lam, branch):
+    """Projection time t of the ray through ev and the triple at t * u."""
+    roots = nehari_roots(ev.triple, lam, params.p, params.q)
     if isinstance(roots, (NoRoot, DoubleRoot)):
         raise RayMissesNehari(
-            f"lambda = {lam} >= Lambda_n(u) = {float(fibering.lambda_n(triple, params.p, params.q))}"
+            f"lambda = {lam} >= Lambda_n(u) = {float(fibering.lambda_n(ev.triple, params.p, params.q))}"
         )
     t = roots.t_plus if branch == Branch.NPLUS else roots.t_minus
-    return t, fibering.scale_triple(triple, t, params.p, params.q)
-
-
-def envelope_gradient(u: GridFunction, lam: float, params: ProblemParams,
-                      floor_factor: float = DEFAULT_FLOOR_FACTOR) -> np.ndarray:
-    """Nodal gradient of the branch-reduced energy at an on-branch point.
-
-    Equals the strong-form Euler-Lagrange defect: dividing the gradient
-    action by the quadrature weights makes sum_i g_i phi_i (omega w_i)
-    reproduce J'_lambda(u)[phi] for every nodal bump phi.
-    """
-    return strong_form_defect(u, lam, params, floor_factor=floor_factor)
+    return t, fibering.scale_triple(ev.triple, t, params.p, params.q)
 
 
 def weak_residual(u: GridFunction, lam: float, params: ProblemParams,
                   floor_factor: float = DEFAULT_FLOOR_FACTOR,
                   include_nonlocal: bool = True, source=None) -> float:
-    """Relative quadrature-weighted norm of the Euler-Lagrange defect.
-
-    The scale is the largest of the three (four, with `source`) term norms, so
-    a residual of 1e-4 means the defect is 1e-4 of the dominant balance.
-    ``include_nonlocal=False`` and ``source`` are test hooks for the linear
-    problem -Delta u + V u = source.
+    """Euler-Lagrange defect norm relative to its largest term (see
+    FunctionalWorkspace.defect).  ``include_nonlocal=False`` and ``source``
+    are test hooks for the linear problem -Delta u + V u = source.
     """
     if u.grid.kind != "radial":
         raise UnsupportedDimension("weak residual implemented on radial grids")
     ws = workspace(u.grid, params)
-    g = u.grid
-    d = strong_form_defect(u, lam, params, floor_factor=floor_factor,
-                           include_nonlocal=include_nonlocal, source=source)
-    uv = u.values
-    eps = floor_factor * float(np.max(uv))
-    scales = [ws.wnorm(ws.apply_G(uv) / (g.omega * g.weights))]
-    if lam != 0.0:
-        scales.append(lam * ws.wnorm(ws.a * np.maximum(uv, eps) ** (params.q - 1.0)))
-    if include_nonlocal:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fac = ws.b * np.abs(uv) ** (params.p - 2.0) * uv
-        fac[uv == 0.0] = 0.0
-        scales.append(ws.wnorm(fac * ws.w_u(uv)))
-    if source is not None:
-        scales.append(ws.wnorm(np.asarray(source, dtype=float)))
-    return ws.wnorm(d) / max(scales)
+    return ws.defect(ws.evaluate(u.values), lam, floor_factor, include_nonlocal, source)[1]
 
 
 def _initial_ray(lam, branch, init, grid, params, budget):
@@ -191,66 +157,61 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
     if grid.kind != "radial":
         raise UnsupportedDimension("the solver runs on radial grids")
     ws = workspace(grid, params)
-    q = params.q
+    q, ff = params.q, opts.floor_factor
 
-    u = _initial_ray(lam, branch, init, grid, params, opts.reinit_budget).values
-    triple = _triple_of(ws, params, u)
-    J = energy_from_triple(triple, lam, params)
+    ev = ws.evaluate(_initial_ray(lam, branch, init, grid, params, opts.reinit_budget).values)
+    J = energy_from_triple(ev.triple, lam, params)
     history = [J]
     quad = grid.omega * grid.weights
     step = opts.step0
     it = 0
-    res = np.inf
     for it in range(opts.max_iters):
-        ufun = GridFunction(grid, u)
-        d = strong_form_defect(ufun, lam, params, floor_factor=opts.floor_factor)
-        res = weak_residual(ufun, lam, params, floor_factor=opts.floor_factor)
+        d, res = ws.defect(ev, lam, ff)
         if res <= opts.tol:
             break
-        uf = np.maximum(u, opts.floor_factor * np.max(u))
+        u = ev.u
+        uf = np.maximum(u, ff * np.max(u))
         shift = quad * lam * ws.a * (1.0 - q) * uf ** (q - 2.0)
         z = ws.solve_shifted(shift, quad * d)
         slope = float((quad * d) @ z)  # directional derivative along -z
-        accepted = False
-        s = min(step, opts.step_max)
-        for _bt in range(opts.backtrack_max):
+        accepted = None
+        s = min(step, STEP_MAX)
+        for _bt in range(BACKTRACK_MAX):
             trial = np.clip(u - s * z, 0.0, None)
             if not np.any(trial > 0.0):
                 s *= 0.5
                 continue
             try:
-                t, trial_triple = _project_values(ws, params, trial, lam, branch)
+                t, trial_triple = _project_values(params, ws.evaluate(trial), lam, branch)
             except RayMissesNehari:
                 s *= 0.5
                 continue
             trial = t * trial
-            trial_J = energy_from_triple(trial_triple, lam, params)
-            if trial_J <= J - opts.armijo * s * slope:
-                accepted = True
+            if energy_from_triple(trial_triple, lam, params) <= J - ARMIJO * s * slope:
+                accepted = ws.evaluate(trial)
                 break
-            if opts.armijo * s * slope < 8e-15 * abs(J):
+            if ARMIJO * s * slope < 8e-15 * abs(J):
                 # energy differences at machine precision: fall back to a
                 # residual-decrease acceptance for the Newton endgame
-                if weak_residual(GridFunction(grid, trial), lam, params,
-                                 floor_factor=opts.floor_factor) < 0.7 * res:
-                    accepted = True
+                trial_ev = ws.evaluate(trial)
+                if ws.defect(trial_ev, lam, ff)[1] < 0.7 * res:
+                    accepted = trial_ev
                     break
             s *= 0.5
-        if not accepted:
+        if accepted is None:
             break
-        u = trial
-        triple = _triple_of(ws, params, u)
-        J = energy_from_triple(triple, lam, params)
+        ev = accepted
+        J = energy_from_triple(ev.triple, lam, params)
         history.append(J)
-        step = min(2.0 * s, opts.step_max)
+        step = min(2.0 * s, STEP_MAX)
 
-    ufun = GridFunction(grid, u)
-    res = weak_residual(ufun, lam, params, floor_factor=opts.floor_factor)
+    ufun = GridFunction(grid, ev.u)
+    res = ws.defect(ev, lam, ff)[1]
     converged = bool(res <= opts.tol)
     try:
         # every iterate is an absorbed projection, so the converged state's
         # own projection time must sit at 1 up to the root tolerance
-        t_final = _project_values(ws, params, u, lam, branch)[0]
+        t_final = _project_values(params, ev, lam, branch)[0]
     except RayMissesNehari:  # pragma: no cover
         t_final = float("nan")
     result = SolveResult(
@@ -262,8 +223,8 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
         iterations=it + 1,
         converged=converged,
         t_at_convergence=t_final,
-        floored_mass=floored_fraction(ufun, params, opts.floor_factor),
-        triple=triple,
+        floored_mass=floored_fraction(ufun, params, ff),
+        triple=ev.triple,
         energy_history=history,
     )
     if strict and not converged:

@@ -18,7 +18,7 @@ from neharilab import sweep as sw
 from neharilab.extremal import estimate_lambda_star
 from neharilab.fibering import Branch
 from neharilab.functionals import ReducedTriple, workspace
-from neharilab.solver import envelope_gradient, project_to_nehari, solve_pair
+from neharilab.solver import project_to_nehari, solve_pair, strong_form_defect
 
 from oracles import maximize_q_n, random_exponents, random_triples
 
@@ -268,7 +268,7 @@ def test_criterion_10_gradient_fidelity(acc_params, acc_grid):
                                        acc_params.p, acc_params.q))
         branch = Branch.NPLUS if rng.uniform() < 0.5 else Branch.NMINUS
         proj = project_to_nehari(u, lam, branch, acc_params)
-        g = envelope_gradient(proj, lam, acc_params)
+        g = strong_form_defect(proj, lam, acc_params)
         psi = 1.0 + 0.5 * np.sin(rng.uniform(0.5, 2.0) * r)
         pairing = ws.space_integral(g * psi * proj.values)
         eps = 1e-5

@@ -150,6 +150,22 @@ def test_sweep_csv_deterministic(small_config, tmp_path, capsys):
                       "residual_plus,residual_minus,converged_plus,converged_minus")
 
 
+@pytest.mark.parametrize("flags", [["--points", "1"], ["--points", "0", "--frac-min", "0"]])
+def test_sweep_bad_grid_flags_are_usage_errors(small_config, tmp_path, capsys, flags):
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--config", small_config, "--out", str(out)] + flags) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("step0", ["0", "1.5"])
+def test_solver_step0_outside_unit_interval_is_usage_error(tmp_path, capsys, step0):
+    path = tmp_path / "cfg.ini"
+    path.write_text(SMALL_CONFIG.replace("max_iters = 300", f"max_iters = 300\nstep0 = {step0}"))
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    assert "step0" in capsys.readouterr().err
+
+
 def test_cross_check_within_tolerance(small_config, capsys):
     code = cli.main(["cross-check", "--config", small_config, "--box-m", "16",
                      "--tolerance", "0.05"])

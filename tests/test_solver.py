@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 import neharilab as nl
+from neharilab import functionals, solver
 from neharilab.errors import RayMissesNehari, NoConvergence
 from neharilab.fibering import Branch, phi_second
 from neharilab.functionals import workspace
 from neharilab.solver import (
     SolverOptions,
-    envelope_gradient,
     minimize_on_branch,
     project_to_nehari,
     solution_distance,
     solve_pair,
+    strong_form_defect,
 )
 
 from oracles import dense_energy_operator
@@ -69,7 +70,7 @@ def test_projection_rejects_high_lambda(params, gaussian):
 def test_envelope_gradient_matches_reduced_fd(params, grid, estimate, lam):
     ws = workspace(grid, params)
     u = project_to_nehari(estimate.minimizer, lam, Branch.NPLUS, params)
-    g = envelope_gradient(u, lam, params)
+    g = strong_form_defect(u, lam, params)
     psi = 1.0 + 0.4 * np.sin(1.3 * grid.nodes)
     phi = psi * u.values
     pairing = ws.space_integral(g * phi)
@@ -86,7 +87,7 @@ def test_envelope_gradient_matches_reduced_fd(params, grid, estimate, lam):
 def test_envelope_gradient_small_at_converged_solution(params, pair):
     plus, _ = pair
     ws = workspace(plus.solution.grid, params)
-    g = envelope_gradient(plus.solution, plus.lam, params)
+    g = strong_form_defect(plus.solution, plus.lam, params)
     assert ws.wnorm(g) <= 10.0 * plus.weak_residual * max(
         ws.wnorm(ws.apply_G(plus.solution.values) / (plus.solution.grid.omega * plus.solution.grid.weights)),
         1.0,
@@ -124,6 +125,35 @@ def test_converged_residual_below_tolerance(pair):
     assert plus.converged and minus.converged
     assert plus.weak_residual <= 1e-4
     assert minus.weak_residual <= 1e-4
+
+
+def test_reported_residual_is_the_public_weak_residual(params, pair):
+    for res in pair:
+        assert nl.weak_residual(res.solution, res.lam, params) == res.weak_residual
+
+
+def test_one_w_u_per_evaluated_point(params, grid, estimate, lam, monkeypatch):
+    # each projection (initial ray, backtracking trial, final t) evaluates at
+    # most one point and each accepted iterate one more; the defect and the
+    # residual reuse the iterate's w_u
+    calls = {"w_u": 0, "roots": 0}
+    w_u, roots = functionals.FunctionalWorkspace.w_u, solver.nehari_roots
+
+    def counted_w_u(self, u_vals):
+        calls["w_u"] += 1
+        return w_u(self, u_vals)
+
+    def counted_roots(*args):
+        calls["roots"] += 1
+        return roots(*args)
+
+    monkeypatch.setattr(functionals.FunctionalWorkspace, "w_u", counted_w_u)
+    monkeypatch.setattr(solver, "nehari_roots", counted_roots)
+    for branch in (Branch.NPLUS, Branch.NMINUS):
+        calls.update(w_u=0, roots=0)
+        result = minimize_on_branch(lam, branch, estimate.minimizer, params, grid=grid)
+        assert result.converged
+        assert calls["w_u"] <= calls["roots"] + result.iterations
 
 
 # --- branch structure -------------------------------------------------------------------
