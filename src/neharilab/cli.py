@@ -278,10 +278,9 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    grid, prm, est = _estimate(cfg)
-    try:
-        lams = sweep_mod.default_lambda_grid(
-            est.lambda_star,
+    try:  # fractions of lambda*: a bad flag fails before the estimate runs
+        fracs = sweep_mod.default_lambda_grid(
+            1.0,
             points=cfg.sweep_points if args.points is None else args.points,
             frac_min=cfg.sweep_frac_min if args.frac_min is None else args.frac_min,
             frac_max=cfg.sweep_frac_max if args.frac_max is None else args.frac_max,
@@ -289,6 +288,8 @@ def cmd_sweep(args) -> int:
         )
     except ValueError as err:
         raise ConfigError(f"bad sweep grid: {err}") from err
+    grid, prm, est = _estimate(cfg)
+    lams = est.lambda_star * fracs
     ref = reduced_triple(est.minimizer, prm)
     result = sweep_mod.run_sweep(lams, prm, grid, ref, init=est.minimizer, opts=cfg.solver)
     out = args.out or os.path.join(cfg.output_dir, "sweep.csv")

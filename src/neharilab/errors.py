@@ -59,7 +59,7 @@ class LengthMismatch(GridError):
 
 
 class GridTooLarge(GridError):
-    """Cartesian pair sum refused (O(m^6) cost)."""
+    """Cartesian pair sum (O(m^6) cost) or dense radial kernel (O(M^2)) refused."""
 
 
 class SnapshotError(NehariLabError, ValueError):

@@ -22,6 +22,10 @@ has two independent engines in N = 3:
   giving B = 8 pi^2 II f(r) f(s) r^(2-a) s^(2-a) k_mu(r, s) dr ds with
   f = b u^p.  Diagonal cells integrate the lone singular factor |r-s|^(2-mu)
   analytically over the cell; all smooth factors are frozen at cell centers.
+  At mu = 1 the kernel is Newton's k_1(r, s) = 2/max(r, s), so applying it
+  to h is 2/r_i times the sum of h_j below i plus the sum of 2 h_j/r_j above
+  i, plus the diagonal cell (2r - d/3)/r^2 h_i: two running sums, O(M) time
+  and memory.  Any other mu stores the dense M x M matrix (M <= 4096).
 * direct: O(m^6) midpoint pair sum over a Cartesian box, plus a self-cell
   correction f(x)^2 |x|^(-2a) * 4 pi rho^(3-mu)/(3-mu) * h^3 per node with
   rho the equal-volume-sphere radius (3 h^3 / 4 pi)^(1/3).
@@ -39,6 +43,7 @@ from __future__ import annotations
 import warnings
 import weakref
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
@@ -57,6 +62,7 @@ from .params import ProblemParams
 
 DEFAULT_FLOOR_FACTOR = 1e-10
 _DIRECT_MAX_M = 24
+_DENSE_KERNEL_MAX_M = 4096  # 128 MB of kernel; mu = 1 stores no matrix
 _DIRECT_BLOCK_ENTRIES = 2**16  # pair entries per direct-engine block: temporaries stay ~MB
 
 
@@ -97,6 +103,9 @@ class FunctionalWorkspace:
         self.V = params.v_values(r)
         if grid.kind == "radial":
             self._build_radial_operator()
+            # w_u = 2 pi r^-a k(f r^-a w); the products keep this order
+            self._r_alpha = grid.nodes ** (-params.alpha)
+            self._w_out = 2.0 * np.pi * self._r_alpha
             self._K = None  # built lazily (depends on mu only through params)
         self._cho = None
 
@@ -142,13 +151,34 @@ class FunctionalWorkspace:
     # -- kernel ---------------------------------------------------------------
 
     def kernel(self):
-        if self._K is not None:
-            return self._K
+        """The radial kernel operator h -> sum_j k_mu(r_i, r_j) h_j.
+
+        Built once per workspace: at mu = 1 only the diagonal-cell vector is
+        stored and the operator is two running sums; otherwise the dense
+        matrix is stored and applied by a matrix-vector product.
+        """
+        if self._K is None:
+            g, mu = self.grid, self.params.mu
+            if g.dim != 3:
+                raise UnsupportedDimension("the radial nonlocal kernel is implemented for N = 3")
+            if not (0.0 < mu < 3.0):
+                raise KernelDomain(f"mu must lie in (0, 3), got {mu}")
+            if mu == 1.0:
+                r = g.nodes
+                self._K = (2.0 * r - g.cell_widths / 3.0) / (r * r)  # diagonal cells of k_1
+            else:
+                self._K = self._dense_kernel()
+        if self._K.ndim == 1:
+            return partial(_apply_newton, self.grid.nodes, self._K)
+        return self._K.__matmul__
+
+    def _dense_kernel(self):
         g, mu = self.grid, self.params.mu
-        if g.dim != 3:
-            raise UnsupportedDimension("the radial nonlocal kernel is implemented for N = 3")
-        if not (0.0 < mu < 3.0):
-            raise KernelDomain(f"mu must lie in (0, 3), got {mu}")
+        if g.M > _DENSE_KERNEL_MAX_M:
+            raise GridTooLarge(
+                f"the dense radial kernel for mu = {mu} is limited to M <= "
+                f"{_DENSE_KERNEL_MAX_M}, got M = {g.M} ({g.M**2 * 8 / 2**20:.0f} MB "
+                "for the matrix alone); mu = 1 needs no matrix and has no cap")
         r, d = g.nodes, g.cell_widths
         rr, ss = r[:, None], r[None, :]
         if abs(mu - 2.0) > 1e-13:
@@ -161,7 +191,6 @@ class FunctionalWorkspace:
                 K = np.log((rr + ss) / np.abs(rr - ss)) / (rr * ss)
             diag = (np.log(2.0 * r / d) + 1.5) / (r * r)
         np.fill_diagonal(K, diag)
-        self._K = K
         return K
 
     # -- integrals ------------------------------------------------------------
@@ -201,12 +230,9 @@ class FunctionalWorkspace:
 
     def w_u(self, u_vals) -> np.ndarray:
         """w_u(x) = int b(y)|u(y)|^p / (|x|^a |x-y|^mu |y|^a) dy at the nodes."""
-        params, g = self.params, self.grid
-        f = self.b * np.abs(u_vals) ** params.p
-        if g.kind == "radial":
-            K = self.kernel()
-            r = g.nodes
-            return 2.0 * np.pi * r ** (-params.alpha) * (K @ (f * r ** (-params.alpha) * g.weights))
+        f = self.b * np.abs(u_vals) ** self.params.p
+        if self.grid.kind == "radial":
+            return self._w_out * self.kernel()(f * self._r_alpha * self.grid.weights)
         return self._w_u_direct(f)
 
     def _w_u_direct(self, f) -> np.ndarray:
@@ -298,6 +324,15 @@ def workspace(grid, params: ProblemParams) -> FunctionalWorkspace:
         ws = FunctionalWorkspace(grid, params)
         per_grid[key] = ws
     return ws
+
+
+def _apply_newton(r, cells, h):
+    """sum_j k_1(r_i, r_j) h_j: 2/r_i times the sum of h below i, plus the
+    sum of 2 h_j/r_j above i, plus the diagonal cell."""
+    below = np.cumsum(h) - h
+    t = h / r
+    above = np.cumsum(t[::-1])[::-1] - t
+    return 2.0 * (below / r + above) + cells * h
 
 
 def _forward_diff(u3, axis, h):

@@ -72,3 +72,19 @@ def dense_energy_operator(grid, V):
     D[M - 1, M - 1] = -1.0 / (grid.R - r[M - 1])
     G = grid.omega * (D.T @ (w[:, None] * D) + np.diag(w * V))
     return 0.5 * (G + G.T)
+
+
+def dense_newton_kernel(grid):
+    """The mu = 1 radial kernel as a dense matrix: Newton's 2/max(r, s) off
+    the diagonal and the analytic diagonal cells (2r - d/3)/r^2."""
+    r = grid.nodes
+    K = 2.0 / np.maximum(r[:, None], r[None, :])
+    np.fill_diagonal(K, (2.0 * r - grid.cell_widths / 3.0) / (r * r))
+    return K
+
+
+def dense_w_u(u_vals, grid, params, K):
+    """w_u = 2 pi r^-a K (b u^p r^-a w) by a dense matrix-vector product."""
+    r = grid.nodes
+    f = params.b_values(r) * np.abs(u_vals) ** params.p
+    return 2.0 * np.pi * r ** -params.alpha * (K @ (f * r ** -params.alpha * grid.weights))

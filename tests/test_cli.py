@@ -151,7 +151,12 @@ def test_sweep_csv_deterministic(small_config, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--points", "1"], ["--points", "0", "--frac-min", "0"]])
-def test_sweep_bad_grid_flags_are_usage_errors(small_config, tmp_path, capsys, flags):
+def test_sweep_bad_grid_flags_are_usage_errors(small_config, tmp_path, capsys, monkeypatch,
+                                               flags):
+    def no_estimate(cfg):
+        raise AssertionError("the lambda* estimate ran before the flags were checked")
+
+    monkeypatch.setattr(cli, "_estimate", no_estimate)
     out = tmp_path / "s.csv"
     assert cli.main(["sweep", "--config", small_config, "--out", str(out)] + flags) == 2
     assert "usage error" in capsys.readouterr().err

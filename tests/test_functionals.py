@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ from neharilab.errors import GridTooLarge, NotInPositiveCone, SingularMassWarnin
 from neharilab import functionals
 from neharilab.functionals import workspace
 
-from oracles import dense_energy_operator
+from oracles import dense_energy_operator, dense_newton_kernel, dense_w_u
 
 
 @pytest.fixture(scope="module")
@@ -282,6 +283,81 @@ def test_stein_weiss_ratio_stability(params):
 
 
 # --- nonlocal potential and D -----------------------------------------------------
+
+def _newton_profiles(g, rng):
+    r = g.nodes
+    return {
+        "gaussian": np.exp(-r * r / 2.0),
+        "random": rng.uniform(0.1, 1.0, g.M),
+        "zero_tail": np.where(r < 3.0, np.cos(np.pi * r / 6.0), 0.0),
+    }
+
+
+@pytest.mark.parametrize("M", [256, 2048])
+def test_newton_w_u_matches_dense_oracle(rng, M):
+    # mu = 1: the two running sums against 2/max(r, s) as a dense matrix
+    g = nl.build_radial_grid(20.0, M, 2.0)
+    K = dense_newton_kernel(g)
+    for alpha in (0.01, 0.25, 0.45):
+        prm = dataclasses.replace(nl.ProblemParams(), alpha=alpha)
+        ws = workspace(g, prm)
+        for name, u in _newton_profiles(g, rng).items():
+            ref = dense_w_u(u, g, prm, K)
+            err = np.max(np.abs(ws.w_u(u) - ref) / ref)
+            assert err <= 1e-13, (alpha, name, err)
+
+
+def test_newton_w_u_continuous_with_dense_kernel(rng):
+    # the dense general-mu kernel on either side of mu = 1 checks the
+    # Newton path, its diagonal cells included
+    g = nl.build_radial_grid(20.0, 256, 2.0)
+    for u in _newton_profiles(g, rng).values():
+        at_one = workspace(g, nl.ProblemParams()).w_u(u)
+        for mu in (1.0 - 1e-7, 1.0 + 1e-7):
+            near = workspace(g, dataclasses.replace(nl.ProblemParams(), mu=mu)).w_u(u)
+            assert np.max(np.abs(near - at_one) / at_one) <= 1e-6
+
+
+def test_newton_workspace_stores_no_matrix(params):
+    g = nl.build_radial_grid(20.0, 512, 2.0)
+    ws = workspace(g, params)
+    ws.w_u(np.exp(-g.nodes**2))
+    ws.cho()
+    assert ws._K.shape == (g.M,)
+    arrays = [v for v in vars(ws).values() if isinstance(v, np.ndarray)]
+    assert arrays and all(a.size <= 3 * g.M for a in arrays)
+
+
+def test_newton_w_u_memory_is_linear(params):
+    # the dense M x M kernel alone would take 512 MB here
+    g = nl.build_radial_grid(20.0, 8192, 2.0)
+    u = np.exp(-g.nodes**2)
+    tracemalloc.start()
+    try:
+        wu = workspace(g, params).w_u(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(wu > 0.0) and np.all(np.isfinite(wu))
+    assert peak < 10 * 2**20
+
+
+def test_dense_kernel_size_cap_names_the_cost():
+    g = nl.build_radial_grid(20.0, 4097, 2.0)
+    prm = dataclasses.replace(nl.ProblemParams(), mu=1.5)
+    ws = workspace(g, prm)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLarge) as info:
+            ws.w_u(np.exp(-g.nodes**2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20   # refused before any matrix is allocated
+    msg = str(info.value)
+    assert "M = 4097" in msg and "mu = 1.5" in msg and "128 MB" in msg
+    assert "mu = 1 needs no matrix" in msg
+
 
 def test_nonlocal_potential_zero_and_homogeneity(params, gaussian):
     wu = nl.nonlocal_potential(gaussian, params)
