@@ -15,12 +15,26 @@ lambda < Lambda_n the equation Q_n(t) = lambda has exactly two roots
 
     t_plus < t_n < t_minus,
 
-the ray's projections onto the two Nehari branches.  All functions accept
-numpy arrays in the triple fields and in t.
+the ray's projections onto the two Nehari branches.  With tau = t/t_n and
+rho = lambda/Lambda_n the equation is scale-free:
+
+    Q_n(t_n tau) = Lambda_n h(tau),   h(tau) = k1 tau^(2-q) - k2 tau^(2p-q),
+    k1 = (2p-q)/(2p-2),  k2 = (2-q)/(2p-2),  k1 - k2 = h(1) = 1,
+    h''(1) = -(2-q)(2p-q),
+
+and each root has a closed-form bracket,
+
+    tau_plus  in [(rho/k1)^(1/(2-q)), rho^(1/(2-q))],
+    tau_minus in [max(1, ((k1-rho)/k2)^(1/(2p-2))), (k1/k2)^(1/(2p-2))],
+
+on which nehari_roots runs float Newton with a bisection fallback from
+1 -+ sqrt(2(1-rho)/((2-q)(2p-q))).  All other functions accept numpy arrays
+in the triple fields and in t.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -34,20 +48,22 @@ from .params import fibering_constants
 ROOT_RTOL = 1e-12        # |Q_n(t) - lambda| <= ROOT_RTOL * Lambda_n
 DOUBLE_ROOT_BAND = 1e-12  # |lambda - Lambda_n| <= band * Lambda_n -> tangency
 CLASSIFY_RTOL = 1e-9
+_NEWTON_MAX = 100
+_EPS = 2.0**-52           # double-precision machine epsilon
 
 
 def _check_t(t):
-    if np.any(np.asarray(t) <= 0.0):
+    if (np.asarray(t) <= 0.0).any():
         raise NonpositiveT("fibering maps are defined for t > 0")
 
 
 def _check_A(triple):
-    if np.any(np.asarray(triple.A) <= 0.0):
+    if (np.asarray(triple.A) <= 0.0).any():
         raise ZeroA("quotients need A > 0")
 
 
 def _check_B(triple):
-    if np.any(np.asarray(triple.B) <= 0.0):
+    if (np.asarray(triple.B) <= 0.0).any():
         raise ZeroB("critical points need B > 0")
 
 
@@ -83,7 +99,8 @@ def phi_second(t, triple: ReducedTriple, lam, p: float, q: float):
 def q_n(t, triple: ReducedTriple, p: float, q: float):
     _check_t(t)
     _check_A(triple)
-    return (t ** (2 - q) * triple.E - t ** (2 * p - q) * triple.B) / triple.A
+    # factored so the exact exponent 2p-2 carries the cancellation near t_n
+    return t ** (2 - q) * (triple.E - t ** (2 * p - 2) * triple.B) / triple.A
 
 
 def q_n_prime(t, triple: ReducedTriple, p: float, q: float):
@@ -169,92 +186,75 @@ class NoRoot:
 RootsResult = Union[TwoRoots, DoubleRoot, NoRoot]
 
 
-def _refine_root(f, lo, hi, flo, fhi, tol):
-    """Safeguarded bisection/secant hybrid; returns t with |f(t)| <= tol.
+def _solve_h(rho, lo, hi, tau, rising, p, q):
+    """tau in (lo, hi) with h(tau) = rho (h rising there for N+, falling for N-).
 
-    False position on a sign-changing bracket with the Illinois modification
-    (a retained endpoint has its value halved) so neither endpoint goes
-    stale, falling back to bisection whenever the secant step leaves the
-    bracket.
+    Float Newton with bisection fallback on h = tau^(2-q) (1 - e),
+    e = k2 (tau^(2p-2) - 1) by expm1, which forms no difference of the large
+    k1, k2 as p -> 1; h' = -(2p-q) tau^(1-q) e.  Stops at h's rounding level.
     """
-    side = 0
-    for _ in range(300):
-        denom = fhi - flo
-        t = (lo * fhi - hi * flo) / denom if denom != 0.0 else 0.5 * (lo + hi)
-        if not (lo < t < hi):
-            t = 0.5 * (lo + hi)
-        ft = f(t)
-        if abs(ft) <= tol:
-            return t
-        if flo * ft < 0.0:
-            hi, fhi = t, ft
-            if side == -1:
-                flo *= 0.5
-            side = -1
+    k2 = (2 - q) / (2 * p - 2)
+    if not lo < tau < hi:
+        tau = 0.5 * (lo + hi)
+    for _ in range(_NEWTON_MAX):
+        a = tau ** (2 - q)
+        e = k2 * math.expm1((2 * p - 2) * math.log(tau))
+        g = a * (1.0 - e) - rho
+        if abs(g) <= 4.0 * _EPS * a * (1.0 + abs(e)):
+            return tau
+        if (g < 0.0) == rising:
+            lo = tau
         else:
-            lo, flo = t, ft
-            if side == +1:
-                fhi *= 0.5
-            side = +1
-        if hi - lo <= 4.0 * np.finfo(float).eps * max(abs(hi), 1e-300):
-            if abs(ft) <= tol:
-                return t
-            raise RootBracketFailure(
-                f"bracket collapsed with |residual| = {abs(ft):.3e} > {tol:.3e}"
-            )
-    raise RootBracketFailure(f"root refinement stalled above tolerance {tol:.3e}")
+            hi = tau
+        if e == 0.0 or not lo < (nxt := tau + g * tau / ((2 * p - q) * a * e)) < hi:
+            nxt = 0.5 * (lo + hi)
+        if nxt == tau:
+            return tau
+        tau = nxt
+    raise RootBracketFailure(f"Newton iteration for h(tau) = {rho!r} did not settle")
 
 
 def nehari_roots(triple: ReducedTriple, lam: float, p: float, q: float) -> RootsResult:
     """Solve Q_n(t) = lambda on the ray.
 
-    lambda < Lambda_n: TwoRoots with t_plus in (0, t_n), t_minus in (t_n, inf),
-    each refined to |Q_n(t) - lambda| <= 1e-12 Lambda_n; the second-derivative
-    signs phi''(t_plus) > 0 > phi''(t_minus) are asserted.  Within the
-    tangency band |lambda - Lambda_n| <= 1e-12 Lambda_n: DoubleRoot(t_n).
-    Above: NoRoot.
+    lambda < Lambda_n: TwoRoots t_n tau with h(tau) = lambda / Lambda_n (module
+    docstring), each checked to |Q_n(t) - lambda| <= 1e-12 Lambda_n on Q_n
+    itself, with phi''(t_plus) > 0 > phi''(t_minus).  Within the tangency band
+    |lambda - Lambda_n| <= 1e-12 Lambda_n: DoubleRoot(t_n).  Above: NoRoot.
     """
     if lam <= 0.0:
         raise NonpositiveT("nehari_roots needs lambda > 0")
-    _check_A(triple)
-    _check_B(triple)
+    Ln = float(lambda_n(triple, p, q))   # checks A > 0, then B > 0
     tn = float(t_max_n(triple, p, q))
-    Ln = float(lambda_n(triple, p, q))
+    if not (0.0 < tn < math.inf and 0.0 < Ln < math.inf):
+        raise RootBracketFailure(f"t_n = {tn!r}, Lambda_n = {Ln!r} are not positive floats")
     if abs(lam - Ln) <= DOUBLE_ROOT_BAND * Ln:
         return DoubleRoot(t_n=tn)
     if lam > Ln:
         return NoRoot(t_n=tn, lambda_n=Ln)
 
-    def f(t):
-        return float(q_n(t, triple, p, q)) - lam
+    rho = float(lam) / Ln
+    k1 = (2 * p - q) / (2 * p - 2)
+    k2 = (2 - q) / (2 * p - 2)
+    dtau = math.sqrt(2.0 * (1.0 - rho) / ((2 - q) * (2 * p - q)))
+    t_plus = tn * _solve_h(rho, (rho / k1) ** (1 / (2 - q)), rho ** (1 / (2 - q)),
+                           1.0 - dtau, True, p, q)
+    t_minus = tn * _solve_h(rho, max(1.0, ((k1 - rho) / k2) ** (1 / (2 * p - 2))),
+                            (k1 / k2) ** (1 / (2 * p - 2)), 1.0 + dtau, False, p, q)
 
     tol = ROOT_RTOL * Ln
-    # bracket t_plus in (lo, t_n]
-    lo = tn
-    flo = f(lo)
-    for _ in range(2000):
-        lo *= 0.5
-        flo = f(lo)
-        if flo < 0.0:
-            break
-    else:  # pragma: no cover
-        raise RootBracketFailure("could not bracket t_plus")
-    t_plus = _refine_root(f, lo, tn, flo, Ln - lam, tol)
-    # bracket t_minus in [t_n, hi)
-    hi = tn
-    fhi = f(hi)
-    for _ in range(2000):
-        hi *= 2.0
-        fhi = f(hi)
-        if fhi < 0.0:
-            break
-    else:  # pragma: no cover
-        raise RootBracketFailure("could not bracket t_minus")
-    t_minus = _refine_root(lambda t: -f(t), tn, hi, -(Ln - lam), -fhi, tol)
-
-    if not (phi_second(t_plus, triple, lam, p, q) > 0.0 > phi_second(t_minus, triple, lam, p, q)):
+    try:
+        for t in (t_plus, t_minus):
+            res = abs(float(q_n(t, triple, p, q)) - lam)
+            if not res <= tol:
+                raise RootBracketFailure(f"|Q_n(t) - lambda| = {res:.3e} > {tol:.3e} at t = {t!r}")
+        signs_ok = phi_second(t_plus, triple, lam, p, q) > 0.0 > phi_second(
+            t_minus, triple, lam, p, q)
+    except OverflowError as exc:
+        raise RootBracketFailure(f"Q_n or phi'' overflows at the roots: {exc}") from exc
+    if not signs_ok:
         raise RootBracketFailure("second-derivative signs violated at the refined roots")
-    return TwoRoots(t_plus=float(t_plus), t_minus=float(t_minus), t_n=tn)
+    return TwoRoots(t_plus=t_plus, t_minus=t_minus, t_n=tn)
 
 
 # --- Nehari branch classification ----------------------------------------------

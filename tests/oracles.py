@@ -12,7 +12,10 @@ from neharilab.functionals import ReducedTriple
 
 
 def q_n_raw(t, E, A, B, p, q):
-    return (t ** (2 - q) * E - t ** (2 * p - q) * B) / A
+    # t^(2-q) (E - t^(2p-2) B) / A: for p near 1 the two terms nearly cancel
+    # at t_n, and the exact exponent 2p-2 keeps the rounding of 2p-q (times
+    # |ln t|) out of that difference
+    return t ** (2 - q) * (E - t ** (2 * p - 2) * B) / A
 
 
 def maximize_q_n(E, A, B, p, q, decades=35, coarse=1400, iters=120):
@@ -40,7 +43,7 @@ def bisect_q_n(E, A, B, p, q, lam, lo, hi, iters=200):
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         fm = q_n_raw(mid, E, A, B, p, q) - lam
-        if flo * fm <= 0.0:
+        if np.sign(flo) * np.sign(fm) <= 0.0:   # a product of tiny values underflows
             hi = mid
         else:
             lo, flo = mid, fm

@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import neharilab as nl
 from neharilab import fibering as fib
@@ -231,6 +233,94 @@ def test_monotone_root_response_in_lambda():
         tms.append(roots.t_minus)
     assert np.all(np.diff(tps) > 0.0)
     assert np.all(np.diff(tms) < 0.0)
+
+
+
+def _assert_two_roots(tr, lam, p, q):
+    """TwoRoots with the residual bound on Q_n, t_+ < t_n < t_-, and the phi'' signs."""
+    Ln = float(fib.lambda_n(tr, p, q))
+    roots = fib.nehari_roots(tr, lam, p, q)
+    assert isinstance(roots, fib.TwoRoots)
+    for t in (roots.t_plus, roots.t_minus):
+        assert abs(float(fib.q_n(t, tr, p, q)) - lam) <= fib.ROOT_RTOL * Ln
+    assert roots.t_plus < roots.t_n < roots.t_minus
+    assert fib.phi_second(roots.t_plus, tr, lam, p, q) > 0.0
+    assert fib.phi_second(roots.t_minus, tr, lam, p, q) < 0.0
+    return roots
+
+
+@pytest.mark.parametrize("E, A, B", [(1.0, 1.0, 1e8), (1e-8, 1e-8, 1.0)])
+def test_roots_near_p_one_regression(E, A, B):
+    # admissible parameters with p near 1; the bracket search before the
+    # tau form collapsed here with |residual| = 7.8e-162 > 7.2e-173
+    prm = nl.validate(nl.ProblemParams(alpha=0.01, mu=2.9, p=1.05, q=0.02, gamma3=1.49))
+    tr = ReducedTriple(E=E, A=A, B=B)
+    _assert_two_roots(tr, 0.5 * float(fib.lambda_n(tr, prm.p, prm.q)), prm.p, prm.q)
+
+
+def test_roots_scale_sweep():
+    scales = [10.0**k for k in (-30, -8, 0, 8, 30)]
+    kept = 0
+    for E, A, B, p, q in itertools.product(scales, scales, scales, (1.05, 2.0, 4.9),
+                                           (0.02, 0.5, 0.98)):
+        tr = ReducedTriple(E=E, A=A, B=B)
+        with np.errstate(over="ignore"):
+            tn = float(fib.t_max_n(tr, p, q))
+            Ln = float(fib.lambda_n(tr, p, q))
+        if not (1e-100 < tn < 1e100 and 1e-250 < Ln < 1e250):
+            continue
+        for rho in (1e-12, 1e-3, 0.5, 1 - 1.5e-12, 1 - 1e-9):
+            _assert_two_roots(tr, rho * Ln, p, q)
+            kept += 1
+    assert kept == 4425
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.floats(1.01, 6.0, exclude_min=True, exclude_max=True),
+    q=st.floats(0.005, 0.995, exclude_min=True, exclude_max=True),
+    rho=st.floats(1e-9, 1.0 - 2e-12),
+    logs=st.tuples(*[st.floats(-6.0, 6.0)] * 3),
+)
+def test_roots_match_bisection_oracle_property(p, q, rho, logs):
+    E, A, B = (10.0**x for x in logs)
+    tr = ReducedTriple(E=E, A=A, B=B)
+    with np.errstate(over="ignore", under="ignore"):
+        tn = float(fib.t_max_n(tr, p, q))
+        Ln = float(fib.lambda_n(tr, p, q))
+    assume(1e-100 < tn < 1e100 and 1e-250 < Ln < 1e250)
+    lam = rho * Ln
+    roots = _assert_two_roots(tr, lam, p, q)
+    for t, lo, hi in ((roots.t_plus, 1e-14 * tn, tn), (roots.t_minus, tn, 10.0 * tn)):
+        oracle = bisect_q_n(E, A, B, p, q, lam, lo, hi)
+        # 1e-9 relative, or as closely as the residual bounds pin a root: two
+        # points with |Q_n - lambda| <= ROOT_RTOL Lambda_n lie within
+        # 2 ROOT_RTOL Lambda_n / |Q_n'| of each other (that term matters only
+        # within about 1e-10 Lambda_n of the tangency)
+        slope = abs(float(fib.q_n_prime(oracle, tr, p, q)))
+        assert abs(t - oracle) <= 1e-9 * oracle + 2.0 * fib.ROOT_RTOL * Ln / slope
+
+
+@pytest.mark.parametrize("p, q", [(1.05, 0.02), (2.0, 0.5), (4.9, 0.98)])
+def test_tangency_band_edges(p, q):
+    for tr in (UNIT, ReducedTriple(E=1e-8, A=3e4, B=2.5e6)):
+        Ln = float(fib.lambda_n(tr, p, q))
+        _assert_two_roots(tr, (1.0 - 2e-12) * Ln, p, q)
+        assert isinstance(fib.nehari_roots(tr, (1.0 - 0.5e-12) * Ln, p, q), fib.DoubleRoot)
+
+
+@settings(max_examples=200, deadline=None)
+@given(triple=triples_st, pq=exponents_st, rho=st.floats(0.01, 0.99),
+       log_s=st.floats(-3.0, 3.0))
+def test_roots_scale_covariance(triple, pq, rho, log_s):
+    # the ray through s u is the ray through u with t rescaled by 1/s
+    p, q = pq
+    s = 10.0**log_s
+    lam = rho * float(fib.lambda_n(triple, p, q))
+    base = fib.nehari_roots(triple, lam, p, q)
+    scaled = fib.nehari_roots(fib.scale_triple(triple, s, p, q), lam, p, q)
+    assert scaled.t_plus == pytest.approx(base.t_plus / s, rel=1e-12)
+    assert scaled.t_minus == pytest.approx(base.t_minus / s, rel=1e-12)
 
 
 # --- classification ----------------------------------------------------------------------
