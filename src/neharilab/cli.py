@@ -50,7 +50,7 @@ class RunConfig:
     M: int = 256
     grading: float = 2.0
     box_L: float = 3.0
-    box_m: int = 16
+    box_m: int = 24
     solver: SolverOptions = field(default_factory=SolverOptions)
     sweep_points: int = 9
     sweep_frac_min: float = 0.15

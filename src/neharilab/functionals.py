@@ -26,9 +26,11 @@ has two independent engines in N = 3:
   to h is 2/r_i times the sum of h_j below i plus the sum of 2 h_j/r_j above
   i, plus the diagonal cell (2r - d/3)/r^2 h_i: two running sums, O(M) time
   and memory.  Any other mu stores the dense M x M matrix (M <= 4096).
-* direct: O(m^6) midpoint pair sum over a Cartesian box, plus a self-cell
-  correction f(x)^2 |x|^(-2a) * 4 pi rho^(3-mu)/(3-mu) * h^3 per node with
-  rho the equal-volume-sphere radius (3 h^3 / 4 pi)^(1/3).
+* direct: midpoint pair sum over a Cartesian box with lattice kernel
+  h^3 (h|k|)^(-mu) at lag k, computed as one free-space FFT convolution on
+  the zero-padded (2m)^3 box (Hockney & Eastwood 1988), O(m^3 log m).  The
+  zero-lag entry is the self-cell term 4 pi rho^(3-mu)/(3-mu), rho the
+  equal-volume-sphere radius (3 h^3 / 4 pi)^(1/3).
 
 Both engines evaluate B through the nonlocal potential w_u, so the discrete
 identity D(u, u) = B(u) holds exactly.
@@ -61,9 +63,8 @@ from .grid import GridFunction
 from .params import ProblemParams
 
 DEFAULT_FLOOR_FACTOR = 1e-10
-_DIRECT_MAX_M = 24
 _DENSE_KERNEL_MAX_M = 4096  # 128 MB of kernel; mu = 1 stores no matrix
-_DIRECT_BLOCK_ENTRIES = 2**16  # pair entries per direct-engine block: temporaries stay ~MB
+_BOX_FFT_MAX_MB = 16  # per padded (2m)^3 float array of the direct engine: m <= 64
 
 
 @dataclass(frozen=True)
@@ -101,13 +102,12 @@ class FunctionalWorkspace:
         self.a = params.a_values(r)
         self.b = params.b_values(r)
         self.V = params.v_values(r)
+        self._r_alpha = r ** (-params.alpha)
         if grid.kind == "radial":
             self._build_radial_operator()
             # w_u = 2 pi r^-a k(f r^-a w); the products keep this order
-            self._r_alpha = grid.nodes ** (-params.alpha)
             self._w_out = 2.0 * np.pi * self._r_alpha
-            self._K = None  # built lazily (depends on mu only through params)
-        self._cho = None
+        self._K = self._box_hat = self._cho = None  # built lazily
 
     # -- radial operator -----------------------------------------------------
 
@@ -236,28 +236,39 @@ class FunctionalWorkspace:
         return self._w_u_direct(f)
 
     def _w_u_direct(self, f) -> np.ndarray:
-        g, params = self.grid, self.params
-        if g.m > _DIRECT_MAX_M:
-            raise GridTooLarge(f"direct engine limited to m <= {_DIRECT_MAX_M}, got {g.m}")
-        if not (0.0 < params.mu < 3.0):
-            raise KernelDomain(f"mu must lie in (0, 3), got {params.mu}")
-        X, h, mu, alpha = g.points, g.h, params.mu, params.alpha
-        rad = g.radii
-        gv = f * rad ** (-alpha)
-        n = len(gv)
-        out = np.empty(n)
-        block = max(1, _DIRECT_BLOCK_ENTRIES // n)
-        for s0 in range(0, n, block):
-            sl = slice(s0, min(s0 + block, n))
-            d = np.linalg.norm(X[sl, None, :] - X[None, :, :], axis=2)
+        """Every lag between two nodes is below m per axis, so on the (2m)^3
+        box the cyclic convolution wraps nothing: its [:m, :m, :m] block is
+        the free-space sum."""
+        hat = self._box_kernel_hat()
+        m = self.grid.m
+        shape, axes = (2 * m,) * 3, (0, 1, 2)
+        g = (f * self._r_alpha).reshape(m, m, m)
+        conv = np.fft.irfftn(np.fft.rfftn(g, s=shape, axes=axes) * hat, s=shape, axes=axes)
+        return self._r_alpha * conv[:m, :m, :m].reshape(-1)
+
+    def _box_kernel_hat(self):
+        """rfftn of the lattice kernel on the (2m)^3 lags, built once.  The
+        kernel is even in each lag, so only the real part is kept."""
+        if self._box_hat is None:
+            g, mu = self.grid, self.params.mu
+            if not (0.0 < mu < 3.0):
+                raise KernelDomain(f"mu must lie in (0, 3), got {mu}")
+            n = 2 * g.m
+            mb = n**3 * 8 / 2**20
+            if mb > _BOX_FFT_MAX_MB:
+                raise GridTooLarge(
+                    f"the direct engine's zero-padded FFT is limited to "
+                    f"{_BOX_FFT_MAX_MB} MB per (2m)^3 array, got m = {g.m} "
+                    f"({mb:.1f} MB per array)")
+            lag2 = np.minimum(np.arange(n), n - np.arange(n)) ** 2.0
+            K = lag2[:, None, None] + lag2[None, :, None] + lag2[None, None, :]
             with np.errstate(divide="ignore"):
-                Kb = d ** (-mu)
-            rows = np.arange(sl.start, sl.stop)
-            Kb[np.arange(len(rows)), rows] = 0.0
-            out[sl] = Kb @ gv * h**3
-        rho = (3.0 * h**3 / (4.0 * np.pi)) ** (1.0 / 3.0)
-        out += gv * 4.0 * np.pi * rho ** (3.0 - mu) / (3.0 - mu)
-        return rad ** (-alpha) * out
+                np.power(K, -0.5 * mu, out=K)
+            K *= g.h ** (3.0 - mu)
+            rho = (3.0 * g.h**3 / (4.0 * np.pi)) ** (1.0 / 3.0)
+            K[0, 0, 0] = 4.0 * np.pi * rho ** (3.0 - mu) / (3.0 - mu)
+            self._box_hat = np.fft.rfftn(K).real.copy()
+        return self._box_hat
 
     def nonlocal_factor(self, u_vals) -> np.ndarray:
         """b |u|^(p-2) u, the factor of w_u in J'(u)."""
@@ -388,7 +399,8 @@ def steinweiss_B_radial(u: GridFunction, params: ProblemParams) -> float:
 
 
 def steinweiss_B_direct(u: GridFunction, params: ProblemParams) -> float:
-    """B(u) by brute-force pair summation on a Cartesian box (m <= 24)."""
+    """B(u) by the midpoint pair sum on a Cartesian box, as one FFT
+    convolution (m <= 64)."""
     return _B_by_engine(u, params, "cartesian")
 
 

@@ -91,3 +91,26 @@ def dense_w_u(u_vals, grid, params, K):
     r = grid.nodes
     f = params.b_values(r) * np.abs(u_vals) ** params.p
     return 2.0 * np.pi * r ** -params.alpha * (K @ (f * r ** -params.alpha * grid.weights))
+
+
+def direct_pair_sum_w_u(u_vals, grid, params):
+    """w_u on a Cartesian box by the O(m^6) midpoint pair sum: h^3 |x-y|^-mu
+    off the diagonal plus the self-cell term 4 pi rho^(3-mu)/(3-mu), with rho
+    the radius of the sphere of volume h^3.  u_vals is one profile or one
+    profile per column.  Dense rows; use at m <= 16."""
+    X, h, mu = grid.points, grid.h, params.mu
+    rad = grid.radii
+    r_alpha = rad ** -params.alpha
+    gv = ((params.b_values(rad) * r_alpha) * (np.abs(u_vals).T ** params.p)).T
+    out = np.empty(gv.shape)
+    block = 256
+    for s0 in range(0, len(gv), block):
+        rows = np.arange(s0, min(s0 + block, len(gv)))
+        d = np.linalg.norm(X[rows, None, :] - X[None, :, :], axis=2)
+        with np.errstate(divide="ignore"):
+            K = d ** -mu
+        K[np.arange(len(rows)), rows] = 0.0
+        out[rows] = K @ gv * h**3
+    rho = (3.0 * h**3 / (4.0 * np.pi)) ** (1.0 / 3.0)
+    out += gv * 4.0 * np.pi * rho ** (3.0 - mu) / (3.0 - mu)
+    return (r_alpha * out.T).T

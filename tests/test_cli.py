@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,14 @@ def test_cross_check_within_tolerance(small_config, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "relative gap" in out
+
+
+def test_cross_check_default_config_passes(capsys):
+    # the default box (m = 24) resolves the engine gap below the default
+    # tolerance; m = 16 gives 0.025
+    config = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
+    assert cli.main(["cross-check", "--config", str(config)]) == 0
+    assert "above tolerance" not in capsys.readouterr().out
 
 
 def test_cross_check_flags_disagreement(small_config, capsys):

@@ -11,7 +11,12 @@ from neharilab.errors import GridTooLarge, NotInPositiveCone, SingularMassWarnin
 from neharilab import functionals
 from neharilab.functionals import workspace
 
-from oracles import dense_energy_operator, dense_newton_kernel, dense_w_u
+from oracles import (
+    dense_energy_operator,
+    dense_newton_kernel,
+    dense_w_u,
+    direct_pair_sum_w_u,
+)
 
 
 @pytest.fixture(scope="module")
@@ -181,11 +186,51 @@ def test_B_direct_refinement_monotone(params):
     assert increments[1] < increments[0]
 
 
-def test_B_direct_grid_cap(params):
-    cg = nl.build_cartesian_grid(3.0, 26)
+def test_B_direct_fft_size_cap_names_the_cost(params):
+    # m = 64 pads to 128^3 = 16 MB per array; m = 66 pads past the cap
+    cg = nl.build_cartesian_grid(3.0, 66)
     u = nl.sample_profile("gaussian", 1.0, cg)
-    with pytest.raises(GridTooLarge):
-        nl.steinweiss_B_direct(u, params)
+    ws = workspace(cg, params)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLarge) as info:
+            ws.w_u(u.values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20   # refused before any FFT array is allocated
+    msg = str(info.value)
+    assert "m = 66" in msg and "17.5 MB" in msg and "16 MB" in msg
+
+
+@pytest.mark.parametrize("m", [26, 32])
+def test_B_direct_computes_at_m_26_and_32(params, m):
+    cg = nl.build_cartesian_grid(3.0, m)
+    wu = nl.nonlocal_potential(nl.sample_profile("gaussian", 1.0, cg), params)
+    assert np.all(wu.values > 0.0) and np.all(np.isfinite(wu.values))
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("mu,alpha", [(1.0, 0.25), (1.0, 0.01), (1.5, 0.1), (1.5, 0.7),
+                                      (2.0, 0.4), (2.5, 0.2), (2.5, 0.01)])
+def test_B_direct_fft_matches_pair_sum(m, mu, alpha):
+    prm = dataclasses.replace(nl.ProblemParams(), mu=mu, alpha=alpha)
+    cg = nl.build_cartesian_grid(3.0, m)
+    rng = np.random.default_rng(m)
+    profiles = {
+        # off-center, so the mirror symmetry of the box does not hide a
+        # wrong lag sign
+        "gaussian": np.exp(-np.linalg.norm(cg.points - [0.7, -0.4, 0.2], axis=1) ** 2),
+        "random": rng.uniform(0.05, 1.0, cg.size),
+    }
+    oracles = direct_pair_sum_w_u(np.column_stack(list(profiles.values())), cg, prm)
+    ws = workspace(cg, prm)
+    for (name, u), oracle in zip(profiles.items(), oracles.T):
+        wu = ws.w_u(u)
+        assert np.max(np.abs(wu - oracle) / oracle) <= 1e-13, name
+        B = nl.steinweiss_B_direct(nl.GridFunction(cg, u), prm)
+        B_oracle = cg.h**3 * np.sum(ws.b * u**prm.p * oracle)
+        assert B == pytest.approx(B_oracle, rel=1e-13, abs=0.0), name
 
 
 def test_engine_agreement_moderate_grids(params):
