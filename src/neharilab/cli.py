@@ -15,8 +15,6 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import fibering, sweep as sweep_mod
 from .errors import ConfigError, NehariLabError, NoSignChange
 from .extremal import (
@@ -26,7 +24,7 @@ from .extremal import (
     estimate_lambda_star,
     r_sensitivity,
 )
-from .fibering import Branch, nehari_roots, lambda_n, lambda_e, t_max_n, t_max_e
+from .fibering import nehari_roots, lambda_n, lambda_e, t_max_n, t_max_e
 from .functionals import (
     ReducedTriple,
     reduced_triple,
@@ -34,6 +32,7 @@ from .functionals import (
     steinweiss_B_radial,
 )
 from .grid import build_cartesian_grid, build_radial_grid, sample_profile, save_snapshot
+from .invariants import run_invariants
 from .params import ProblemParams, critical_exponents, fibering_constants, gamma3_window, validate
 from .solver import SolverOptions, solution_distance, solve_pair
 
@@ -336,127 +335,11 @@ def cmd_cross_check(args) -> int:
     return 0
 
 
-# --------------------------------------------------------------------------
-# invariants harness
-# --------------------------------------------------------------------------
-
-def _random_triples(rng, n):
-    return ReducedTriple(
-        E=10.0 ** rng.uniform(-3, 3, n),
-        A=10.0 ** rng.uniform(-3, 3, n),
-        B=10.0 ** rng.uniform(-3, 3, n),
-    )
-
-
-def run_invariants(cfg: RunConfig, corrupt_cpq: bool = False):
-    """Run the quick invariant battery; returns [(name, ok, detail)]."""
-    rng = np.random.default_rng(cfg.seed)
-    prm = validate(cfg.params)
-    checks = []
-
-    # 1. constants window over random (p, q)
-    ps = rng.uniform(1.05, 4.8, 10_000)
-    qs = rng.uniform(0.02, 0.98, 10_000)
-    ratios = qs * ps ** ((2 - qs) / (2 * ps - 2)) / 2.0
-    ok = bool(np.all((ratios > 0.0) & (ratios < 1.0) & np.isfinite(ratios)))
-    checks.append(("constants_ratio_window", ok, f"max ratio {ratios.max():.6f}"))
-
-    # 2. closed-form C_pq against golden-section maximization of Q_n
-    c_ref = fibering_constants(prm.p, prm.q).c_pq
-    if corrupt_cpq:
-        c_ref *= 1.01  # test hook: intentionally corrupted constant
-    unit = ReducedTriple(E=1.0, A=1.0, B=1.0)
-    lo_t, hi_t = 1e-6, 1e6
-    inv_phi_g = (np.sqrt(5) - 1) / 2
-    a_t, b_t = lo_t, hi_t
-    # golden-section in log space on -Q_n
-    la, lb = np.log(a_t), np.log(b_t)
-    for _ in range(200):
-        m1 = lb - inv_phi_g * (lb - la)
-        m2 = la + inv_phi_g * (lb - la)
-        if fibering.q_n(np.exp(m1), unit, prm.p, prm.q) >= fibering.q_n(np.exp(m2), unit, prm.p, prm.q):
-            lb = m2
-        else:
-            la = m1
-    qn_max = float(fibering.q_n(np.exp(0.5 * (la + lb)), unit, prm.p, prm.q))
-    ok = abs(qn_max - c_ref) <= 1e-8 * abs(c_ref)
-    checks.append(("c_pq_matches_qn_maximum", ok,
-                   f"closed form {c_ref:.12g} vs maximized {qn_max:.12g}"))
-
-    # 3. ratio identity Lambda_e / Lambda_n on random triples
-    tr = _random_triples(rng, 1000)
-    le = lambda_e(tr, prm.p, prm.q)
-    ln = lambda_n(tr, prm.p, prm.q)
-    ratio = fibering_constants(prm.p, prm.q).ratio
-    ok = bool(np.all(np.abs(le / ln - ratio) <= 1e-12 * ratio))
-    checks.append(("lambda_e_ratio_identity", ok, f"ratio {ratio:.12g}"))
-
-    # 4. Q_n - Q_e = (t/q) Q_e' over random samples
-    n = 100_000
-    tr = _random_triples(rng, n)
-    ts = 10.0 ** rng.uniform(-2, 2, n)
-    qn_v = fibering.q_n(ts, tr, prm.p, prm.q)
-    qe_v = fibering.q_e(ts, tr, prm.p, prm.q)
-    qe_p = fibering.q_e_prime(ts, tr, prm.p, prm.q)
-    scale = (ts ** (2 - prm.q) * tr.E + ts ** (2 * prm.p - prm.q) * tr.B) / tr.A
-    resid = np.abs(qn_v - qe_v - ts / prm.q * qe_p) / scale
-    ok = bool(np.max(resid) <= 1e-10)
-    checks.append(("qn_qe_identity", ok, f"max residual {np.max(resid):.2e}"))
-
-    # 5. 0-homogeneity of Lambda_n
-    tr = _random_triples(rng, 1000)
-    s = 10.0 ** rng.uniform(-2, 2, 1000)
-    scaled = fibering.scale_triple(tr, s, prm.p, prm.q)
-    ok = bool(np.all(np.abs(lambda_n(scaled, prm.p, prm.q) / lambda_n(tr, prm.p, prm.q) - 1.0)
-                     <= 1e-12))
-    checks.append(("lambda_n_zero_homogeneous", ok, "scaling leaves Lambda_n fixed"))
-
-    # 6. quadrature exactness r^k, k <= 2
-    grid = build_radial_grid(cfg.R, max(cfg.M, 64), cfg.grading, prm.N)
-    errs = []
-    for k in range(3):
-        exact = grid.R ** (k + prm.N) / (k + prm.N)
-        errs.append(abs(float(grid.weights @ grid.nodes**k) - exact) / exact)
-    ok = max(errs) <= 1e-9
-    checks.append(("quadrature_exactness", ok, f"max rel err {max(errs):.2e}"))
-
-    # 7. constructed branch classification
-    tr1 = ReducedTriple(E=1.3, A=0.7, B=2.1)
-    lam = 0.5 * float(lambda_n(tr1, prm.p, prm.q))
-    roots = nehari_roots(tr1, lam, prm.p, prm.q)
-    plus = fibering.classify(fibering.scale_triple(tr1, roots.t_plus, prm.p, prm.q),
-                             lam, prm.p, prm.q)
-    minus = fibering.classify(fibering.scale_triple(tr1, roots.t_minus, prm.p, prm.q),
-                              lam, prm.p, prm.q)
-    ok = plus == Branch.NPLUS and minus == Branch.NMINUS
-    checks.append(("projection_classification", ok, f"{plus.value}/{minus.value}"))
-
-    # 8. degenerate-point identities after normalization
-    norm = fibering.normalize_degenerate(tr1, prm.p, prm.q)
-    rep = fibering.degenerate_relations_check(norm, prm.p, prm.q)
-    ok = rep.residual_A <= 1e-10 and rep.residual_B <= 1e-10
-    checks.append(("degenerate_identities", ok,
-                   f"residuals {rep.residual_A:.2e}, {rep.residual_B:.2e}"))
-
-    # 9. fixed-profile root monotonicity in lambda
-    Ln = float(lambda_n(tr1, prm.p, prm.q))
-    lams = np.linspace(0.1, 0.9, 16) * Ln
-    tps, tms = [], []
-    for lam_i in lams:
-        rts = nehari_roots(tr1, float(lam_i), prm.p, prm.q)
-        tps.append(rts.t_plus)
-        tms.append(rts.t_minus)
-    ok = bool(np.all(np.diff(tps) > 0) and np.all(np.diff(tms) < 0))
-    checks.append(("root_monotonicity", ok, "t+ up, t- down"))
-
-    return checks
-
-
 def cmd_invariants(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    checks = run_invariants(cfg, corrupt_cpq=args.corrupt_cpq)
+    prm = validate(cfg.params)
+    grid = build_radial_grid(cfg.R, max(cfg.M, 64), cfg.grading, prm.N)
+    checks = run_invariants(prm, grid, cfg.seed if args.seed is None else args.seed)
     failed = [name for name, ok, _ in checks if not ok]
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
@@ -524,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     pi = sub.add_parser("invariants", help="run the invariant battery")
     pi.add_argument("--config", default=None)
     pi.add_argument("--seed", type=int, default=None)
-    pi.add_argument("--corrupt-cpq", action="store_true", help=argparse.SUPPRESS)
     pi.set_defaults(func=cmd_invariants)
 
     return parser

@@ -59,7 +59,7 @@ class LengthMismatch(GridError):
 
 
 class GridTooLarge(GridError):
-    """Cartesian pair sum (O(m^6) cost) or dense radial kernel (O(M^2)) refused."""
+    """Cartesian FFT engine above 16 MB per padded array, or dense radial kernel above M = 4096."""
 
 
 class SnapshotError(NehariLabError, ValueError):

@@ -331,78 +331,6 @@ def degenerate_relations_check(triple: ReducedTriple, p: float, q: float) -> Deg
     )
 
 
-# --- Rayleigh-quotient equivalences -----------------------------------------------
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    rn_sign_matches_phi_prime: bool
-    re_sign_matches_energy: bool
-    qn_slope_matches_second_form: bool
-    qe_slope_matches_first_form: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.rn_sign_matches_phi_prime
-            and self.re_sign_matches_energy
-            and self.qn_slope_matches_second_form
-            and self.qe_slope_matches_first_form
-        )
-
-
-def _signs_agree(x, y, scale) -> bool:
-    x, y, scale = np.asarray(x), np.asarray(y), np.asarray(scale)
-    tol = 1e-10 * scale
-    zero_x, zero_y = np.abs(x) <= tol, np.abs(y) <= tol
-    return bool(np.all(zero_x | zero_y | (np.sign(x) == np.sign(y))))
-
-
-def rayleigh_equivalences(triple: ReducedTriple, lam: float, p: float, q: float,
-                          t_samples=None) -> EquivalenceReport:
-    """Sign equivalences tying the quotients to the energy derivatives.
-
-    At t = 1: sign(R_n - lambda) = sign(phi'(1)) and
-    sign(R_e - lambda) = sign(J_lambda).  Along the ray, the slope of
-    R_n(t u) has the sign of the reduced second-derivative form
-    (2-q)E - (2p-q) t^(2p-2) B (the lambda-eliminated phi''), and the slope
-    of R_e(t u) has the sign of phi'(t) evaluated at lambda = Q_e(t).
-    """
-    _check_A(triple)
-    if t_samples is None:
-        tn = float(t_max_n(triple, p, q))
-        t_samples = tn * np.logspace(-2, 2, 41)
-    t_samples = np.asarray(t_samples, dtype=float)
-
-    scale0 = max(triple.E, lam * triple.A, triple.B)
-    rn = float(q_n(1.0, triple, p, q))
-    re = float(q_e(1.0, triple, p, q))
-    d1 = float(phi_prime(1.0, triple, lam, p, q))
-    j = float(phi(1.0, triple, lam, p, q))
-    rn_ok = _signs_agree(rn - lam, d1 / triple.A, scale0 / triple.A)
-    re_ok = _signs_agree(re - lam, j * q / triple.A, scale0 / triple.A)
-
-    slope_n = q_n_prime(t_samples, triple, p, q)
-    second_form = (2 - q) * triple.E - (2 * p - q) * t_samples ** (2 * p - 2) * triple.B
-    scale_n = (2 - q) * triple.E + (2 * p - q) * t_samples ** (2 * p - 2) * triple.B
-    qn_ok = _signs_agree(slope_n, second_form / triple.A, scale_n / triple.A)
-
-    slope_e = q_e_prime(t_samples, triple, p, q)
-    lam_t = q_e(t_samples, triple, p, q)
-    first_form = (
-        t_samples * triple.E
-        - lam_t * t_samples ** (q - 1) * triple.A
-        - t_samples ** (2 * p - 1) * triple.B
-    )
-    scale_e = (
-        t_samples * triple.E
-        + np.abs(lam_t) * t_samples ** (q - 1) * triple.A
-        + t_samples ** (2 * p - 1) * triple.B
-    )
-    qe_ok = _signs_agree(slope_e, first_form / triple.A, scale_e / triple.A)
-
-    return EquivalenceReport(rn_ok, re_ok, qn_ok, qe_ok)
-
-
 # --- one-stop report ---------------------------------------------------------------
 
 @dataclass(frozen=True)

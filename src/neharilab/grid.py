@@ -12,9 +12,9 @@ used unchanged (keeps every weight positive without measurable accuracy
 loss — those cells carry ~1e-14 of the total mass on graded grids).  The rule
 integrates r^k, k <= 2, to machine precision and sums exactly to R^N / N.
 
-Cartesian grids are cell-centered cubes in N = 3 used by the brute-force
-nonlocal engine; with an even number of points per axis the origin is never a
-node.
+Cartesian grids are cell-centered cubes in N = 3 used by the direct (FFT
+convolution) nonlocal engine; with an even number of points per axis the
+origin is never a node.
 """
 
 from __future__ import annotations

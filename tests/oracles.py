@@ -3,38 +3,14 @@
 Each oracle avoids the code path it checks: maximizers come from a log-grid
 scan plus golden-section refinement, integrals from adaptive quadrature,
 derivatives from central differences, and the energy operator from a dense
-D^T W D product.
+D^T W D product.  The Q_n / Q_e maximizer (maximize_on_ray, q_n_raw) and the
+random triple and exponent samplers live in neharilab.invariants, which runs
+the invariant battery on them; they are re-exported here.
 """
 
 import numpy as np
 
-from neharilab.functionals import ReducedTriple
-
-
-def q_n_raw(t, E, A, B, p, q):
-    # t^(2-q) (E - t^(2p-2) B) / A: for p near 1 the two terms nearly cancel
-    # at t_n, and the exact exponent 2p-2 keeps the rounding of 2p-q (times
-    # |ln t|) out of that difference
-    return t ** (2 - q) * (E - t ** (2 * p - 2) * B) / A
-
-
-def maximize_q_n(E, A, B, p, q, decades=35, coarse=1400, iters=120):
-    """argmax/max of Q_n by log-grid scan + golden-section refinement."""
-    ts = np.logspace(-decades, decades, coarse)
-    vals = q_n_raw(ts, E, A, B, p, q)
-    k = int(np.argmax(vals))
-    lo = np.log(ts[max(k - 1, 0)])
-    hi = np.log(ts[min(k + 1, coarse - 1)])
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(iters):
-        m1 = hi - inv_phi * (hi - lo)
-        m2 = lo + inv_phi * (hi - lo)
-        if q_n_raw(np.exp(m1), E, A, B, p, q) >= q_n_raw(np.exp(m2), E, A, B, p, q):
-            hi = m2
-        else:
-            lo = m1
-    t_star = np.exp(0.5 * (lo + hi))
-    return t_star, q_n_raw(t_star, E, A, B, p, q)
+from neharilab.invariants import maximize_on_ray, q_n_raw, random_exponents, random_triples
 
 
 def bisect_q_n(E, A, B, p, q, lam, lo, hi, iters=200):
@@ -48,18 +24,6 @@ def bisect_q_n(E, A, B, p, q, lam, lo, hi, iters=200):
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
-
-
-def random_triples(rng, n, decades=3.0):
-    return ReducedTriple(
-        E=10.0 ** rng.uniform(-decades, decades, n),
-        A=10.0 ** rng.uniform(-decades, decades, n),
-        B=10.0 ** rng.uniform(-decades, decades, n),
-    )
-
-
-def random_exponents(rng, n, p_lo=1.15, p_hi=4.5, q_lo=0.05, q_hi=0.95):
-    return rng.uniform(p_lo, p_hi, n), rng.uniform(q_lo, q_hi, n)
 
 
 def dense_energy_operator(grid, V):

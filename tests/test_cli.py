@@ -1,9 +1,12 @@
+import dataclasses
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from neharilab import cli
+from neharilab import cli, params
+from neharilab.invariants import BATTERY
 
 
 SMALL_CONFIG = """\
@@ -200,16 +203,38 @@ def test_cross_check_flags_disagreement(small_config, capsys):
 
 def test_invariants_pass(small_config, capsys):
     assert cli.main(["invariants", "--config", small_config]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 8
+    lines = capsys.readouterr().out.splitlines()
+    # the CLI prints the list the acceptance suite runs, in order
+    assert [line.split(":")[0] for line in lines] == [f"PASS {c.__name__}" for c in BATTERY]
 
 
-def test_invariants_corrupted_constant_fails_by_name(small_config, capsys):
-    assert cli.main(["invariants", "--config", small_config, "--corrupt-cpq"]) == 1
+def _corrupt_constants(monkeypatch, field):
+    """Scale one field of fibering_constants by 1.01 wherever the package binds it."""
+    real = params.fibering_constants
+
+    def corrupted(p, q):
+        consts = real(p, q)
+        return dataclasses.replace(consts, **{field: 1.01 * getattr(consts, field)})
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "neharilab" and getattr(module, "fibering_constants", None) is real:
+            monkeypatch.setattr(module, "fibering_constants", corrupted)
+
+
+def test_invariants_corrupted_constant_fails_by_name(small_config, capsys, monkeypatch):
+    _corrupt_constants(monkeypatch, "c_pq")
+    assert cli.main(["invariants", "--config", small_config]) == 1
     out = capsys.readouterr().out
     assert "FAIL c_pq_matches_qn_maximum" in out
     assert "failed invariants: c_pq_matches_qn_maximum" in out
+
+
+def test_invariants_corrupted_ratio_fails_by_name(small_config, capsys, monkeypatch):
+    _corrupt_constants(monkeypatch, "ratio")
+    assert cli.main(["invariants", "--config", small_config]) == 1
+    out = capsys.readouterr().out
+    assert ("error: failed invariants: constants_ratio_window, lambda_e_matches_qe_maximum"
+            in out.splitlines())
 
 
 def test_invariants_deterministic_given_seed(small_config, capsys):
