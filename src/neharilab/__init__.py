@@ -58,7 +58,6 @@ from .solver import (
 )
 from .sweep import (
     SweepRow,
-    dJ_dlambda_check,
     default_lambda_grid,
     endpoint_probe,
     run_sweep,

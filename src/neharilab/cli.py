@@ -24,7 +24,6 @@ from .extremal import (
     estimate_lambda_star,
     r_sensitivity,
 )
-from .fibering import nehari_roots, lambda_n, lambda_e, t_max_n, t_max_e
 from .functionals import (
     ReducedTriple,
     reduced_triple,
@@ -44,7 +43,6 @@ from .solver import SolverOptions, solution_distance, solve_pair
 @dataclass
 class RunConfig:
     params: ProblemParams = field(default_factory=ProblemParams)
-    grid_kind: str = "radial"
     R: float = 20.0
     M: int = 256
     grading: float = 2.0
@@ -62,11 +60,7 @@ class RunConfig:
     seed: int = 12345
 
     def build_grid(self):
-        if self.grid_kind == "radial":
-            return build_radial_grid(self.R, self.M, self.grading, self.params.N)
-        if self.grid_kind == "cartesian":
-            return build_cartesian_grid(self.box_L, self.box_m)
-        raise ConfigError(f"unknown grid kind {self.grid_kind!r}")
+        return build_radial_grid(self.R, self.M, self.grading, self.params.N)
 
 
 def _parse_families(text: str):
@@ -114,7 +108,6 @@ def load_config(path: str | None) -> RunConfig:
             )
         if ini.has_section("grid"):
             s = ini["grid"]
-            cfg.grid_kind = s.get("kind", cfg.grid_kind)
             cfg.R = s.getfloat("r", cfg.R)
             cfg.M = s.getint("m", cfg.M)
             cfg.grading = s.getfloat("grading", cfg.grading)
@@ -180,21 +173,20 @@ def cmd_fibering(args) -> int:
         E, A, B = (float(x) for x in args.triple.split(","))
     except ValueError as err:
         raise ConfigError(f"--triple expects E,A,B, got {args.triple!r}") from err
-    triple = ReducedTriple(E=E, A=A, B=B)
-    p, q = args.p, args.q
-    print(f"t_n = {_fmt(t_max_n(triple, p, q))}")
-    print(f"t_e = {_fmt(t_max_e(triple, p, q))}")
-    print(f"Lambda_n = {_fmt(lambda_n(triple, p, q))}")
-    print(f"Lambda_e = {_fmt(lambda_e(triple, p, q))}")
-    if args.lam is not None:
-        roots = nehari_roots(triple, args.lam, p, q)
+    rep = fibering.fibering_report(ReducedTriple(E=E, A=A, B=B), args.p, args.q, args.lam)
+    print(f"t_n = {_fmt(rep.t_n)}")
+    print(f"t_e = {_fmt(rep.t_e)}")
+    print(f"Lambda_n = {_fmt(rep.lambda_n)}")
+    print(f"Lambda_e = {_fmt(rep.lambda_e)}")
+    roots = rep.roots
+    if roots is not None:
         if isinstance(roots, fibering.TwoRoots):
             print(f"roots: t_plus = {_fmt(roots.t_plus)}, t_minus = {_fmt(roots.t_minus)}")
         elif isinstance(roots, fibering.DoubleRoot):
             print(f"roots: double root at t_n = {_fmt(roots.t_n)}")
         else:
             print("roots: none (lambda above Lambda_n)")
-        print(f"branch of t=1: {fibering.classify(triple, args.lam, p, q).value}")
+        print(f"branch of t=1: {rep.branch.value}")
     return 0
 
 
@@ -314,8 +306,7 @@ def cmd_cross_check(args) -> int:
     prm = validate(cfg.params)
     if prm.N != 3:
         raise ConfigError("cross-check requires N = 3")
-    rgrid = cfg.build_grid() if cfg.grid_kind == "radial" else build_radial_grid(
-        cfg.R, cfg.M, cfg.grading, 3)
+    rgrid = cfg.build_grid()
     sigma = args.sigma
     u_rad = sample_profile("gaussian", sigma, rgrid)
     B_rad = steinweiss_B_radial(u_rad, prm)

@@ -94,10 +94,6 @@ class RootBracketFailure(NehariLabError, RuntimeError):
     """Root refinement failed its residual tolerance (internal)."""
 
 
-class NotNormalized(NehariLabError, ValueError):
-    """Triple not normalized to E = 1 with the double root at t = 1."""
-
-
 # --- extremal -------------------------------------------------------------
 
 class EmptyFamily(NehariLabError, ValueError):

@@ -41,7 +41,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import NonpositiveT, NotNormalized, RootBracketFailure, ZeroA, ZeroB
+from .errors import NonpositiveT, RootBracketFailure, ZeroA, ZeroB
 from .functionals import ReducedTriple
 from .params import fibering_constants
 
@@ -279,58 +279,6 @@ def classify(triple: ReducedTriple, lam: float, p: float, q: float,
     return Branch.NPLUS if d2 > 0.0 else Branch.NMINUS
 
 
-# --- degenerate-point identities -------------------------------------------------
-
-def normalize_degenerate(triple: ReducedTriple, p: float, q: float) -> ReducedTriple:
-    """Rescale so the double root sits at t = 1, then normalize E to 1.
-
-    The ray scaling s = t_n moves the tangency point to t = 1; dividing the
-    triple by its E afterwards fixes the normalization without moving t_n
-    (t_n depends only on E/B, which is preserved).
-    """
-    s = float(t_max_n(triple, p, q))
-    scaled = scale_triple(triple, s, p, q)
-    return ReducedTriple(E=1.0, A=scaled.A / scaled.E, B=scaled.B / scaled.E)
-
-
-@dataclass(frozen=True)
-class DegenerateReport:
-    lambda_star: float
-    expected_A: float
-    expected_B: float
-    residual_A: float
-    residual_B: float
-
-
-def degenerate_relations_check(triple: ReducedTriple, p: float, q: float) -> DegenerateReport:
-    """Residuals of the tangency identities at a normalized triple.
-
-    Requires E = 1 and t_n = 1 (NotNormalized otherwise).  At such a triple
-    the double root t = 1 at lambda = Lambda_n forces
-
-        A = (2p-2) / (Lambda_n (2p-q)),    B = (2-q) / (2p-q).
-
-    Residuals are relative to the expected values: the normalized A grows
-    without bound as Lambda_n shrinks, so an absolute bound would be
-    meaningless across scales.
-    """
-    if abs(triple.E - 1.0) > 1e-9:
-        raise NotNormalized(f"E = {triple.E} != 1")
-    tn = float(t_max_n(triple, p, q))
-    if abs(tn - 1.0) > 1e-9:
-        raise NotNormalized(f"t_n = {tn} != 1")
-    Ln = float(lambda_n(triple, p, q))
-    expected_A = (2 * p - 2) / (Ln * (2 * p - q))
-    expected_B = (2 - q) / (2 * p - q)
-    return DegenerateReport(
-        lambda_star=Ln,
-        expected_A=expected_A,
-        expected_B=expected_B,
-        residual_A=abs(triple.A - expected_A) / expected_A,
-        residual_B=abs(triple.B - expected_B) / expected_B,
-    )
-
-
 # --- one-stop report ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -345,11 +293,15 @@ class FiberingReport:
 
 def fibering_report(triple: ReducedTriple, p: float, q: float,
                     lam: float | None = None) -> FiberingReport:
-    """Fibering structure of one triple; roots/branch only when lam is given."""
+    """Fibering structure of one triple; roots/branch only when lam is given.
+
+    (p, q) is validated first, so a bad pair raises before anything is computed.
+    """
+    ratio = fibering_constants(p, q).ratio
     tn = float(t_max_n(triple, p, q))
     te = float(t_max_e(triple, p, q))
     Ln = float(lambda_n(triple, p, q))
-    Le = float(lambda_e(triple, p, q))
+    Le = ratio * Ln
     roots = branch = None
     if lam is not None:
         roots = nehari_roots(triple, lam, p, q)

@@ -8,7 +8,10 @@ with central differences (one-sided closure at both ends, hard zero at r = R)
 so the discrete inner product is the bilinear form of a symmetric positive
 definite matrix G built once per (grid, potential) pair.  G = omega (D^T W D
 + diag(w V)) is pentadiagonal, so it is stored as its three upper bands,
-assembled in O(M) and factored by banded Cholesky.
+assembled in O(M) and factored by banded Cholesky.  G is the only energy
+operator: a Cartesian box is input to the direct B engine alone, and the
+norm, the inner product, the reduced triple and the energy raise
+UnsupportedDimension on it.
 
 The nonlocal interaction
 
@@ -101,9 +104,9 @@ class FunctionalWorkspace:
         r = grid.radii
         self.a = params.a_values(r)
         self.b = params.b_values(r)
-        self.V = params.v_values(r)
         self._r_alpha = r ** (-params.alpha)
         if grid.kind == "radial":
+            self.V = params.v_values(r)
             self._build_radial_operator()
             # w_u = 2 pi r^-a k(f r^-a w); the products keep this order
             self._w_out = 2.0 * np.pi * self._r_alpha
@@ -210,18 +213,9 @@ class FunctionalWorkspace:
         return self.inner(u_vals, u_vals)
 
     def inner(self, u_vals, phi_vals) -> float:
-        g = self.grid
-        if g.kind == "radial":
-            return float(u_vals @ self.apply_G(phi_vals))
-        m, h = g.m, g.h
-        u3 = u_vals.reshape(m, m, m)
-        p3 = phi_vals.reshape(m, m, m)
-        total = np.sum(self.V * u_vals * phi_vals)
-        for ax in range(3):
-            du = _forward_diff(u3, ax, h)
-            dp = _forward_diff(p3, ax, h)
-            total += np.sum(du * dp)
-        return float(h**3 * total)
+        if self.grid.kind != "radial":
+            raise UnsupportedDimension("the energy norm is implemented on radial grids")
+        return float(u_vals @ self.apply_G(phi_vals))
 
     def apply_G(self, u_vals):
         return dsbmv(2, 1.0, self.Gb, u_vals)
@@ -285,8 +279,12 @@ class FunctionalWorkspace:
         return Evaluation(u_vals, wu, ReducedTriple(
             E=self.norm_sq(u_vals),
             A=self.space_integral(self.a * np.abs(u_vals) ** self.params.q),
-            B=self.space_integral(self.b * np.abs(u_vals) ** self.params.p * wu),
+            B=self._B(u_vals, wu),
         ))
+
+    def _B(self, u_vals, wu) -> float:
+        """B = int b |u|^p w_u, with w_u = w_u(u) given."""
+        return self.space_integral(self.b * np.abs(u_vals) ** self.params.p * wu)
 
     def defect(self, ev: Evaluation, lam: float,
                floor_factor: float = DEFAULT_FLOOR_FACTOR,
@@ -346,14 +344,6 @@ def _apply_newton(r, cells, h):
     return 2.0 * (below / r + above) + cells * h
 
 
-def _forward_diff(u3, axis, h):
-    shifted = np.roll(u3, -1, axis=axis)
-    index = [slice(None)] * 3
-    index[axis] = -1
-    shifted[tuple(index)] = 0.0  # zero extension beyond the box
-    return (shifted - u3) / h
-
-
 def _require_cone(u: GridFunction):
     if not u.in_positive_cone:
         raise NotInPositiveCone("function must be nonnegative and not identically zero")
@@ -390,7 +380,8 @@ def nonlocal_potential(u: GridFunction, params: ProblemParams) -> GridFunction:
 def _B_by_engine(u: GridFunction, params: ProblemParams, kind: str) -> float:
     if u.grid.kind != kind:
         raise UnsupportedDimension(f"this engine needs a {kind} grid, got {u.grid.kind}")
-    return workspace(u.grid, params).evaluate(u.values).triple.B
+    ws = workspace(u.grid, params)
+    return ws._B(u.values, ws.w_u(u.values))
 
 
 def steinweiss_B_radial(u: GridFunction, params: ProblemParams) -> float:

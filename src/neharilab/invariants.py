@@ -14,9 +14,10 @@ from . import fibering as fib
 from .errors import NehariLabError
 from .functionals import ReducedTriple
 from .params import fibering_constants
-from .sweep import dJ_dlambda_check
 
 _FIXED = ReducedTriple(E=1.3, A=0.7, B=2.1)
+_UNIT = ReducedTriple(E=1.0, A=1.0, B=1.0)
+_FIXED_RAYS = (_FIXED, ReducedTriple(E=1.9, A=0.31, B=4.2))
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -116,34 +117,53 @@ def quadrature_exactness(params, grid, rng):
     return err <= 1e-9, f"r^k, k <= 2 at M = {grid.M}: max rel err {err:.2e} (tol 1e-9)"
 
 
+def _tangency_residual(ray, t0, Ln, p, q):
+    """The ray rescaled by its double root t0 at Lambda_n and divided by E must have
+    A = (2p-2)/(Lambda_n (2p-q)) and B = (2-q)/(2p-q); the worst relative residual."""
+    s = fib.scale_triple(ray, t0, p, q)
+    return max(abs(s.A / s.E * Ln * (2 * p - q) / (2 * p - 2) - 1.0),
+               abs(s.B / s.E * (2 * p - q) / (2 - q) - 1.0))
+
+
 def two_root_structure(params, grid, rng):
+    rays = [*_random_rays(rng, 250), *((ray, params.p, params.q) for ray in _FIXED_RAYS)]
     bad, worst = 0, 0.0
-    for ray, p, q in [*_random_rays(rng, 250), (_FIXED, params.p, params.q)]:
+    for ray, p, q in rays:
         Ln = float(fib.lambda_n(ray, p, q))
         roots = fib.nehari_roots(ray, 0.5 * Ln, p, q)
+        double = fib.nehari_roots(ray, Ln, p, q)
         bad += not (isinstance(roots, fib.TwoRoots) and roots.t_plus < roots.t_n < roots.t_minus
                     and fib.phi_second(roots.t_plus, ray, 0.5 * Ln, p, q) > 0.0
                     > fib.phi_second(roots.t_minus, ray, 0.5 * Ln, p, q)
                     and [fib.classify(fib.scale_triple(ray, t, p, q), 0.5 * Ln, p, q).value
                          for t in (roots.t_plus, roots.t_minus)] == ["Nplus", "Nminus"]
-                    and isinstance(fib.nehari_roots(ray, Ln, p, q), fib.DoubleRoot))
-        rep = fib.degenerate_relations_check(fib.normalize_degenerate(ray, p, q), p, q)
-        worst = max(worst, rep.residual_A, rep.residual_B)
+                    and isinstance(double, fib.DoubleRoot))
+        worst = max(worst, _tangency_residual(ray, double.t_n, Ln, p, q))
     return bad == 0 and worst <= 1e-10, (
         f"t_plus < t_n < t_minus, phi'' signs, N+/N- at Lambda_n/2 and a double root at Lambda_n: "
-        f"{bad} of 251 rays fail; tangency A, B residual {worst:.2e} (tol 1e-10)")
+        f"{bad} of {len(rays)} rays fail; tangency A, B residual {worst:.2e} (tol 1e-10)")
+
+
+def _dJ_dlambda_error(ray, lam, p, q):
+    """Worst relative error, over both branches, of a central difference of
+    lambda -> J_lambda(t(lambda) u) = phi(t(lambda)) against -t^q A/q."""
+    h = 1e-4 * lam
+    lams = (lam - h, lam, lam + h)
+    ts = [np.array([r.t_plus, r.t_minus]) for r in (fib.nehari_roots(ray, x, p, q) for x in lams)]
+    J = [fib.phi(t, ray, x, p, q) for t, x in zip(ts, lams)]
+    return float(np.max(np.abs((J[2] - J[0]) / (2 * h) / (-ts[1] ** q * ray.A / q) - 1.0)))
 
 
 def monotone_in_lambda(params, grid, rng):
     p, q = params.p, params.q
     Ln = float(fib.lambda_n(_FIXED, p, q))
     roots = [fib.nehari_roots(_FIXED, lam, p, q) for lam in np.linspace(0.05, 0.95, 32) * Ln]
-    worst = max(max(rep.rel_err_plus, rep.rel_err_minus) for rep in (
-        dJ_dlambda_check(_FIXED, frac * Ln, params) for frac in (0.25, 0.5, 0.75)))
+    worst = max(_dJ_dlambda_error(ray, frac * float(fib.lambda_n(ray, p, q)), p, q)
+                for ray in (_FIXED, _UNIT) for frac in (0.25, 0.5, 0.75))
     return (np.all(np.diff([r.t_plus for r in roots]) > 0.0)
             and np.all(np.diff([r.t_minus for r in roots]) < 0.0) and worst <= 1e-5), (
         "t_plus strictly up, t_minus strictly down over 32 lambda in [0.05, 0.95] Lambda_n; "
-        f"dJ/dlambda = -t^q A/q on both branches: err {worst:.2e} (tol 1e-5)")
+        f"dJ/dlambda = -t^q A/q on both branches of 2 rays: err {worst:.2e} (tol 1e-5)")
 
 
 def _signs_agree(x, y, scale):

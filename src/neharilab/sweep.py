@@ -1,11 +1,12 @@
-"""Parameter sweeps over lambda and the structural checks they support.
+"""Parameter sweeps over lambda.
 
-A sweep row solves both branches at one lambda and additionally records the
-fixed-profile Nehari roots t_plus/t_minus of one reference ray computed by the
-exact fibering algebra (solver-noise free), which is the literally testable
-form of the per-ray monotonicity statements: t_plus increases and t_minus
-decreases in lambda, both branch energies decrease, and the bound-state
-energy changes sign at lambda_* = ratio * lambda*.
+run_sweep solves both branches at each lambda of a grid and records, per
+row, the Nehari roots t_plus/t_minus of one fixed reference ray, computed by
+the exact fibering algebra and so free of solver noise.
+sign_change_locator finds where the bound-state energy changes sign, to be
+compared with lambda_* = ratio * lambda*; endpoint_probe solves on a ladder
+approaching lambda*.  The identities these rows are read against (roots
+monotone in lambda, dJ/dlambda = -t^q A/q) are checked in invariants.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoSignChange, RayMissesNehari
-from .fibering import TwoRoots, nehari_roots, phi
+from .fibering import TwoRoots, nehari_roots
 from .functionals import ReducedTriple
 from .params import ProblemParams, fibering_constants
 from .solver import SolverOptions, solve_pair
@@ -134,48 +135,6 @@ def write_rows(rows, path) -> None:
                 "1" if r.converged_minus else "0",
             ]
             fh.write(",".join(fields) + "\n")
-
-
-# --- derivative identity dJ/dlambda -------------------------------------------
-
-@dataclass(frozen=True)
-class DerivativeReport:
-    lam: float
-    closed_plus: float
-    fd_plus: float
-    rel_err_plus: float
-    closed_minus: float
-    fd_minus: float
-    rel_err_minus: float
-
-
-def dJ_dlambda_check(triple: ReducedTriple, lam: float, params: ProblemParams,
-                     rel_step: float = 1e-4) -> DerivativeReport:
-    """Central difference of lambda -> J_lambda(t_branch(lambda) u) vs the
-    closed form -t_branch^q A / q, on a fixed reference ray."""
-    p, q = params.p, params.q
-    h = rel_step * lam
-
-    def reduced(lml, pick):
-        roots = nehari_roots(triple, lml, p, q)
-        t = roots.t_plus if pick == "plus" else roots.t_minus
-        return float(phi(t, triple, lml, p, q)), t
-
-    _, tp = reduced(lam, "plus")
-    _, tm = reduced(lam, "minus")
-    closed_p = -(tp**q) * triple.A / q
-    closed_m = -(tm**q) * triple.A / q
-    fd_p = (reduced(lam + h, "plus")[0] - reduced(lam - h, "plus")[0]) / (2 * h)
-    fd_m = (reduced(lam + h, "minus")[0] - reduced(lam - h, "minus")[0]) / (2 * h)
-    return DerivativeReport(
-        lam=lam,
-        closed_plus=closed_p,
-        fd_plus=fd_p,
-        rel_err_plus=abs(fd_p - closed_p) / abs(closed_p),
-        closed_minus=closed_m,
-        fd_minus=fd_m,
-        rel_err_minus=abs(fd_m - closed_m) / abs(closed_m),
-    )
 
 
 # --- sign-change location ---------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neharilab import cli, params
+from neharilab import cli, fibering, params
 from neharilab.invariants import BATTERY
 
 
@@ -20,7 +20,6 @@ gamma3 = 1.3
 gamma4 = 1.0
 
 [grid]
-kind = radial
 r = 14.0
 m = 64
 grading = 2.0
@@ -96,6 +95,14 @@ def test_fibering_malformed_triple_usage_error(capsys):
     assert cli.main(["fibering", "--triple", "1,1", "--p", "2", "--q", "0.5"]) == 2
 
 
+@pytest.mark.parametrize("p,q", [("1", "0.5"), ("2", "1.5")])
+def test_fibering_bad_exponents_fail_before_any_output(capsys, p, q):
+    assert cli.main(["fibering", "--triple", "1,1,1", "--p", p, "--q", q]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ParameterValidationError")
+
+
 def test_lambda_star_with_artifacts(small_config, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     snap = tmp_path / "min.json"
@@ -108,6 +115,14 @@ def test_lambda_star_with_artifacts(small_config, tmp_path, capsys):
     lam_star = float(next(l for l in out.splitlines() if l.startswith("lambda_star")).split("=")[1])
     lam_sub = float(next(l for l in out.splitlines() if l.startswith("lambda_sub")).split("=")[1])
     assert lam_sub == pytest.approx(lam_star * 2.0**0.75 / 4.0, rel=1e-10)
+
+
+def test_lambda_star_ignores_grid_kind_key(tmp_path, capsys):
+    # the energy norm is radial only, so the config has no grid kind to choose
+    path = tmp_path / "cfg.ini"
+    path.write_text(SMALL_CONFIG.replace("[grid]\n", "[grid]\nkind = cartesian\n"))
+    assert cli.main(["lambda-star", "--config", str(path)]) == 0
+    assert "lambda_star" in capsys.readouterr().out
 
 
 def test_solve_writes_snapshots(small_config, tmp_path, capsys):
@@ -235,6 +250,36 @@ def test_invariants_corrupted_ratio_fails_by_name(small_config, capsys, monkeypa
     out = capsys.readouterr().out
     assert ("error: failed invariants: constants_ratio_window, lambda_e_matches_qe_maximum"
             in out.splitlines())
+
+
+def test_invariants_corrupted_double_root_fails_by_name(small_config, capsys, monkeypatch):
+    # a double root reported 1% off t_n breaks only the tangency identities
+    real = fibering.nehari_roots
+
+    def shifted(triple, lam, p, q):
+        roots = real(triple, lam, p, q)
+        if isinstance(roots, fibering.DoubleRoot):
+            return fibering.DoubleRoot(t_n=1.01 * roots.t_n)
+        return roots
+
+    monkeypatch.setattr(fibering, "nehari_roots", shifted)
+    assert cli.main(["invariants", "--config", small_config]) == 1
+    out = capsys.readouterr().out
+    assert "0 of 252 rays fail; tangency A, B residual" in out
+    assert "error: failed invariants: two_root_structure" in out.splitlines()
+
+
+def test_invariants_corrupted_fibering_map_fails_by_name(small_config, capsys, monkeypatch):
+    # a 1% heavier singular term in phi breaks only dJ/dlambda = -t^q A/q
+    real = fibering.phi
+
+    def heavier(t, triple, lam, p, q):
+        return real(t, triple, lam, p, q) - 0.01 * lam * t**q * triple.A / q
+
+    monkeypatch.setattr(fibering, "phi", heavier)
+    assert cli.main(["invariants", "--config", small_config]) == 1
+    out = capsys.readouterr().out
+    assert "error: failed invariants: monotone_in_lambda" in out.splitlines()
 
 
 def test_invariants_deterministic_given_seed(small_config, capsys):

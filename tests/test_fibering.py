@@ -6,10 +6,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import neharilab as nl
 from neharilab import fibering as fib
-from neharilab.errors import NonpositiveT, NotNormalized, ZeroA, ZeroB
+from neharilab.errors import NonpositiveT, ZeroA, ZeroB
 from neharilab.functionals import ReducedTriple
 
-from oracles import bisect_q_n, maximize_on_ray, q_n_raw, random_triples
+from oracles import bisect_q_n, random_triples
 
 UNIT = ReducedTriple(E=1.0, A=1.0, B=1.0)
 P, Q = 2.0, 0.5
@@ -117,16 +117,6 @@ def test_t_max_ordering_and_stationarity(rng):
 def test_zero_B_rejected():
     with pytest.raises(ZeroB):
         fib.t_max_n(ReducedTriple(E=1.0, A=1.0, B=0.0), P, Q)
-
-
-def test_t_max_matches_grid_oracle(rng):
-    for _ in range(50):
-        E, A, B = 10.0 ** rng.uniform(-3, 3, 3)
-        p, q = rng.uniform(1.2, 4.0), rng.uniform(0.05, 0.95)
-        t_star, _ = maximize_on_ray(lambda t: q_n_raw(t, E, A, B, p, q))
-        assert float(fib.t_max_n(ReducedTriple(E, A, B), p, q)) == pytest.approx(
-            t_star, rel=1e-6
-        )
 
 
 def test_lambda_values_reference():
@@ -310,23 +300,6 @@ def test_classify_tangency_is_nzero():
     tangent = fib.scale_triple(tr, tn, P, Q)
     lam = float(fib.lambda_n(tr, P, Q))
     assert fib.classify(tangent, lam, P, Q) is fib.Branch.NZERO
-
-
-# --- degenerate-point identities ------------------------------------------------------------
-
-def test_degenerate_relations_reference_values():
-    tr = ReducedTriple(E=1.9, A=0.31, B=4.2)
-    norm = fib.normalize_degenerate(tr, P, Q)
-    rep = fib.degenerate_relations_check(norm, P, Q)
-    assert rep.expected_B == pytest.approx(3.0 / 7.0, rel=1e-15)
-    assert rep.expected_A == pytest.approx(2.0 / (rep.lambda_star * 3.5), rel=1e-15)
-    assert rep.residual_A <= 1e-10
-    assert rep.residual_B <= 1e-10
-
-
-def test_degenerate_check_requires_normalization():
-    with pytest.raises(NotNormalized):
-        fib.degenerate_relations_check(ReducedTriple(E=2.0, A=1.0, B=1.0), P, Q)
 
 
 # --- sign equivalences ---------------------------------------------------------------------

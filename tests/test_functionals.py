@@ -7,7 +7,12 @@ import pytest
 from scipy import integrate as scipy_integrate
 
 import neharilab as nl
-from neharilab.errors import GridTooLarge, NotInPositiveCone, SingularMassWarning
+from neharilab.errors import (
+    GridTooLarge,
+    NotInPositiveCone,
+    SingularMassWarning,
+    UnsupportedDimension,
+)
 from neharilab import functionals
 from neharilab.functionals import workspace
 
@@ -54,17 +59,13 @@ def test_inner_polarization(grid, params, rng):
     assert lhs == pytest.approx(pol, rel=1e-11)
 
 
-def test_cartesian_norm_matches_radial_on_gaussian(params):
-    # forward differences are first-order: coarse agreement plus a shrinking
-    # error under axis refinement
-    rg = nl.build_radial_grid(10.0, 512, 2.0)
-    ref = nl.norm_sq(nl.sample_profile("gaussian", 1.0, rg), params)
-    errs = []
-    for m in (16, 24, 48):
-        cg = nl.build_cartesian_grid(6.0, m)
-        errs.append(abs(nl.norm_sq(nl.sample_profile("gaussian", 1.0, cg), params) - ref) / ref)
-    assert errs[-1] < 0.02
-    assert errs[2] < errs[1] < errs[0]
+def test_cartesian_energy_norm_unsupported(params):
+    # the box carries the direct B engine only; G is the one energy operator
+    u = nl.sample_profile("gaussian", 1.0, nl.build_cartesian_grid(3.0, 8))
+    with pytest.raises(UnsupportedDimension):
+        nl.norm_sq(u, params)
+    with pytest.raises(UnsupportedDimension):
+        nl.reduced_triple(u, params)
 
 
 # --- banded energy operator ------------------------------------------------------
@@ -265,8 +266,6 @@ def test_kernel_domain_guard(grid):
 
 
 def test_radial_engine_requires_three_dimensions():
-    from neharilab.errors import UnsupportedDimension
-
     g4 = nl.build_radial_grid(10.0, 64, 2.0, dim=4)
     u = nl.sample_profile("gaussian", 1.0, g4)
     with pytest.raises(UnsupportedDimension):
@@ -275,8 +274,6 @@ def test_radial_engine_requires_three_dimensions():
 
 def test_engines_reject_wrong_grid_kind(grid, params):
     cg = nl.build_cartesian_grid(3.0, 8)
-    from neharilab.errors import UnsupportedDimension
-
     with pytest.raises(UnsupportedDimension):
         nl.steinweiss_B_direct(nl.sample_profile("gaussian", 1.0, grid), params)
     with pytest.raises(UnsupportedDimension):

@@ -75,30 +75,6 @@ def test_wide_window_sweep_ground_states_negative(params, grid, estimate, refere
     assert all(r.energy_plus < 0.0 for r in conv)
 
 
-# --- dJ/dlambda ------------------------------------------------------------------
-
-def test_dJ_dlambda_identity(params, reference, estimate):
-    rep = sw.dJ_dlambda_check(reference, 0.5 * estimate.lambda_star, params)
-    assert rep.rel_err_plus <= 1e-5
-    assert rep.rel_err_minus <= 1e-5
-    assert rep.closed_plus < 0.0
-    assert rep.closed_minus < 0.0
-
-
-def test_dJ_dlambda_sign_across_window(params, reference, estimate):
-    for frac in (0.2, 0.4, 0.6, 0.8):
-        rep = sw.dJ_dlambda_check(reference, frac * estimate.lambda_star, params)
-        assert rep.fd_plus < 0.0 and rep.fd_minus < 0.0
-
-
-def test_dJ_dlambda_unit_triple(params):
-    # (1,1,1)-normalized profile at lambda = 0.5 Lambda_n
-    triple = nl.ReducedTriple(E=1.0, A=1.0, B=1.0)
-    lam = 0.5 * float(lambda_n(triple, params.p, params.q))
-    rep = sw.dJ_dlambda_check(triple, lam, params)
-    assert rep.rel_err_plus <= 1e-5 and rep.rel_err_minus <= 1e-5
-
-
 # --- sign change -------------------------------------------------------------------
 
 def test_sign_change_location(params, estimate, sweep_result):
