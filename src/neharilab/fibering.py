@@ -57,14 +57,21 @@ def _check_t(t):
         raise NonpositiveT("fibering maps are defined for t > 0")
 
 
+def _positive_finite(x) -> bool:
+    if isinstance(x, float):  # numpy float64 too: no array reduction
+        return 0.0 < x < math.inf
+    x = np.asarray(x)
+    return bool(((x > 0.0) & (x < np.inf)).all())  # NaN fails both
+
+
 def _check_A(triple):
-    if (np.asarray(triple.A) <= 0.0).any():
-        raise ZeroA("quotients need A > 0")
+    if not _positive_finite(triple.A):
+        raise ZeroA("quotients need finite A > 0")
 
 
 def _check_B(triple):
-    if (np.asarray(triple.B) <= 0.0).any():
-        raise ZeroB("critical points need B > 0")
+    if not (_positive_finite(triple.B) and _positive_finite(triple.E)):
+        raise ZeroB("critical points need finite B > 0 and E > 0")
 
 
 def scale_triple(triple: ReducedTriple, s, p: float, q: float) -> ReducedTriple:
@@ -87,6 +94,10 @@ def phi_prime(t, triple: ReducedTriple, lam, p: float, q: float):
 
 def phi_second(t, triple: ReducedTriple, lam, p: float, q: float):
     _check_t(t)
+    return _phi_second(t, triple, lam, p, q)
+
+
+def _phi_second(t, triple, lam, p, q):
     return (
         triple.E
         - (q - 1) * lam * t ** (q - 2) * triple.A
@@ -99,6 +110,10 @@ def phi_second(t, triple: ReducedTriple, lam, p: float, q: float):
 def q_n(t, triple: ReducedTriple, p: float, q: float):
     _check_t(t)
     _check_A(triple)
+    return _q_n(t, triple, p, q)
+
+
+def _q_n(t, triple, p, q):
     # factored so the exact exponent 2p-2 carries the cancellation near t_n
     return t ** (2 - q) * (triple.E - t ** (2 * p - 2) * triple.B) / triple.A
 
@@ -133,6 +148,10 @@ def q_e_prime(t, triple: ReducedTriple, p: float, q: float):
 def t_max_n(triple: ReducedTriple, p: float, q: float):
     """Maximizer of Q_n: ((2-q)E / ((2p-q)B))^(1/(2p-2)), in log space."""
     _check_B(triple)
+    return _t_max_n(triple, p, q)
+
+
+def _t_max_n(triple, p, q):
     return np.exp(
         (np.log((2 - q) * np.asarray(triple.E)) - np.log((2 * p - q) * np.asarray(triple.B)))
         / (2 * p - 2)
@@ -148,6 +167,10 @@ def lambda_n(triple: ReducedTriple, p: float, q: float):
     """Lambda_n = max_t Q_n(t), evaluated in log space."""
     _check_A(triple)
     _check_B(triple)
+    return _lambda_n(triple, p, q)
+
+
+def _lambda_n(triple, p, q):
     C = fibering_constants(p, q)
     kappa = (2 * p - q) / (2 * p - 2)
     nu = (2 - q) / (2 * p - 2)
@@ -221,11 +244,14 @@ def nehari_roots(triple: ReducedTriple, lam: float, p: float, q: float) -> Roots
     docstring), each checked to |Q_n(t) - lambda| <= 1e-12 Lambda_n on Q_n
     itself, with phi''(t_plus) > 0 > phi''(t_minus).  Within the tangency band
     |lambda - Lambda_n| <= 1e-12 Lambda_n: DoubleRoot(t_n).  Above: NoRoot.
+    lambda and the triple are validated once, here; nothing below re-checks.
     """
-    if lam <= 0.0:
-        raise NonpositiveT("nehari_roots needs lambda > 0")
-    Ln = float(lambda_n(triple, p, q))   # checks A > 0, then B > 0
-    tn = float(t_max_n(triple, p, q))
+    if not 0.0 < lam < math.inf:
+        raise NonpositiveT(f"nehari_roots needs finite lambda > 0, got {lam!r}")
+    _check_A(triple)
+    _check_B(triple)
+    Ln = float(_lambda_n(triple, p, q))
+    tn = float(_t_max_n(triple, p, q))
     if not (0.0 < tn < math.inf and 0.0 < Ln < math.inf):
         raise RootBracketFailure(f"t_n = {tn!r}, Lambda_n = {Ln!r} are not positive floats")
     if abs(lam - Ln) <= DOUBLE_ROOT_BAND * Ln:
@@ -245,10 +271,10 @@ def nehari_roots(triple: ReducedTriple, lam: float, p: float, q: float) -> Roots
     tol = ROOT_RTOL * Ln
     try:
         for t in (t_plus, t_minus):
-            res = abs(float(q_n(t, triple, p, q)) - lam)
+            res = abs(float(_q_n(t, triple, p, q)) - lam)
             if not res <= tol:
                 raise RootBracketFailure(f"|Q_n(t) - lambda| = {res:.3e} > {tol:.3e} at t = {t!r}")
-        signs_ok = phi_second(t_plus, triple, lam, p, q) > 0.0 > phi_second(
+        signs_ok = _phi_second(t_plus, triple, lam, p, q) > 0.0 > _phi_second(
             t_minus, triple, lam, p, q)
     except OverflowError as exc:
         raise RootBracketFailure(f"Q_n or phi'' overflows at the roots: {exc}") from exc

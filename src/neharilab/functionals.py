@@ -52,7 +52,7 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
-from scipy.linalg.blas import dsbmv
+from scipy.linalg.blas import daxpy, dsbmv
 
 from .errors import (
     GridTooLarge,
@@ -271,6 +271,38 @@ class FunctionalWorkspace:
         fac[u_vals == 0.0] = 0.0  # |u|^(p-2) u -> 0 as u -> 0 for p > 1
         return fac
 
+    def hessian(self, ev: "Evaluation", diag):
+        """The operator v -> H v, H the Hessian of J_lambda at ev (radial):
+
+            H v = G v + diag v - 2 pi omega p c K(c v),  c = b u^(p-1) r^-a w.
+
+        On entry diag holds the singular part lambda (1-q) omega w a u^(q-2);
+        the nonlocal diagonal (p-1) omega w b u^(p-2) w_u is subtracted from it
+        in place.  The operator writes into out when given.
+        """
+        g, p, u = self.grid, self.params.p, ev.u
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nd = self.b * u ** (p - 2.0) * ev.w_u
+        nd[u == 0.0] = 0.0  # as in nonlocal_factor: no nonlocal term off the support
+        diag -= (p - 1.0) * g.omega * g.weights * nd
+        c = self.b * u ** (p - 1.0) * self._r_alpha * g.weights
+        coef = -2.0 * np.pi * g.omega * p
+        K = self.kernel()
+
+        def apply(v, out=None):
+            # c v is the kernel's input and G v overwrites it (beta = 0), so
+            # one apply holds out and the kernel's own buffers at most
+            out = np.multiply(c, v, out=out)
+            k = K(out)
+            k *= c
+            out = dsbmv(2, 1.0, self.Gb, v, y=out, overwrite_y=True)
+            out = daxpy(k, out, a=coef)
+            np.multiply(diag, v, out=k)
+            out += k
+            return out
+
+        return apply
+
     # -- one evaluation per point ---------------------------------------------
 
     def evaluate(self, u_vals) -> Evaluation:
@@ -337,11 +369,19 @@ def workspace(grid, params: ProblemParams) -> FunctionalWorkspace:
 
 def _apply_newton(r, cells, h):
     """sum_j k_1(r_i, r_j) h_j: 2/r_i times the sum of h below i, plus the
-    sum of 2 h_j/r_j above i, plus the diagonal cell."""
-    below = np.cumsum(h) - h
+    sum of 2 h_j/r_j above i, plus the diagonal cell.  Computed in place,
+    in the order of 2 (below / r + above) + cells h, in three buffers."""
+    out = np.cumsum(h)
+    out -= h
+    out /= r
     t = h / r
-    above = np.cumsum(t[::-1])[::-1] - t
-    return 2.0 * (below / r + above) + cells * h
+    above = np.cumsum(t[::-1])[::-1]
+    above -= t
+    out += above
+    out *= 2.0
+    np.multiply(cells, h, out=t)
+    out += t
+    return out
 
 
 def _require_cone(u: GridFunction):

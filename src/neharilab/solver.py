@@ -2,12 +2,11 @@
 
 For lambda below the estimated extremal value, every ray with
 Lambda_n(u) > lambda crosses the Nehari set twice; the solver minimizes the
-branch-reduced energy v -> J_lambda(t(v) v) by envelope-gradient descent with
-reprojection:
+branch-reduced energy v -> J_lambda(t(v) v) by descent with reprojection:
 
     loop: reproject to the branch (absorb t into u, so t = 1 afterwards),
-          take a preconditioned step along the Euler-Lagrange defect,
-          clip to the nonnegative cone, backtrack on the reduced energy.
+          take a step x, clip u - s x to the nonnegative cone,
+          backtrack on the reduced energy.
 
 The envelope theorem makes the reduced gradient at an on-branch point equal
 the plain gradient action J'_lambda(u)[.], so the strong-form defect
@@ -15,23 +14,40 @@ the plain gradient action J'_lambda(u)[.], so the strong-form defect
     d_i = (G u)_i / (omega w_i) - lambda a_i max(u_i, eps)^(q-1)
           - b_i u_i^(p-1) (w_u)_i
 
-is both the descent direction source and the convergence measure (its
-quadrature-weighted norm, relative to the size of its largest term).  One
-evaluation per point (FunctionalWorkspace.evaluate: w_u and (E, A, B))
-supplies an iterate's energy, defect and residual, so the defect and the
-residual share it; each backtracking trial gets one evaluation for its
-projection, and the accepted point t * trial one more.  Steps are
-preconditioned by the SPD operator G + diag(omega w lambda a (1-q) u^(q-2)),
-which carries the stiffness of both the elliptic part and the singular term;
-acceptance is Armijo sufficient decrease with a residual-decrease fallback
-once energy differences sit at machine precision.
+is both the step's source (the gradient is g = omega w d) and the
+convergence measure (its quadrature-weighted norm, relative to the size of
+its largest term).  Both branches precondition with the SPD operator
+P = G + diag(omega w lambda a (1-q) u^(q-2)), which carries the stiffness of
+the elliptic part and of the singular term.  The step x differs by branch:
+
+* N+: one preconditioned gradient step, x = P^-1 g.
+* N-: an inexact Newton step on the reduced energy (local minimax, Li &
+  Zhou 2001).  Its Hessian at an on-branch point is the Schur complement
+  H_hat = H - (Hu)(Hu)^T / (u^T H u), positive semidefinite at the N-
+  minimizer with null direction u.  H adds to P the nonlocal Hessian, of
+  size about (2p-1) B on N-, which P lacks and which stalls a gradient step.
+  H_hat x = g is solved by truncated CG (Steihaug 1983), P factored once per
+  step, with matrix-free products (one kernel apply each).  CG stops at
+  ||r|| <= min(0.5, sqrt(residual)) ||r_0||, on nonpositive curvature
+  (keeping the last iterate, or P^-1 g at the first step) or after CG_MAX
+  steps.  N+ keeps the gradient step: Newton there stalls near a saddle.
+
+One evaluation per point (FunctionalWorkspace.evaluate: w_u and (E, A, B))
+supplies an iterate's energy, defect and residual; each backtracking trial
+gets one evaluation for its projection, and the accepted point t * trial
+one more.  Acceptance is Armijo sufficient decrease along -x with slope g.x,
+with a residual-decrease fallback once energy differences sit at machine
+precision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.blas import daxpy, dnrm2
 
 from . import fibering
 from .errors import NoConvergence, RayMissesNehari, UnsupportedDimension
@@ -51,6 +67,7 @@ REINIT_SIGMAS = (1.0, 0.5, 2.0, 0.25, 4.0, 0.125)
 STEP_MAX = 1.0        # a full preconditioned step; SolverOptions.step0 lies in (0, 1]
 BACKTRACK_MAX = 60
 ARMIJO = 0.25
+CG_MAX = 20           # inner iterations of one N- Newton-Krylov step
 
 
 @dataclass
@@ -137,6 +154,62 @@ def _initial_ray(lam, branch, init, grid, params, budget):
     )
 
 
+def _singular_shift(ws, u, lam, ff):
+    """lambda (1-q) omega w a u_f^(q-2), u_f = max(u, ff max u): the singular
+    term's Hessian diagonal, the shift of the preconditioner G + shift."""
+    g, q = ws.grid, ws.params.q
+    return g.omega * g.weights * lam * ws.a * (1.0 - q) * np.maximum(u, ff * np.max(u)) ** (q - 2.0)
+
+
+def _branch_hessian(ws, ev, diag):
+    """v -> H_hat v = H v - (Hu)(u^T H v) / (u^T H u), H = ws.hessian(ev, diag)."""
+    hess = ws.hessian(ev, diag)
+    hu = hess(ev.u)
+    uhu = float(ev.u @ hu)
+
+    def apply(v, out=None):
+        return daxpy(hu, hess(v, out), a=-float(hu @ v) / uhu)
+
+    return apply
+
+
+def _newton_krylov_step(ws, ev, shift, g, res):
+    """The N- step x ~ H_hat^-1 g by truncated PCG (module docstring) and its
+    slope g.x = sum_k alpha_k r_k.y_k, y_k = P^-1 r_k.  g is consumed as the
+    residual r; few vectors are live, since this is the solver's memory peak.
+    """
+    ab = ws.Gb.copy(order="F")
+    ab[2] += shift
+    cb = (cholesky_banded(ab, overwrite_ab=True, check_finite=False), False)
+    hess = _branch_hessian(ws, ev, shift)   # folds the nonlocal diagonal into shift
+    r = g
+    stop = min(0.5, math.sqrt(res)) * dnrm2(r)
+    p = cho_solve_banded(cb, r, check_finite=False)
+    rho = float(r @ p)
+    x = np.zeros_like(r)
+    hp = np.zeros_like(r)
+    slope = 0.0
+    for k in range(CG_MAX):
+        hp = hess(p, out=hp)
+        curv = float(p @ hp)
+        if curv <= 0.0:
+            if k == 0:
+                return p, rho
+            break
+        alpha = rho / curv
+        x = daxpy(p, x, a=alpha)
+        slope += alpha * rho
+        r = daxpy(hp, r, a=-alpha)
+        if dnrm2(r) <= stop:
+            break
+        hp[:] = r
+        y = cho_solve_banded(cb, hp, overwrite_b=True, check_finite=False)
+        rho, rho_old = float(r @ y), rho
+        p *= rho / rho_old
+        p += y
+    return x, slope
+
+
 def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
                        params: ProblemParams, grid=None,
                        opts: SolverOptions | None = None,
@@ -157,12 +230,11 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
     if grid.kind != "radial":
         raise UnsupportedDimension("the solver runs on radial grids")
     ws = workspace(grid, params)
-    q, ff = params.q, opts.floor_factor
+    ff = opts.floor_factor
 
     ev = ws.evaluate(_initial_ray(lam, branch, init, grid, params, opts.reinit_budget).values)
     J = energy_from_triple(ev.triple, lam, params)
     history = [J]
-    quad = grid.omega * grid.weights
     step = opts.step0
     it = 0
     for it in range(opts.max_iters):
@@ -170,10 +242,15 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
         if res <= opts.tol:
             break
         u = ev.u
-        uf = np.maximum(u, ff * np.max(u))
-        shift = quad * lam * ws.a * (1.0 - q) * uf ** (q - 2.0)
-        z = ws.solve_shifted(shift, quad * d)
-        slope = float((quad * d) @ z)  # directional derivative along -z
+        shift = _singular_shift(ws, u, lam, ff)
+        if branch == Branch.NPLUS:
+            grad = grid.omega * grid.weights * d
+            z = ws.solve_shifted(shift, grad)
+            slope = float(grad @ z)  # directional derivative along -z
+        else:
+            # the gradient overwrites d: one vector less at the Krylov peak
+            d *= grid.omega * grid.weights
+            z, slope = _newton_krylov_step(ws, ev, shift, d, res)
         accepted = None
         s = min(step, STEP_MAX)
         for _bt in range(BACKTRACK_MAX):
@@ -198,6 +275,7 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
                     accepted = trial_ev
                     break
             s *= 0.5
+        del z  # the next step must not hold this one (peak memory)
         if accepted is None:
             break
         ev = accepted

@@ -103,6 +103,16 @@ def test_fibering_bad_exponents_fail_before_any_output(capsys, p, q):
     assert captured.err.startswith("error: ParameterValidationError")
 
 
+@pytest.mark.parametrize("triple,error", [("nan,1,1", "ZeroB"), ("1,1,inf", "ZeroB"),
+                                          ("1,-inf,1", "ZeroA"), ("1,nan,1", "ZeroA")])
+@pytest.mark.parametrize("lam", [[], ["--lambda", "0.1"]])
+def test_fibering_nonfinite_triple_fails_before_any_output(capsys, triple, error, lam):
+    assert cli.main(["fibering", "--triple", triple, "--p", "2", "--q", "0.5", *lam]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {error}")
+
+
 def test_lambda_star_with_artifacts(small_config, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     snap = tmp_path / "min.json"

@@ -119,6 +119,26 @@ def test_zero_B_rejected():
         fib.t_max_n(ReducedTriple(E=1.0, A=1.0, B=0.0), P, Q)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_triples_and_lambda_rejected(bad):
+    # NaN and infinity fail by name, like values <= 0, in the closed forms,
+    # the quotients and the one check at the top of nehari_roots
+    with pytest.raises(ZeroA):
+        fib.q_n(1.0, ReducedTriple(E=1.0, A=bad, B=1.0), P, Q)
+    with pytest.raises(ZeroB):
+        fib.t_max_n(ReducedTriple(E=1.0, A=1.0, B=bad), P, Q)
+    with pytest.raises(ZeroB):
+        fib.lambda_n(ReducedTriple(E=bad, A=1.0, B=1.0), P, Q)
+    with pytest.raises(ZeroB):
+        fib.nehari_roots(ReducedTriple(E=bad, A=1.0, B=1.0), 0.1, P, Q)
+    with pytest.raises(ZeroA):
+        fib.nehari_roots(ReducedTriple(E=1.0, A=bad, B=1.0), 0.1, P, Q)
+    with pytest.raises(ZeroB):
+        fib.t_max_n(ReducedTriple(E=np.ones(3), A=1.0, B=np.array([1.0, bad, 1.0])), P, Q)
+    with pytest.raises(NonpositiveT):
+        fib.nehari_roots(UNIT, bad, P, Q)
+
+
 def test_lambda_values_reference():
     assert fib.lambda_n(UNIT, P, Q) == pytest.approx(0.3026769592708033, rel=1e-13)
     assert fib.lambda_e(UNIT, P, Q) == pytest.approx(

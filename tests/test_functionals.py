@@ -349,6 +349,20 @@ def test_newton_w_u_matches_dense_oracle(rng, M):
             assert err <= 1e-13, (alpha, name, err)
 
 
+@pytest.mark.parametrize("M", [256, 4096])
+def test_newton_apply_in_place_is_bit_identical(rng, M):
+    # the in-place running sums keep the operation order of the plain
+    # expression, so w_u does not move by a single bit
+    r = nl.build_radial_grid(20.0, M, 2.0).nodes
+    cells = rng.uniform(0.0, 2.0, M) / r
+    for h in (rng.uniform(0.0, 1.0, M), rng.standard_normal(M) * np.exp(-r)):
+        below = np.cumsum(h) - h
+        t = h / r
+        above = np.cumsum(t[::-1])[::-1] - t
+        plain = 2.0 * (below / r + above) + cells * h
+        assert np.array_equal(functionals._apply_newton(r, cells, h), plain)
+
+
 def test_newton_w_u_continuous_with_dense_kernel(rng):
     # the dense general-mu kernel on either side of mu = 1 checks the
     # Newton path, its diagonal cells included

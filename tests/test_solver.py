@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -261,3 +263,90 @@ def test_nonstrict_returns_diagnostics_on_cap(params, grid, estimate, lam):
     assert res.converged is False
     assert res.iterations >= 1
     assert np.isfinite(res.weak_residual)
+
+
+# --- N- Newton-Krylov step ---------------------------------------------------------
+
+@pytest.mark.parametrize("mu", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("p", [2.0, 3.5])
+def test_branch_hessian_matches_defect_difference(grid, mu, p):
+    # On directions tangent to N- at u ((Hu).v = 0) the rank-one term
+    # vanishes and H_hat v is the derivative of the gradient omega w d; along
+    # u itself H_hat must vanish.  The floored nodes are left out: there the
+    # defect depends on u only through the floor ff * max(u).
+    # alpha = 0.2 keeps p = 3.5 inside the exponent window at mu = 2.
+    prm = nl.validate(dataclasses.replace(nl.ProblemParams(), alpha=0.2, mu=mu, p=p))
+    ws = workspace(grid, prm)
+    gauss = nl.sample_profile("gaussian", 1.0, grid)
+    lam = 0.5 * float(nl.lambda_n(nl.reduced_triple(gauss, prm), p, prm.q))
+    u = project_to_nehari(gauss, lam, Branch.NMINUS, prm).values
+    ff = functionals.DEFAULT_FLOOR_FACTOR
+    ev = ws.evaluate(u)
+    hu = ws.hessian(ev, solver._singular_shift(ws, u, lam, ff))(u)
+    hess = solver._branch_hessian(ws, ev, solver._singular_shift(ws, u, lam, ff))
+    quad = grid.omega * grid.weights
+
+    def gradient(vals):
+        return quad * ws.defect(ws.evaluate(vals), lam, ff)[0]
+
+    assert u @ hu < 0.0   # N-: the ray direction carries negative curvature
+    assert np.max(np.abs(hess(u))) <= 1e-12 * np.max(np.abs(hu))
+    live = u >= ff * np.max(u)
+    eps = 1e-4
+    for psi in (np.sin(1.3 * grid.nodes), np.exp(-0.3 * grid.nodes), grid.nodes / (1.0 + grid.nodes)):
+        v = psi * u
+        v -= (hu @ v) / (hu @ u) * u
+        fd = (gradient(u + eps * v) - gradient(u - eps * v)) / (2.0 * eps)
+        hv = hess(v)
+        assert np.max(np.abs(fd - hv)[live]) <= 1e-6 * np.max(np.abs(hv)[live])
+
+
+# lambda / lambda* and exponents where a gradient step on N- needs up to 36 iterations
+NEWTON_FRACS = (0.1, 0.5, 0.9, 0.99)
+NEWTON_CASES = {
+    # (mu, p): N+ iterations at NEWTON_FRACS, which the N- step must not change
+    (1.0, 2.0): (4, 5, 7, 7),
+    (1.0, 3.0): (4, 4, 4, 4),
+    (1.0, 3.5): (4, 4, 4, 4),
+    (1.0, 4.0): (4, 4, 4, 4),
+    (1.5, 3.5): (4, 4, 4, 4),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(NEWTON_CASES), ids=lambda c: f"mu{c[0]}-p{c[1]}")
+def newton_case(request):
+    from neharilab.extremal import estimate_lambda_star
+
+    mu, p = request.param
+    prm = nl.validate(dataclasses.replace(nl.ProblemParams(), mu=mu, p=p))
+    g = nl.build_radial_grid(20.0, 256, 2.0)
+    return request.param, prm, g, estimate_lambda_star(prm, g)
+
+
+def test_nminus_newton_converges_in_few_iterations(newton_case):
+    _, prm, g, est = newton_case
+    for frac in NEWTON_FRACS:
+        res = minimize_on_branch(frac * est.lambda_star, Branch.NMINUS, est.minimizer, prm, grid=g)
+        assert res.converged and res.iterations <= 10, (frac, res.iterations)
+        assert res.t_at_convergence == pytest.approx(1.0, abs=1e-6)
+
+
+def test_nminus_energy_matches_tight_reference(newton_case):
+    _, prm, g, est = newton_case
+    for frac in NEWTON_FRACS:
+        lam = frac * est.lambda_star
+        res = minimize_on_branch(lam, Branch.NMINUS, est.minimizer, prm, grid=g)
+        ref = minimize_on_branch(lam, Branch.NMINUS, est.minimizer, prm, grid=g,
+                                 opts=SolverOptions(tol=1e-8))
+        assert ref.converged
+        assert abs(res.energy - ref.energy) <= SolverOptions().tol * abs(ref.energy)
+
+
+def test_nplus_keeps_the_gradient_step(newton_case):
+    # N+ iteration counts of the preconditioned gradient step, unchanged
+    case, prm, g, est = newton_case
+    iters = tuple(
+        minimize_on_branch(frac * est.lambda_star, Branch.NPLUS, est.minimizer, prm, grid=g).iterations
+        for frac in NEWTON_FRACS
+    )
+    assert iters == NEWTON_CASES[case]
