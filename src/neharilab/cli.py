@@ -298,6 +298,9 @@ def cmd_sweep(args) -> int:
         )
     except NoSignChange:
         print("bound-state sign change: not bracketed by this window")
+    if n_conv < len(result.rows):
+        print("error: NoConvergence")
+        return 1
     return 0
 
 

@@ -33,11 +33,15 @@ the elliptic part and of the singular term.  The step x differs by branch:
   steps.  N+ keeps the gradient step: Newton there stalls near a saddle.
 
 One evaluation per point (FunctionalWorkspace.evaluate: w_u and (E, A, B))
-supplies an iterate's energy, defect and residual; each backtracking trial
-gets one evaluation for its projection, and the accepted point t * trial
-one more.  Acceptance is Armijo sufficient decrease along -x with slope g.x,
-with a residual-decrease fallback once energy differences sit at machine
-precision.
+supplies an iterate's energy, defect and residual.  Each backtracking trial
+gets one evaluation for its projection, and its Nehari point t * trial reuses
+it through the exact scalings w_u(t u) = t^p w_u(u) and (E, A, B)(t u) =
+scale_triple, applied in place; the start's projection is reused the same
+way.  Acceptance is Armijo sufficient decrease along -x with slope g.x, with
+a residual-decrease fallback once energy differences sit at machine
+precision.  The final iterate is evaluated afresh once, so its residual,
+energy and projection time t_at_convergence (which must sit at 1) do not
+rest on the scalings.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from .errors import NoConvergence, RayMissesNehari, UnsupportedDimension
 from .fibering import Branch, DoubleRoot, NoRoot, nehari_roots
 from .functionals import (  # strong_form_defect: public here next to weak_residual
     DEFAULT_FLOOR_FACTOR,
+    Evaluation,
     ReducedTriple,
     energy_from_triple,
     floored_fraction,
@@ -121,6 +126,16 @@ def _project_values(params, ev, lam, branch):
     return t, fibering.scale_triple(ev.triple, t, params.p, params.q)
 
 
+def _to_branch(params, ev, lam, branch):
+    """The evaluation of t * u, the Nehari point of ev's ray on the branch:
+    u and w_u are scaled in place by t and t^p (w_u is p-homogeneous)."""
+    t, triple = _project_values(params, ev, lam, branch)
+    u, w_u = ev.u, ev.w_u
+    u *= t
+    w_u *= t ** params.p
+    return Evaluation(u, w_u, triple)
+
+
 def weak_residual(u: GridFunction, lam: float, params: ProblemParams,
                   floor_factor: float = DEFAULT_FLOOR_FACTOR,
                   include_nonlocal: bool = True, source=None) -> float:
@@ -134,8 +149,9 @@ def weak_residual(u: GridFunction, lam: float, params: ProblemParams,
     return ws.defect(ws.evaluate(u.values), lam, floor_factor, include_nonlocal, source)[1]
 
 
-def _initial_ray(lam, branch, init, grid, params, budget):
-    """Return a cone function whose ray carries Nehari points for lambda."""
+def _initial_ray(ws, lam, branch, init, grid, params, budget):
+    """The evaluated Nehari point of the first candidate ray (init, then
+    Gaussians) that carries Nehari points for lambda."""
     candidates = []
     if init is not None:
         candidates.append(init)
@@ -145,7 +161,8 @@ def _initial_ray(lam, branch, init, grid, params, budget):
     last_error = None
     for cand in candidates:
         try:
-            return project_to_nehari(cand, lam, branch, params)
+            # a copy: the projection scales the candidate in place
+            return _to_branch(params, ws.evaluate(cand.values.copy()), lam, branch)
         except RayMissesNehari as err:
             last_error = err
     raise RayMissesNehari(
@@ -232,7 +249,7 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
     ws = workspace(grid, params)
     ff = opts.floor_factor
 
-    ev = ws.evaluate(_initial_ray(lam, branch, init, grid, params, opts.reinit_budget).values)
+    ev = _initial_ray(ws, lam, branch, init, grid, params, opts.reinit_budget)
     J = energy_from_triple(ev.triple, lam, params)
     history = [J]
     step = opts.step0
@@ -259,18 +276,16 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
                 s *= 0.5
                 continue
             try:
-                t, trial_triple = _project_values(params, ws.evaluate(trial), lam, branch)
+                trial_ev = _to_branch(params, ws.evaluate(trial), lam, branch)
             except RayMissesNehari:
                 s *= 0.5
                 continue
-            trial = t * trial
-            if energy_from_triple(trial_triple, lam, params) <= J - ARMIJO * s * slope:
-                accepted = ws.evaluate(trial)
+            if energy_from_triple(trial_ev.triple, lam, params) <= J - ARMIJO * s * slope:
+                accepted = trial_ev
                 break
             if ARMIJO * s * slope < 8e-15 * abs(J):
                 # energy differences at machine precision: fall back to a
                 # residual-decrease acceptance for the Newton endgame
-                trial_ev = ws.evaluate(trial)
                 if ws.defect(trial_ev, lam, ff)[1] < 0.7 * res:
                     accepted = trial_ev
                     break
@@ -283,6 +298,8 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
         history.append(J)
         step = min(2.0 * s, STEP_MAX)
 
+    ev = ws.evaluate(ev.u)   # afresh, so that t_final below checks the scalings
+    J = history[-1] = energy_from_triple(ev.triple, lam, params)
     ufun = GridFunction(grid, ev.u)
     res = ws.defect(ev, lam, ff)[1]
     converged = bool(res <= opts.tol)
@@ -314,15 +331,17 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
 
 
 def solve_pair(lam: float, params: ProblemParams, grid,
-               init: GridFunction | None = None,
+               init: GridFunction | tuple[GridFunction, GridFunction] | None = None,
                opts: SolverOptions | None = None) -> tuple[SolveResult, SolveResult]:
-    """Solve both branches from the same initial profile.
+    """Solve both branches, from one initial profile or from an
+    (N+ start, N- start) pair.
 
     Returns (ground_state_result, bound_state_result); the ground state is the
     N+ minimizer (negative energy), the bound state the N- minimizer.
     """
-    plus = minimize_on_branch(lam, Branch.NPLUS, init, params, grid=grid, opts=opts)
-    minus = minimize_on_branch(lam, Branch.NMINUS, init, params, grid=grid, opts=opts)
+    init_plus, init_minus = init if isinstance(init, tuple) else (init, init)
+    plus = minimize_on_branch(lam, Branch.NPLUS, init_plus, params, grid=grid, opts=opts)
+    minus = minimize_on_branch(lam, Branch.NMINUS, init_minus, params, grid=grid, opts=opts)
     return plus, minus
 
 

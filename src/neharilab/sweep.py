@@ -7,6 +7,12 @@ sign_change_locator finds where the bound-state energy changes sign, to be
 compared with lambda_* = ratio * lambda*; endpoint_probe solves on a ladder
 approaching lambda*.  The identities these rows are read against (roots
 monotone in lambda, dJ/dlambda = -t^q A/q) are checked in invariants.
+
+Both ladders trace the branches u+(lambda) and u-(lambda) by natural-parameter
+continuation (Allgower & Georg 1990): each branch's solve starts from a
+prediction built from the converged rows below it, the last one's solution
+after one such row and the secant extrapolation after two.  The first row,
+and every row until one converges, starts from the caller's profile.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import numpy as np
 from .errors import NoSignChange, RayMissesNehari
 from .fibering import TwoRoots, nehari_roots
 from .functionals import ReducedTriple
+from .grid import GridFunction
 from .params import ProblemParams, fibering_constants
 from .solver import SolverOptions, solve_pair
 
@@ -82,28 +89,61 @@ def fixed_profile_roots(triple: ReducedTriple, lam: float, params: ProblemParams
     return roots.t_plus, roots.t_minus
 
 
+def _predict(bases, lam, grid):
+    """Per-branch starts at lam from the converged rows (lam_i, u+_i, u-_i):
+    the last row's solutions, or clip(u1 + f (u1 - u0), 0) with
+    f = (lam - lam1)/(lam1 - lam0) once there are two."""
+    lam1, *u1 = bases[-1]
+    if len(bases) == 1:
+        return tuple(u1)
+    lam0, *u0 = bases[-2]
+    f = (lam - lam1) / (lam1 - lam0)
+    return tuple(GridFunction(grid, np.clip(b.values + f * (b.values - a.values), 0.0, None))
+                 for a, b in zip(u0, u1))
+
+
+def _continue(lams, params, grid, init, opts):
+    """Yield (lambda, (plus, minus)) per lambda of an increasing ladder, or
+    (lambda, None) where every sampled ray misses the Nehari set.  Only rows
+    that converge on both branches feed the predictor."""
+    bases = []
+    for lam in lams:
+        start = _predict(bases, lam, grid) if bases else init
+        try:
+            # through this module's binding, so one call per row can be traced
+            pair = solve_pair(lam, params, grid, init=start, opts=opts)
+        except RayMissesNehari:
+            yield lam, None
+            continue
+        plus, minus = pair
+        if plus.converged and minus.converged:
+            bases = bases[-1:] + [(lam, plus.solution, minus.solution)]
+        yield lam, pair
+
+
 def run_sweep(lambda_grid, params: ProblemParams, grid,
               reference_triple: ReducedTriple,
               init=None, opts: SolverOptions | None = None) -> SweepResult:
-    """One solve_pair per lambda; per-row failures are recorded, not fatal."""
+    """One solve_pair per lambda of a strictly increasing grid, continued
+    from the converged rows below it (module docstring); init starts the
+    first row.  Per-row failures are recorded, not fatal."""
     lams = np.asarray(lambda_grid, dtype=float)
     if np.any(np.diff(lams) <= 0.0):
         raise ValueError("lambda grid must be strictly increasing")
     rows = []
-    for lam in lams:
-        tp, tm = fixed_profile_roots(reference_triple, float(lam), params)
-        try:
-            plus, minus = solve_pair(float(lam), params, grid, init=init, opts=opts)
-        except RayMissesNehari:
+    for lam, pair in _continue(lams.tolist(), params, grid, init, opts):
+        tp, tm = fixed_profile_roots(reference_triple, lam, params)
+        if pair is None:
             rows.append(SweepRow(
-                lam=float(lam), energy_plus=np.nan, energy_minus=np.nan,
+                lam=lam, energy_plus=np.nan, energy_minus=np.nan,
                 t_plus=tp, t_minus=tm, norm_minus=np.nan,
                 residual_plus=np.nan, residual_minus=np.nan,
                 converged_plus=False, converged_minus=False,
             ))
             continue
+        plus, minus = pair
         rows.append(SweepRow(
-            lam=float(lam),
+            lam=lam,
             energy_plus=plus.energy,
             energy_minus=minus.energy,
             t_plus=tp,
@@ -199,19 +239,20 @@ class EndpointReport:
 
 def endpoint_probe(params: ProblemParams, grid, lambda_star_est: float,
                    K: int = 6, init=None, opts: SolverOptions | None = None) -> EndpointReport:
-    """Solve at lambda_k = (1 - 2^-k) lambda* for k = 1..K; report the
-    Cauchy-style energy increments and the bound-state norm trajectory."""
+    """Solve at lambda_k = (1 - 2^-k) lambda* for k = 1..K, continued from
+    the converged rows below (module docstring; init starts k = 1), and
+    report the Cauchy-style energy increments and the bound-state norm
+    trajectory."""
     lams = [(1.0 - 2.0 ** (-k)) * lambda_star_est for k in range(1, K + 1)]
     ep, em, norms, conv = [], [], [], []
-    for lam in lams:
-        try:
-            plus, minus = solve_pair(lam, params, grid, init=init, opts=opts)
-        except RayMissesNehari:
+    for _, pair in _continue(lams, params, grid, init, opts):
+        if pair is None:
             ep.append(np.nan)
             em.append(np.nan)
             norms.append(np.nan)
             conv.append(False)
             continue
+        plus, minus = pair
         ep.append(plus.energy)
         em.append(minus.energy)
         norms.append(minus.norm)

@@ -180,6 +180,18 @@ def test_sweep_csv_deterministic(small_config, tmp_path, capsys):
                       "residual_plus,residual_minus,converged_plus,converged_minus")
 
 
+def test_sweep_with_unconverged_rows_exits_1(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text(SMALL_CONFIG.replace("max_iters = 300", "max_iters = 1"))
+    out = tmp_path / "s.csv"
+    code = cli.main(["sweep", "--config", str(path), "--points", "3", "--out", str(out)])
+    printed = capsys.readouterr().out
+    assert code == 1
+    assert "rows: 3, converged: 0" in printed
+    assert printed.rstrip().endswith("error: NoConvergence")
+    assert out.exists()   # the rows are still written, as solve writes its snapshots
+
+
 @pytest.mark.parametrize("flags", [["--points", "1"], ["--points", "0", "--frac-min", "0"]])
 def test_sweep_bad_grid_flags_are_usage_errors(small_config, tmp_path, capsys, monkeypatch,
                                                flags):

@@ -135,9 +135,9 @@ def test_reported_residual_is_the_public_weak_residual(params, pair):
 
 
 def test_one_w_u_per_evaluated_point(params, grid, estimate, lam, monkeypatch):
-    # each projection (initial ray, backtracking trial, final t) evaluates at
-    # most one point and each accepted iterate one more; the defect and the
-    # residual reuse the iterate's w_u
+    # every evaluation is followed by one projection (initial ray,
+    # backtracking trial, the final iterate's t): the projected point reuses
+    # its evaluation, and the defect and the residual reuse the iterate's w_u
     calls = {"w_u": 0, "roots": 0}
     w_u, roots = functionals.FunctionalWorkspace.w_u, solver.nehari_roots
 
@@ -155,7 +155,58 @@ def test_one_w_u_per_evaluated_point(params, grid, estimate, lam, monkeypatch):
         calls.update(w_u=0, roots=0)
         result = minimize_on_branch(lam, branch, estimate.minimizer, params, grid=grid)
         assert result.converged
-        assert calls["w_u"] <= calls["roots"] + result.iterations
+        assert calls["w_u"] <= calls["roots"]
+
+
+@pytest.mark.parametrize("mu", [1.0, 1.5])
+@pytest.mark.parametrize("M", [128, 1024])
+def test_branch_scaling_matches_fresh_evaluation(mu, M):
+    # the solver moves an evaluated point to its Nehari point t * u by the
+    # exact scalings w_u(t u) = t^p w_u(u) and scale_triple, not by a second
+    # evaluation; both must agree with a fresh one to rounding
+    prm = nl.validate(dataclasses.replace(nl.ProblemParams(), mu=mu))
+    g = nl.build_radial_grid(16.0, M, 2.0)
+    ws = workspace(g, prm)
+    u = nl.sample_profile("gaussian", 1.0, g).values
+    w = ws.w_u(u)
+    for t in (0.3, 2.7):
+        assert np.max(np.abs(ws.w_u(t * u) - t**prm.p * w) / w) <= 1e-13
+    lam = 0.5 * float(nl.lambda_n(ws.evaluate(u).triple, prm.p, prm.q))
+    for branch in (Branch.NPLUS, Branch.NMINUS):
+        scaled = solver._to_branch(prm, ws.evaluate(u.copy()), lam, branch)
+        fresh = ws.evaluate(scaled.u)
+        assert abs(np.max(scaled.u) / np.max(u) - 1.0) > 0.01   # a real move
+        assert np.max(np.abs(scaled.w_u - fresh.w_u) / fresh.w_u) <= 1e-13
+        for x, y in zip(scaled.triple.as_tuple(), fresh.triple.as_tuple()):
+            assert x == pytest.approx(y, rel=1e-13)
+
+
+def test_solve_pair_takes_a_start_per_branch(params, grid, pair, lam, monkeypatch):
+    # from an (N+ start, N- start) pair each branch gets its own start: at
+    # the converged solutions both are done at the first residual check
+    plus, minus = pair
+    seen = []
+    minimize = solver.minimize_on_branch
+
+    def spy(lam_, branch, init, *args, **kwargs):
+        seen.append((branch, init))
+        return minimize(lam_, branch, init, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "minimize_on_branch", spy)
+    again = solve_pair(lam, params, grid, init=(plus.solution, minus.solution))
+    assert [b for b, _ in seen] == [Branch.NPLUS, Branch.NMINUS]
+    assert seen[0][1] is plus.solution and seen[1][1] is minus.solution
+    for new, old in zip(again, pair):
+        assert new.converged and new.iterations == 1
+        assert new.energy == pytest.approx(old.energy, rel=1e-12)
+
+
+def test_start_profile_left_unchanged(params, grid, gaussian, lam):
+    # the projection scales in place, so the start must be copied first
+    before = gaussian.values.copy()
+    minimize_on_branch(lam, Branch.NMINUS, gaussian, params, grid=grid,
+                       opts=SolverOptions(max_iters=1))
+    assert np.array_equal(gaussian.values, before)
 
 
 # --- branch structure -------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import neharilab as nl
+from neharilab import solver
 from neharilab import sweep as sw
 from neharilab.errors import NoSignChange
 from neharilab.fibering import lambda_n
@@ -73,6 +76,74 @@ def test_wide_window_sweep_ground_states_negative(params, grid, estimate, refere
     conv = res.converged_rows()
     assert len(conv) == 8
     assert all(r.energy_plus < 0.0 for r in conv)
+
+
+# --- continuation ------------------------------------------------------------------
+
+def test_continued_rows_match_cold_solves(params, grid, estimate, sweep_result, endpoint):
+    # each row, continued from the rows below, lands on the solutions a cold
+    # solve from the lambda* minimizer finds
+    rows = [(r.lam, r.energy_plus, r.energy_minus) for r in sweep_result.rows]
+    rows += zip(endpoint.lambdas, endpoint.energy_plus, endpoint.energy_minus)
+    for lam, ep, em in rows:
+        plus, minus = solver.solve_pair(lam, params, grid, init=estimate.minimizer)
+        assert ep == pytest.approx(plus.energy, rel=1e-6)
+        assert em == pytest.approx(minus.energy, rel=1e-6)
+
+
+def _branch_iterations(monkeypatch):
+    counts = {"Nplus": 0, "Nminus": 0}
+    minimize = solver.minimize_on_branch
+
+    def counted(*args, **kwargs):
+        result = minimize(*args, **kwargs)
+        counts[result.branch.value] += result.iterations
+        return result
+
+    monkeypatch.setattr(solver, "minimize_on_branch", counted)
+    return counts
+
+
+def test_default_sweep_takes_fewer_iterations_than_cold_starts(params, grid, estimate,
+                                                               reference, monkeypatch):
+    lams = sw.default_lambda_grid(estimate.lambda_star)
+    counts = _branch_iterations(monkeypatch)
+    res = sw.run_sweep(lams, params, grid, reference, init=estimate.minimizer)
+    assert len(res.converged_rows()) == len(lams)
+    continued = dict(counts)
+    counts.update(Nplus=0, Nminus=0)
+    for lam in lams:
+        solver.solve_pair(float(lam), params, grid, init=estimate.minimizer)
+    assert continued["Nplus"] < counts["Nplus"]
+    assert continued["Nminus"] < counts["Nminus"]
+
+
+def test_unconverged_row_is_not_a_predictor_base(params, grid, estimate, reference,
+                                                 monkeypatch):
+    # row 3 is reported unconverged with a corrupted solution: row 4 must
+    # extrapolate from rows 1 and 2, as row 3 did
+    starts, results = [], []
+
+    def solve(lam, *args, init=None, **kwargs):
+        pair = solver.solve_pair(lam, *args, init=init, **kwargs)
+        if len(starts) == 2:
+            pair = tuple(dataclasses.replace(r, converged=False, solution=r.solution.scaled(3.0))
+                         for r in pair)
+        starts.append(init)
+        results.append(pair)
+        return pair
+
+    monkeypatch.setattr(sw, "solve_pair", solve)
+    lams = estimate.lambda_star * np.array([0.3, 0.4, 0.45, 0.5])
+    res = sw.run_sweep(lams, params, grid, reference, init=estimate.minimizer)
+    assert [r.converged_minus for r in res.rows] == [True, True, False, True]
+    assert starts[0] is estimate.minimizer
+    assert starts[1][0] is results[0][0].solution and starts[1][1] is results[0][1].solution
+    for row in (2, 3):
+        f = (lams[row] - lams[1]) / (lams[1] - lams[0])
+        for start, r0, r1 in zip(starts[row], results[0], results[1]):
+            u0, u1 = r0.solution.values, r1.solution.values
+            np.testing.assert_array_equal(start.values, np.clip(u1 + f * (u1 - u0), 0.0, None))
 
 
 # --- sign change -------------------------------------------------------------------
