@@ -205,7 +205,8 @@ def cmd_lambda_star(args) -> int:
     print(f"lambda_sub  = {_fmt(est.lambda_sub)}")
     best = min(est.sweep_trace, key=lambda e: e.value)
     print(f"sweep winner: {best.family} sigma={_fmt(best.sigma)} value={_fmt(best.value)}")
-    print(f"descent iterations: {len(est.descent_values) - 1}")
+    print(f"descent steps: {len(est.descent_values) - 1}, "
+          f"kkt residual = {format(est.kkt_residual, '.3e')}")
     if args.r_sweep:
         try:
             radii = [float(x) for x in args.r_sweep.split(",")]
@@ -289,15 +290,18 @@ def cmd_sweep(args) -> int:
     n_conv = len(result.converged_rows())
     print(f"rows: {len(result.rows)}, converged: {n_conv}")
     print(f"csv written: {out}")
-    try:
-        rep = sweep_mod.sign_change_locator(result.rows, est.lambda_star, prm)
-        print(
-            f"bound-state sign change at lambda = {_fmt(rep.crossing)} "
-            f"(target ratio*lambda_star = {_fmt(rep.target)}, "
-            f"within one cell: {'yes' if rep.within_one_cell else 'no'})"
-        )
-    except NoSignChange:
-        print("bound-state sign change: not bracketed by this window")
+    if n_conv == 0:
+        print("bound-state sign change: no converged rows")
+    else:
+        try:
+            rep = sweep_mod.sign_change_locator(result.rows, est.lambda_star, prm)
+            print(
+                f"bound-state sign change at lambda = {_fmt(rep.crossing)} "
+                f"(target ratio*lambda_star = {_fmt(rep.target)}, "
+                f"within one cell: {'yes' if rep.within_one_cell else 'no'})"
+            )
+        except NoSignChange:
+            print("bound-state sign change: not bracketed by this window")
     if n_conv < len(result.rows):
         print("error: NoConvergence")
         return 1

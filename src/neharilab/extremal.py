@@ -1,26 +1,60 @@
 """Estimation of the extremal parameters lambda* = inf Lambda_n and lambda_*.
 
 Lambda_n is 0-homogeneous, so the infimum over the positive cone is searched
-on the E = 1 sphere: a deterministic family x scale lattice pre-search
-followed by projected gradient descent (analytic quotient-rule gradient,
-Riesz-preconditioned, nonnegativity by clipping, renormalization to E = 1).
-The reported value is the best evaluation seen, i.e. an upper estimate of the
-discrete infimum; lambda_* is derived through the exact pointwise identity
-Lambda_e = ratio * Lambda_n rather than optimized separately.
+on the E = 1 sphere.  A deterministic family x scale lattice pre-search picks
+the start, and a Newton-Krylov iteration on
+
+    f = log Lambda_n = kappa log E - log A - nu log B + const,
+    kappa = (2p-q)/(2p-2),  nu = (2-q)/(2p-2),
+
+refines it (Riemannian Newton on the sphere; Absil, Mahony & Sepulchre,
+Optimization Algorithms on Matrix Manifolds, 2008).  Since f is
+0-homogeneous, grad f . u = 0, and its Riemannian Hessian is the Euclidean
+one on the G-tangent space {v : u^T G v = 0},
+
+    kappa (2G/E - g_E g_E^T/E^2) - (H_A/A - g_A g_A^T/A^2) - nu (H_B/B - g_B g_B^T/B^2),
+
+where g_E = 2Gu drops out.  A product is one kernel apply through
+FunctionalWorkspace.hessian, and its normal part along Gu is removed.
+
+* Each step solves the tangent Newton system by truncated PCG, stopped as the
+  solver's N- step is (Steihaug 1983).  The preconditioner is the banded
+  Cholesky factor of P = 2 kappa G/E + diag(q(1-q) omega w a u_f^(q-2))/A,
+  the analogue of the solver's G + singular shift; P^-1 r is projected back
+  onto the tangent space.
+* On nonpositive curvature at the first CG step the step is that
+  preconditioned gradient, with a step-length memory doubling up to STEP_MAX.
+* A step is accepted on Armijo decrease of f, with halving backtracking.  Once
+  the predicted decrease is below ROUNDING, a step that cuts the KKT residual
+  is accepted if f rises by less than ROUNDING.
+* A step lowers no node below FLOOR times its value, so iterates stay strictly
+  positive, as the minimizer is.  A clip to zero strands tail nodes at the
+  floor of A's gradient, which then take many steps to recover.
+* The iteration stops when the KKT residual ||grad f||_{G^-1} at E = 1 reaches
+  KKT_TOL.
+
+The reported value is the best evaluation seen, an upper estimate of the
+discrete infimum, and the estimate carries its KKT residual.  lambda_* is
+derived through the exact pointwise identity Lambda_e = ratio * Lambda_n
+rather than optimized separately.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.blas import daxpy, dsbmv
 
 from .errors import EmptyFamily, NotInPositiveCone
 from .fibering import lambda_n
 from .functionals import DEFAULT_FLOOR_FACTOR, reduced_triple, workspace
 from .grid import GridFunction, sample_profile
 from .params import ProblemParams, fibering_constants
+from .solver import truncated_pcg
 
 DEFAULT_FAMILIES = (
     ("gaussian", None),
@@ -29,11 +63,13 @@ DEFAULT_FAMILIES = (
     ("inverse_poly", 1.5),
 )
 DEFAULT_SIGMAS = (0.35, 0.5, 0.7, 1.0, 1.4, 2.0, 2.8, 4.0)
-REL_TOL = 1e-8        # relative decrease over PATIENCE accepted steps that stops the descent
-PATIENCE = 10
-STEP0 = 1.0
+KKT_TOL = 1e-8        # ||grad log Lambda_n||_{G^-1} at E = 1 that stops the refinement
+FLOOR = 0.1           # a step keeps every node at or above this share of its value
+STEP0 = 1.0           # first length of a preconditioned gradient step
 STEP_MAX = 4.0
 BACKTRACK_MAX = 40
+ARMIJO = 0.25
+ROUNDING = 1e-14      # log Lambda_n differences below this are rounding
 
 
 @dataclass
@@ -56,6 +92,7 @@ class ExtremalEstimate:
     minimizer: GridFunction
     sweep_trace: list[SweepEntry] = field(repr=False, default_factory=list)
     descent_values: list[float] = field(repr=False, default_factory=list)
+    kkt_residual: float = math.nan
 
     def write_trace_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -96,75 +133,130 @@ def family_sweep(families, sigmas, grid, params: ProblemParams):
     return best_val, best_u, trace
 
 
-def _lambda_n_gradient(ws, ev, params: ProblemParams):
-    """Nodal gradient of Lambda_n at the evaluation ev by the quotient rule on (E, A, B)."""
-    p, q = params.p, params.q
-    g = ws.grid
-    u_vals = ev.u
+def _log_gradient(ws, ev, kappa: float, nu: float):
+    """grad f, f = log Lambda_n = kappa log E - log A - nu log B + const, at
+    ev, with the A and B gradients g_A, g_B that the Hessian's rank terms need.
+    A's gradient floors u at DEFAULT_FLOOR_FACTOR max(u), as the solver does."""
+    g, p, q, u = ws.grid, ws.params.p, ws.params.q, ev.u
     E, A, B = ev.triple.as_tuple()
-    kappa = (2 * p - q) / (2 * p - 2)
-    nu = (2 - q) / (2 * p - 2)
-    val = float(lambda_n(ev.triple, p, q))
-    uf = np.maximum(u_vals, DEFAULT_FLOOR_FACTOR * np.max(u_vals))
     quad = g.omega * g.weights
-    gE = 2.0 * ws.apply_G(u_vals)
-    gA = quad * ws.a * q * uf ** (q - 1.0)
-    gB = quad * ws.b * 2.0 * p * np.abs(u_vals) ** (p - 1.0) * ev.w_u
-    return val * (kappa * gE / E - gA / A - nu * gB / B)
+    gA = quad * ws.a * q * np.maximum(u, DEFAULT_FLOOR_FACTOR * np.max(u)) ** (q - 1.0)
+    gB = quad * ws.b * 2.0 * p * np.abs(u) ** (p - 1.0) * ev.w_u
+    grad = dsbmv(2, 2.0 * kappa / E, ws.Gb, u)
+    grad = daxpy(gA, grad, a=-1.0 / A)
+    return daxpy(gB, grad, a=-nu / B), gA, gB
+
+
+def _kkt(ws, g) -> float:
+    """||g||_{G^-1}: at E = 1, the KKT residual of a gradient g of log Lambda_n."""
+    return math.sqrt(float(g @ ws.solve_G(g)))
+
+
+def _newton_system(ws, ev, gA, gB, kappa: float, nu: float):
+    """The tangent Hessian product of f = log Lambda_n at ev and its
+    preconditioner, for solver.truncated_pcg (module docstring).
+
+    The product is v -> T^T (grad^2 f) v for G-tangent v (u^T G v = 0), with
+    T v = v - u (u^T G v) / E; the preconditioner is r -> T P^-1 r through the
+    banded Cholesky factor of P.  The diagonal of -grad^2 log A, which is
+    positive, goes into P and is then divided in place by s = 2 p nu / B and
+    handed to ws.hessian, which folds in B's diagonal: so s (hessian - G) is
+    -nu H_B / B, and one dsbmv adds the 2 kappa G / E part.  Each product is
+    one kernel apply.
+    """
+    g, p, q = ws.grid, ws.params.p, ws.params.q
+    u = ev.u
+    E, A, B = ev.triple.as_tuple()
+    diag = g.omega * g.weights * ws.a * (q * (1.0 - q) / A) * np.maximum(
+        u, DEFAULT_FLOOR_FACTOR * np.max(u)) ** (q - 2.0)
+    ab = ws.Gb * (2.0 * kappa / E)
+    ab[2] += diag
+    cb = (cholesky_banded(ab, overwrite_ab=True, check_finite=False), False)
+    s = 2.0 * p * nu / B
+    diag /= s
+    hess = ws.hessian(ev, diag)
+    cA, cB = 1.0 / (A * A), nu / (B * B)
+
+    def apply(v, out=None):
+        out = hess(v, out)
+        out = dsbmv(2, 2.0 * kappa / E - s, ws.Gb, v, beta=s, y=out, overwrite_y=True)
+        out = daxpy(gA, out, a=cA * float(gA @ v))
+        out = daxpy(gB, out, a=cB * float(gB @ v))
+        return dsbmv(2, -float(u @ out) / E, ws.Gb, u, beta=1.0, y=out, overwrite_y=True)
+
+    def precondition(r, out):
+        # T P^-1 r, written into out
+        out[:] = r
+        y = cho_solve_banded(cb, out, overwrite_b=True, check_finite=False)
+        return daxpy(u, y, a=-float(u @ ws.apply_G(y)) / E)
+
+    return apply, precondition
 
 
 def refine_descent(start: GridFunction, params: ProblemParams,
                    opts: DescentOptions | None = None):
-    """Projected gradient descent on Lambda_n from `start`.
+    """Minimize log Lambda_n on the E = 1 sphere from `start` by Newton-Krylov
+    steps (module docstring).
 
-    Iterates are clipped to the nonnegative cone and renormalized to E = 1
-    (free by 0-homogeneity).  Steps are Riesz-preconditioned through the
-    energy operator and accepted on simple decrease with halving backtracking;
-    the accepted trial's evaluation supplies the next gradient.
-    Returns (value, minimizer, history); the value never exceeds the start's.
+    Stops when the KKT residual ||grad log Lambda_n||_{G^-1} reaches KKT_TOL,
+    when no step is accepted, or after opts.max_iters steps.  Returns
+    (value, minimizer, history, kkt_residual): history holds the start's value
+    and then each accepted one, so it never rises by more than rounding, and
+    the residual is the minimizer's.
     """
     opts = opts or DescentOptions()
     if not start.in_positive_cone:
         raise NotInPositiveCone("descent needs a nonnegative start that is not identically zero")
     ws = workspace(start.grid, params)
     p, q = params.p, params.q
+    kappa = (2 * p - q) / (2 * p - 2)
+    nu = (2 - q) / (2 * p - 2)
     ev = ws.evaluate(start.values / np.sqrt(ws.norm_sq(start.values)))
     val = float(lambda_n(ev.triple, p, q))
     history = [val]
     step = STEP0
-    for _ in range(opts.max_iters):
-        z = ws.solve_G(_lambda_n_gradient(ws, ev, params))
-        accepted = False
-        s = step
+    while True:
+        u = ev.u
+        g, gA, gB = _log_gradient(ws, ev, kappa, nu)
+        kkt = _kkt(ws, g)
+        if kkt <= KKT_TOL or len(history) > opts.max_iters:
+            break
+        hess, precondition = _newton_system(ws, ev, gA, gB, kappa, nu)
+        del ev, gA, gB   # w_u is not needed past the set-up (peak memory)
+        x, slope, newton = truncated_pcg(hess, precondition, g, kkt)
+        del g, hess, precondition
+        s = 1.0 if newton else step
         for _bt in range(BACKTRACK_MAX):
-            trial = np.clip(ev.u - s * z, 0.0, None)
-            if not np.any(trial > 0.0):
-                s *= 0.5
-                continue
-            trial_ev = ws.evaluate(trial / np.sqrt(ws.norm_sq(trial)))
-            tval = float(lambda_n(trial_ev.triple, p, q))
-            if tval < val:
-                accepted = True
+            trial = np.maximum(u - s * x, FLOOR * u)
+            trial /= math.sqrt(ws.norm_sq(trial))
+            ev = ws.evaluate(trial)
+            tval = float(lambda_n(ev.triple, p, q))
+            decrease = math.log(val / tval)
+            if decrease >= ARMIJO * s * slope:
+                break
+            if ARMIJO * s * slope < ROUNDING and decrease > -ROUNDING and (
+                    _kkt(ws, _log_gradient(ws, ev, kappa, nu)[0]) < 0.7 * kkt):
+                # the predicted decrease is below the rounding of log Lambda_n
+                # (a few 1e-15): a falling KKT residual accepts the step
                 break
             s *= 0.5
-        if not accepted:
-            break
-        ev, val = trial_ev, tval
+        else:
+            break   # no step accepted: u stays the minimizer
+        del x, trial   # the next step must not hold them (peak memory)
+        val = tval
         history.append(val)
-        step = min(2.0 * s, STEP_MAX)
-        if len(history) > PATIENCE and (
-            history[-PATIENCE - 1] - history[-1] < REL_TOL * abs(history[-1])
-        ):
-            break
-    return val, GridFunction(start.grid, ev.u), history
+        if not newton:
+            step = min(2.0 * s, STEP_MAX)
+    return val, GridFunction(start.grid, u), history, kkt
 
 
 def estimate_lambda_star(params: ProblemParams, grid,
                          families=DEFAULT_FAMILIES, sigmas=DEFAULT_SIGMAS,
                          opts: DescentOptions | None = None) -> ExtremalEstimate:
-    """Family sweep, then descent from its winner; lambda_* = ratio * lambda*."""
+    """Family sweep, then the Newton-Krylov refinement from its winner;
+    lambda_* = ratio * lambda*."""
     sweep_val, sweep_u, trace = family_sweep(families, sigmas, grid, params)
-    val, minimizer, history = refine_descent(sweep_u, params, opts)
+    val, minimizer, history, kkt = refine_descent(sweep_u, params, opts)
     best = min(val, sweep_val)
     ratio = fibering_constants(params.p, params.q).ratio
     return ExtremalEstimate(
@@ -173,6 +265,7 @@ def estimate_lambda_star(params: ProblemParams, grid,
         minimizer=minimizer,
         sweep_trace=trace,
         descent_values=history,
+        kkt_residual=kkt,
     )
 
 

@@ -72,7 +72,7 @@ REINIT_SIGMAS = (1.0, 0.5, 2.0, 0.25, 4.0, 0.125)
 STEP_MAX = 1.0        # a full preconditioned step; SolverOptions.step0 lies in (0, 1]
 BACKTRACK_MAX = 60
 ARMIJO = 0.25
-CG_MAX = 20           # inner iterations of one N- Newton-Krylov step
+CG_MAX = 20           # inner iterations of one Newton-Krylov step
 
 
 @dataclass
@@ -91,7 +91,7 @@ class SolveResult:
     lam: float
     energy: float
     weak_residual: float
-    iterations: int
+    iterations: int                # accepted steps; 0 when the start has converged
     converged: bool
     t_at_convergence: float
     floored_mass: float
@@ -192,26 +192,42 @@ def _branch_hessian(ws, ev, diag):
 
 def _newton_krylov_step(ws, ev, shift, g, res):
     """The N- step x ~ H_hat^-1 g by truncated PCG (module docstring) and its
-    slope g.x = sum_k alpha_k r_k.y_k, y_k = P^-1 r_k.  g is consumed as the
-    residual r; few vectors are live, since this is the solver's memory peak.
+    slope g.x; g is consumed as the residual.
     """
     ab = ws.Gb.copy(order="F")
     ab[2] += shift
     cb = (cholesky_banded(ab, overwrite_ab=True, check_finite=False), False)
     hess = _branch_hessian(ws, ev, shift)   # folds the nonlocal diagonal into shift
-    r = g
+
+    def precondition(r, out):
+        out[:] = r
+        return cho_solve_banded(cb, out, overwrite_b=True, check_finite=False)
+
+    return truncated_pcg(hess, precondition, g, res)[:2]
+
+
+def truncated_pcg(hess, precondition, r, res):
+    """Truncated PCG (Steihaug 1983) for hess x = r, from x = 0.
+
+    precondition(r, out) writes y = P^-1 r into out and returns it.  CG stops
+    at ||r|| <= min(0.5, sqrt(res)) ||r_0||, on nonpositive curvature or after
+    CG_MAX steps.  Returns (x, slope, newton): slope = r_0.x = sum_k alpha_k
+    r_k.y_k, accumulated so that r_0 need not be kept (r is consumed); on
+    nonpositive curvature at the first step x is P^-1 r_0 and newton is False.
+    Few vectors are live, since a Krylov step is its caller's memory peak.
+    """
     stop = min(0.5, math.sqrt(res)) * dnrm2(r)
-    p = cho_solve_banded(cb, r, check_finite=False)
+    p = precondition(r, np.empty_like(r))
     rho = float(r @ p)
     x = np.zeros_like(r)
-    hp = np.zeros_like(r)
+    hp = np.empty_like(r)
     slope = 0.0
     for k in range(CG_MAX):
         hp = hess(p, out=hp)
         curv = float(p @ hp)
         if curv <= 0.0:
             if k == 0:
-                return p, rho
+                return p, rho, False
             break
         alpha = rho / curv
         x = daxpy(p, x, a=alpha)
@@ -219,12 +235,11 @@ def _newton_krylov_step(ws, ev, shift, g, res):
         r = daxpy(hp, r, a=-alpha)
         if dnrm2(r) <= stop:
             break
-        hp[:] = r
-        y = cho_solve_banded(cb, hp, overwrite_b=True, check_finite=False)
+        y = precondition(r, hp)   # hp is free until the next product
         rho, rho_old = float(r @ y), rho
         p *= rho / rho_old
         p += y
-    return x, slope
+    return x, slope, True
 
 
 def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
@@ -253,8 +268,7 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
     J = energy_from_triple(ev.triple, lam, params)
     history = [J]
     step = opts.step0
-    it = 0
-    for it in range(opts.max_iters):
+    for _ in range(opts.max_iters):
         d, res = ws.defect(ev, lam, ff)
         if res <= opts.tol:
             break
@@ -315,7 +329,7 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
         lam=lam,
         energy=J,
         weak_residual=res,
-        iterations=it + 1,
+        iterations=len(history) - 1,
         converged=converged,
         t_at_convergence=t_final,
         floored_mass=floored_fraction(ufun, params, ff),
@@ -324,7 +338,7 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
     )
     if strict and not converged:
         raise NoConvergence(
-            f"residual {res:.3e} above tolerance {opts.tol:.1e} after {it + 1} iterations",
+            f"residual {res:.3e} above tolerance {opts.tol:.1e} after {result.iterations} iterations",
             result=result,
         )
     return result

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 from pathlib import Path
 
@@ -125,6 +126,8 @@ def test_lambda_star_with_artifacts(small_config, tmp_path, capsys):
     lam_star = float(next(l for l in out.splitlines() if l.startswith("lambda_star")).split("=")[1])
     lam_sub = float(next(l for l in out.splitlines() if l.startswith("lambda_sub")).split("=")[1])
     assert lam_sub == pytest.approx(lam_star * 2.0**0.75 / 4.0, rel=1e-10)
+    steps, kkt = re.search(r"^descent steps: (\d+), kkt residual = (\S+)$", out, re.M).groups()
+    assert int(steps) <= 20 and float(kkt) <= 1e-8
 
 
 def test_lambda_star_ignores_grid_kind_key(tmp_path, capsys):
@@ -188,6 +191,7 @@ def test_sweep_with_unconverged_rows_exits_1(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert code == 1
     assert "rows: 3, converged: 0" in printed
+    assert "bound-state sign change: no converged rows" in printed
     assert printed.rstrip().endswith("error: NoConvergence")
     assert out.exists()   # the rows are still written, as solve writes its snapshots
 

@@ -1,15 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import neharilab as nl
+from neharilab import extremal
 from neharilab.errors import EmptyFamily
 from neharilab.extremal import (
+    KKT_TOL,
     DescentOptions,
     estimate_lambda_star,
     family_sweep,
     refine_descent,
 )
 from neharilab.fibering import lambda_e, lambda_n, scale_triple
+from neharilab.functionals import workspace
 
 
 def test_family_sweep_pinned_gaussian_lattice(params, grid):
@@ -42,7 +47,7 @@ def test_family_sweep_empty_rejected(params, grid):
 def test_refine_descent_decreases_from_sweep_winner(params, grid):
     _, start, _ = family_sweep([("gaussian", None)], [0.5, 1.0, 2.0], grid, params)
     start_val = float(lambda_n(nl.reduced_triple(start, params), params.p, params.q))
-    val, minimizer, history = refine_descent(start, params)
+    val, minimizer, history, _ = refine_descent(start, params)
     assert val <= start_val
     assert history == sorted(history, reverse=True)  # monotone decrease
     assert minimizer.in_positive_cone
@@ -52,7 +57,7 @@ def test_refine_descent_multi_start_consistency(params, grid):
     vals = []
     for family, beta, sigma in (("gaussian", None, 1.0), ("inverse_poly", 1.5, 0.7)):
         start = nl.sample_profile(family, sigma, grid, beta=beta)
-        val, _, _ = refine_descent(start, params)
+        val, _, _, _ = refine_descent(start, params)
         vals.append(val)
     assert abs(vals[0] - vals[1]) <= 0.01 * min(vals)
 
@@ -89,12 +94,90 @@ def test_lambda_e_pointwise_ratio_on_lattice(params, grid):
 
 
 def test_descent_zero_gradient_no_move(params, grid, estimate):
-    # restarting at the converged minimizer moves (almost) nowhere
-    val0 = float(lambda_n(nl.reduced_triple(estimate.minimizer, params), params.p, params.q))
-    val, _, history = refine_descent(estimate.minimizer, params,
-                                     DescentOptions(max_iters=40))
-    assert val <= val0
-    assert val == pytest.approx(val0, rel=1e-6)
+    # restarting at the converged minimizer takes at most one step and moves
+    # lambda* by no more than rounding
+    val, _, history, _ = refine_descent(estimate.minimizer, params,
+                                        DescentOptions(max_iters=40))
+    assert len(history) - 1 <= 1
+    assert val <= estimate.lambda_star * (1.0 + extremal.ROUNDING)
+    assert val == pytest.approx(estimate.lambda_star, rel=1e-12)
+
+
+# --- Newton-Krylov refinement on the E = 1 sphere ------------------------------
+
+def _kappa_nu(prm):
+    """The exponents of log Lambda_n = kappa log E - log A - nu log B + const."""
+    p, q = prm.p, prm.q
+    return (2 * p - q) / (2 * p - 2), (2 - q) / (2 * p - 2)
+
+
+@pytest.mark.parametrize("mu", [1.0, 1.5])
+def test_log_lambda_n_hessian_matches_gradient_difference(grid, mu):
+    # On G-tangent directions v the product is the tangent part of the
+    # derivative of grad log Lambda_n; a strictly positive profile keeps every
+    # node above the floor of A's gradient
+    prm = nl.validate(dataclasses.replace(nl.ProblemParams(), mu=mu))
+    ws, (kappa, nu) = workspace(grid, prm), _kappa_nu(prm)
+    u = nl.sample_profile("inverse_poly", 0.7, grid, beta=1.5).values
+    ev = ws.evaluate(u)
+    gA, gB = extremal._log_gradient(ws, ev, kappa, nu)[1:]
+    hess = extremal._newton_system(ws, ev, gA, gB, kappa, nu)[0]
+    gu = ws.apply_G(u)
+    E = float(u @ gu)
+
+    def gradient(vals):
+        return extremal._log_gradient(ws, ws.evaluate(vals), kappa, nu)[0]
+
+    eps = 1e-5
+    for psi in (np.sin(1.3 * grid.nodes), np.exp(-0.3 * grid.nodes), grid.nodes / (1.0 + grid.nodes)):
+        v = psi * u
+        v -= (gu @ v) / E * u
+        fd = (gradient(u + eps * v) - gradient(u - eps * v)) / (2.0 * eps)
+        fd -= (u @ fd) / E * gu   # its tangent part
+        hv = hess(v)
+        assert np.max(np.abs(fd - hv)) <= 1e-6 * np.max(np.abs(hv))
+
+
+@pytest.mark.parametrize("case, max_steps", [("test-grid", 7), ("general-256", 15)])
+def test_refinement_reaches_kkt_tolerance(params, grid, estimate, case, max_steps):
+    # measured: 5 steps on the test grid, 12 at mu = 1.5, p = 3.5, b = 1, M = 256
+    if case == "test-grid":
+        prm, est = params, estimate
+    else:
+        prm = nl.validate(dataclasses.replace(nl.ProblemParams(), mu=1.5, p=3.5,
+                                              b_form="constant"))
+        est = estimate_lambda_star(prm, nl.build_radial_grid(20.0, 256, 2.0))
+    assert est.kkt_residual <= KKT_TOL
+    assert len(est.descent_values) - 1 <= max_steps
+    # the reported residual is that of the returned minimizer
+    ws = workspace(est.minimizer.grid, prm)
+    g = extremal._log_gradient(ws, ws.evaluate(est.minimizer.values), *_kappa_nu(prm))[0]
+    assert np.sqrt(g @ ws.solve_G(g)) == pytest.approx(est.kkt_residual, rel=1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"mu": 1.5, "p": 3.5, "b_form": "constant"}],
+                         ids=["default", "general"])
+def test_refinement_iterates_stay_positive_and_descend(grid, monkeypatch, overrides):
+    # every trial point the refinement evaluates keeps all nodes positive: a
+    # step lowers a node to at most FLOOR times its value, never to zero.  In
+    # the general case full Newton steps overshoot the tail, where a clip to
+    # zero would zero nodes.
+    params = nl.validate(dataclasses.replace(nl.ProblemParams(), **overrides))
+    start = nl.sample_profile("inverse_poly", 0.7, grid, beta=1.5)
+    ws = workspace(grid, params)
+    evaluate, smallest = ws.evaluate, []
+
+    def spy(vals):
+        smallest.append(float(np.min(vals)))
+        return evaluate(vals)
+
+    monkeypatch.setattr(ws, "evaluate", spy)
+    val, minimizer, history, kkt = refine_descent(start, params)
+    assert len(smallest) >= len(history) > 1   # the start, then every trial
+    assert min(smallest) > 0.0
+    # nonincreasing; only the endgame's KKT-accepted steps may rise, by rounding
+    assert all(b <= a * (1.0 + extremal.ROUNDING) for a, b in zip(history, history[1:]))
+    assert val == history[-1] and kkt <= KKT_TOL
 
 
 def test_truncation_radius_sensitivity_report(params):

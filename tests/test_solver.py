@@ -197,7 +197,7 @@ def test_solve_pair_takes_a_start_per_branch(params, grid, pair, lam, monkeypatc
     assert [b for b, _ in seen] == [Branch.NPLUS, Branch.NMINUS]
     assert seen[0][1] is plus.solution and seen[1][1] is minus.solution
     for new, old in zip(again, pair):
-        assert new.converged and new.iterations == 1
+        assert new.converged and new.iterations == 0
         assert new.energy == pytest.approx(old.energy, rel=1e-12)
 
 
@@ -356,11 +356,11 @@ def test_branch_hessian_matches_defect_difference(grid, mu, p):
 NEWTON_FRACS = (0.1, 0.5, 0.9, 0.99)
 NEWTON_CASES = {
     # (mu, p): N+ iterations at NEWTON_FRACS, which the N- step must not change
-    (1.0, 2.0): (4, 5, 7, 7),
-    (1.0, 3.0): (4, 4, 4, 4),
-    (1.0, 3.5): (4, 4, 4, 4),
-    (1.0, 4.0): (4, 4, 4, 4),
-    (1.5, 3.5): (4, 4, 4, 4),
+    (1.0, 2.0): (3, 4, 6, 6),
+    (1.0, 3.0): (3, 3, 3, 3),
+    (1.0, 3.5): (3, 3, 3, 3),
+    (1.0, 4.0): (3, 3, 3, 3),
+    (1.5, 3.5): (3, 3, 3, 3),
 }
 
 
