@@ -25,16 +25,19 @@ FunctionalWorkspace.hessian, and its normal part along Gu is removed.
 * On nonpositive curvature at the first CG step the step is that
   preconditioned gradient, with a step-length memory doubling up to STEP_MAX.
 * A step is accepted on Armijo decrease of f, with halving backtracking.  Once
-  the predicted decrease is below ROUNDING, a step that cuts the KKT residual
-  is accepted if f rises by less than ROUNDING.
+  the predicted decrease is below ROUNDING, where evaluations of f cannot
+  confirm it, a step that does not raise f is accepted if it cuts the KKT
+  residual below KKT_CUT times its value, as the solver's N- endgame does.
+  So no accepted step raises f.
 * A step lowers no node below FLOOR times its value, so iterates stay strictly
   positive, as the minimizer is.  A clip to zero strands tail nodes at the
   floor of A's gradient, which then take many steps to recover.
 * The iteration stops when the KKT residual ||grad f||_{G^-1} at E = 1 reaches
   KKT_TOL.
 
-The reported value is the best evaluation seen, an upper estimate of the
-discrete infimum, and the estimate carries its KKT residual.  lambda_* is
+The reported value is that of the last accepted iterate, the lowest of the
+accepted ones and an upper estimate of the discrete infimum, and the estimate
+carries its KKT residual, reported wherever the iteration stops.  lambda_* is
 derived through the exact pointwise identity Lambda_e = ratio * Lambda_n
 rather than optimized separately.
 """
@@ -69,7 +72,8 @@ STEP0 = 1.0           # first length of a preconditioned gradient step
 STEP_MAX = 4.0
 BACKTRACK_MAX = 40
 ARMIJO = 0.25
-ROUNDING = 1e-14      # log Lambda_n differences below this are rounding
+ROUNDING = 1e-14      # predicted log Lambda_n decreases below this are rounding
+KKT_CUT = 0.7         # KKT residual factor that accepts a step below ROUNDING
 
 
 @dataclass
@@ -90,9 +94,9 @@ class ExtremalEstimate:
     lambda_star: float
     lambda_sub: float
     minimizer: GridFunction
+    kkt_residual: float
     sweep_trace: list[SweepEntry] = field(repr=False, default_factory=list)
     descent_values: list[float] = field(repr=False, default_factory=list)
-    kkt_residual: float = math.nan
 
     def write_trace_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -201,8 +205,9 @@ def refine_descent(start: GridFunction, params: ProblemParams,
     Stops when the KKT residual ||grad log Lambda_n||_{G^-1} reaches KKT_TOL,
     when no step is accepted, or after opts.max_iters steps.  Returns
     (value, minimizer, history, kkt_residual): history holds the start's value
-    and then each accepted one, so it never rises by more than rounding, and
-    the residual is the minimizer's.
+    and then each accepted one, so it never rises and value is its last and
+    lowest entry; the residual is the minimizer's, whichever way the
+    iteration stopped.
     """
     opts = opts or DescentOptions()
     if not start.in_positive_cone:
@@ -234,10 +239,11 @@ def refine_descent(start: GridFunction, params: ProblemParams,
             decrease = math.log(val / tval)
             if decrease >= ARMIJO * s * slope:
                 break
-            if ARMIJO * s * slope < ROUNDING and decrease > -ROUNDING and (
-                    _kkt(ws, _log_gradient(ws, ev, kappa, nu)[0]) < 0.7 * kkt):
+            if ARMIJO * s * slope < ROUNDING and tval <= val and (
+                    _kkt(ws, _log_gradient(ws, ev, kappa, nu)[0]) < KKT_CUT * kkt):
                 # the predicted decrease is below the rounding of log Lambda_n
-                # (a few 1e-15): a falling KKT residual accepts the step
+                # (a few 1e-15): a step that does not raise it is accepted on
+                # a falling KKT residual
                 break
             s *= 0.5
         else:
