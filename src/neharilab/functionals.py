@@ -66,7 +66,10 @@ from .grid import GridFunction
 from .params import ProblemParams
 
 DEFAULT_FLOOR_FACTOR = 1e-10
-_DENSE_KERNEL_MAX_M = 4096  # 128 MB of kernel; mu = 1 stores no matrix
+# the dense kernel is built in place: the M x M matrix (128 MB at the cap)
+# plus one _KERNEL_ROW_BLOCK x M block (2 MB); mu = 1 stores no matrix
+_DENSE_KERNEL_MAX_M = 4096
+_KERNEL_ROW_BLOCK = 64
 _BOX_FFT_MAX_MB = 16  # per padded (2m)^3 float array of the direct engine: m <= 64
 
 
@@ -180,19 +183,39 @@ class FunctionalWorkspace:
         if g.M > _DENSE_KERNEL_MAX_M:
             raise GridTooLarge(
                 f"the dense radial kernel for mu = {mu} is limited to M <= "
-                f"{_DENSE_KERNEL_MAX_M}, got M = {g.M} ({g.M**2 * 8 / 2**20:.0f} MB "
-                "for the matrix alone); mu = 1 needs no matrix and has no cap")
+                f"{_DENSE_KERNEL_MAX_M}, got M = {g.M}: the build holds the "
+                f"{g.M**2 * 8 / 2**20:.0f} MB matrix plus one {_KERNEL_ROW_BLOCK}-row "
+                f"block of {_KERNEL_ROW_BLOCK * g.M * 8 / 2**20:.1f} MB; mu = 1 needs "
+                "no matrix and has no cap")
         r, d = g.nodes, g.cell_widths
-        rr, ss = r[:, None], r[None, :]
-        if abs(mu - 2.0) > 1e-13:
-            e = 2.0 - mu
-            with np.errstate(divide="ignore"):
-                K = ((rr + ss) ** e - np.abs(rr - ss) ** e) / (rr * ss * e)
-            diag = ((2.0 * r) ** e - 2.0 * d**e / ((3.0 - mu) * (4.0 - mu))) / (r * r * e)
-        else:
-            with np.errstate(divide="ignore"):
-                K = np.log((rr + ss) / np.abs(rr - ss)) / (rr * ss)
+        # built in place, one block of rows at a time, in the order of the
+        # closed forms: ((r+s)^e - |r-s|^e) / (r s e) and log((r+s)/|r-s|) / (r s)
+        K = np.add.outer(r, r)
+        buf = np.empty((min(_KERNEL_ROW_BLOCK, g.M), g.M))
+        log_kernel = abs(mu - 2.0) <= 1e-13
+        e = 2.0 - mu
+        with np.errstate(divide="ignore"):  # the diagonal, replaced below
+            for i0 in range(0, g.M, _KERNEL_ROW_BLOCK):
+                rows = K[i0:i0 + _KERNEL_ROW_BLOCK]
+                ri = r[i0:i0 + _KERNEL_ROW_BLOCK, None]
+                blk = buf[:len(rows)]
+                np.subtract(ri, r, out=blk)
+                np.abs(blk, out=blk)
+                if log_kernel:
+                    rows /= blk
+                    np.log(rows, out=rows)
+                    np.multiply(ri, r, out=blk)
+                else:
+                    rows **= e
+                    blk **= e
+                    rows -= blk
+                    np.multiply(ri, r, out=blk)
+                    blk *= e
+                rows /= blk
+        if log_kernel:
             diag = (np.log(2.0 * r / d) + 1.5) / (r * r)
+        else:
+            diag = ((2.0 * r) ** e - 2.0 * d**e / ((3.0 - mu) * (4.0 - mu))) / (r * r * e)
         np.fill_diagonal(K, diag)
         return K
 

@@ -111,13 +111,14 @@ class GridFunction:
 
 
 def build_radial_grid(R: float, M: int, grading: float = 2.0, dim: int = 3) -> RadialGrid:
-    """Build the graded radial grid; M >= 16, grading >= 1."""
+    """Build the graded radial grid; M >= 16, R finite and positive, grading
+    finite and >= 1."""
     if M < 16:
         raise DegenerateGrid(f"M must be >= 16, got {M}")
-    if R <= 0.0:
-        raise GridError(f"R must be positive, got {R}")
-    if grading < 1.0:
-        raise GridError(f"grading must be >= 1, got {grading}")
+    if not (np.isfinite(R) and R > 0.0):
+        raise GridError(f"R must be finite and positive, got {R}")
+    if not (np.isfinite(grading) and grading >= 1.0):
+        raise GridError(f"grading must be finite and >= 1, got {grading}")
     if dim < 3:
         raise UnsupportedDimension(f"dim must be >= 3, got {dim}")
 
@@ -129,16 +130,24 @@ def build_radial_grid(R: float, M: int, grading: float = 2.0, dim: int = 3) -> R
     def cell_moment(k):  # integral of r^k * r^(N-1) over each cell, exact
         return (edges[1:] ** (k + N) - edges[:-1] ** (k + N)) / (k + N)
 
+    # Cell c >= h pairs its moments with the interpolant through nodes j - 1,
+    # j, j + 1, j = min(c, M - 2).  Each weight sums its terms in cell order:
+    # from cell k - 1, then k, then k + 1, then the last cell's.
+    h = _MASS_HEAD_CELLS
     m0, m1, m2 = cell_moment(0), cell_moment(1), cell_moment(2)
+    j = np.minimum(np.arange(h, M), M - 2)
+    x0, x1, x2 = r[j - 1], r[j], r[j + 1]
+
+    def lagrange(xa, xb, xc):  # cell integrals of the basis function at xa
+        return (m2[h:] - (xb + xc) * m1[h:] + xb * xc * m0[h:]) / ((xa - xb) * (xa - xc))
+
+    left, centre, right = lagrange(x0, x1, x2), lagrange(x1, x0, x2), lagrange(x2, x0, x1)
     w = np.zeros(M)
-    for c in range(M):
-        if c < _MASS_HEAD_CELLS:
-            w[c] += m0[c]
-            continue
-        j = min(max(c, 1), M - 2)
-        x0, x1, x2 = r[j - 1], r[j], r[j + 1]
-        for xa, xb, xc, idx in ((x0, x1, x2, j - 1), (x1, x0, x2, j), (x2, x0, x1, j + 1)):
-            w[idx] += (m2[c] - (xb + xc) * m1[c] + xb * xc * m0[c]) / ((xa - xb) * (xa - xc))
+    w[:h] = m0[:h]
+    w[h + 1:] += right[:-1]
+    w[h:-1] += centre[:-1]
+    w[h - 1:-2] += left[:-1]
+    w[-3:] += (left[-1], centre[-1], right[-1])
 
     if not np.all(w > 0.0):
         raise GridError("internal: nonpositive quadrature weight")

@@ -2,8 +2,9 @@
 
 Each oracle avoids the code path it checks: maximizers come from a log-grid
 scan plus golden-section refinement, integrals from adaptive quadrature,
-derivatives from central differences, and the energy operator from a dense
-D^T W D product.  The Q_n / Q_e maximizer (maximize_on_ray, q_n_raw) and the
+derivatives from central differences, the energy operator from a dense
+D^T W D product, the quadrature weights from a per-cell loop and the dense
+radial kernel from its closed form on broadcast (M, M) arrays.  The Q_n / Q_e maximizer (maximize_on_ray, q_n_raw) and the
 random triple and exponent samplers live in neharilab.invariants, which runs
 the invariant battery on them; they are re-exported here.
 """
@@ -39,6 +40,49 @@ def dense_energy_operator(grid, V):
     D[M - 1, M - 1] = -1.0 / (grid.R - r[M - 1])
     G = grid.omega * (D.T @ (w[:, None] * D) + np.diag(w * V))
     return 0.5 * (G + G.T)
+
+
+def loop_radial_grid(R, M, grading, dim):
+    """Nodes and weights of the graded radial rule, one cell at a time: the
+    first four cells keep their exact mass, every other cell adds its
+    moments against the quadratic through nodes j - 1, j, j + 1 with
+    j = min(c, M - 2).  No positivity check."""
+    N = dim
+    r = R * ((np.arange(M) + 0.5) / M) ** grading
+    edges = R * (np.arange(M + 1) / M) ** grading
+
+    def cell_moment(k):
+        return (edges[1:] ** (k + N) - edges[:-1] ** (k + N)) / (k + N)
+
+    m0, m1, m2 = cell_moment(0), cell_moment(1), cell_moment(2)
+    w = np.zeros(M)
+    for c in range(M):
+        if c < 4:
+            w[c] += m0[c]
+            continue
+        j = min(max(c, 1), M - 2)
+        x0, x1, x2 = r[j - 1], r[j], r[j + 1]
+        for xa, xb, xc, idx in ((x0, x1, x2, j - 1), (x1, x0, x2, j), (x2, x0, x1, j + 1)):
+            w[idx] += (m2[c] - (xb + xc) * m1[c] + xb * xc * m0[c]) / ((xa - xb) * (xa - xc))
+    return r, w
+
+
+def broadcast_dense_kernel(grid, mu):
+    """The mu != 1 radial kernel from its closed form on broadcast (M, M)
+    arrays, with the analytic diagonal cells."""
+    r, d = grid.nodes, grid.cell_widths
+    rr, ss = r[:, None], r[None, :]
+    if abs(mu - 2.0) > 1e-13:
+        e = 2.0 - mu
+        with np.errstate(divide="ignore"):
+            K = ((rr + ss) ** e - np.abs(rr - ss) ** e) / (rr * ss * e)
+        diag = ((2.0 * r) ** e - 2.0 * d**e / ((3.0 - mu) * (4.0 - mu))) / (r * r * e)
+    else:
+        with np.errstate(divide="ignore"):
+            K = np.log((rr + ss) / np.abs(rr - ss)) / (rr * ss)
+        diag = (np.log(2.0 * r / d) + 1.5) / (r * r)
+    np.fill_diagonal(K, diag)
+    return K
 
 
 def dense_newton_kernel(grid):

@@ -217,6 +217,15 @@ def test_solver_step0_outside_unit_interval_is_usage_error(tmp_path, capsys, ste
     assert "step0" in capsys.readouterr().err
 
 
+def test_nonfinite_radius_in_config_is_named_grid_error(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text(SMALL_CONFIG.replace("r = 14.0", "r = inf"))
+    assert cli.main(["cross-check", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "GridError: R must be finite and positive, got inf" in captured.err
+    assert captured.out == ""
+
+
 def test_cross_check_within_tolerance(small_config, capsys):
     code = cli.main(["cross-check", "--config", small_config, "--box-m", "16",
                      "--tolerance", "0.05"])

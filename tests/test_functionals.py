@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -17,6 +18,7 @@ from neharilab import functionals
 from neharilab.functionals import workspace
 
 from oracles import (
+    broadcast_dense_kernel,
     dense_energy_operator,
     dense_newton_kernel,
     dense_w_u,
@@ -398,6 +400,32 @@ def test_newton_w_u_memory_is_linear(params):
     assert peak < 10 * 2**20
 
 
+@pytest.mark.parametrize("M", [16, 100, 513])
+@pytest.mark.parametrize("mu", [0.5, 1.5, 2.0, 2.5])
+def test_dense_kernel_matches_broadcast_formula(mu, M):
+    # 100 and 513 rows leave a partial last row block
+    g = nl.build_radial_grid(20.0, M, 2.0)
+    ws = functionals.FunctionalWorkspace(g, dataclasses.replace(nl.ProblemParams(), mu=mu))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no RuntimeWarning leaves the build
+        ws.kernel()
+    assert np.array_equal(ws._K, broadcast_dense_kernel(g, mu))
+
+
+def test_dense_kernel_build_holds_one_matrix():
+    # the matrix is built in place; one 64-row block is the only scratch
+    g = nl.build_radial_grid(20.0, 1024, 2.0)
+    ws = functionals.FunctionalWorkspace(g, dataclasses.replace(nl.ProblemParams(), mu=1.5))
+    tracemalloc.start()
+    try:
+        ws.kernel()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ws._K.shape == (1024, 1024)
+    assert peak <= 1.25 * ws._K.nbytes
+
+
 def test_dense_kernel_size_cap_names_the_cost():
     g = nl.build_radial_grid(20.0, 4097, 2.0)
     prm = dataclasses.replace(nl.ProblemParams(), mu=1.5)
@@ -412,6 +440,7 @@ def test_dense_kernel_size_cap_names_the_cost():
     assert peak < 10 * 2**20   # refused before any matrix is allocated
     msg = str(info.value)
     assert "M = 4097" in msg and "mu = 1.5" in msg and "128 MB" in msg
+    assert "64-row block of 2.0 MB" in msg
     assert "mu = 1 needs no matrix" in msg
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from neharilab.errors import (
     ProfileNotInX,
     SnapshotError,
 )
+
+from oracles import loop_radial_grid
 
 
 def test_radial_nodes_follow_graded_midpoint_formula():
@@ -60,6 +63,33 @@ def test_refinement_convergence_factor():
     for a, b in zip(diffs, diffs[1:]):
         if a > 1e-13 * abs(prev):
             assert b < a / 3.0
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+@pytest.mark.parametrize("grading", [1.0, 2.0, 2.7])
+@pytest.mark.parametrize("M", [16, 17, 100, 1024])
+def test_radial_weights_match_per_cell_loop(M, grading, dim):
+    # whole-array weights keep each weight's summation order: bit-identical
+    nodes, weights = loop_radial_grid(20.0, M, grading, dim)
+    if not np.all(weights > 0.0):
+        # the rule itself has a nonpositive weight here (N = 5, grading 2.7)
+        with pytest.raises(GridError, match="nonpositive quadrature weight"):
+            nl.build_radial_grid(20.0, M, grading, dim)
+        return
+    g = nl.build_radial_grid(20.0, M, grading, dim)
+    assert np.array_equal(g.nodes, nodes)
+    assert np.array_equal(g.weights, weights)
+
+
+@pytest.mark.parametrize("R, grading, name", [
+    (float("nan"), 2.0, "R"), (float("inf"), 2.0, "R"), (-float("inf"), 2.0, "R"),
+    (20.0, float("nan"), "grading"), (20.0, float("inf"), "grading"),
+])
+def test_nonfinite_grid_inputs_rejected_by_name(R, grading, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # refused before any arithmetic
+        with pytest.raises(GridError, match=f"^{name} must be finite"):
+            nl.build_radial_grid(R, 256, grading)
 
 
 def test_degenerate_grid_rejected():
