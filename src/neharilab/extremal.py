@@ -24,11 +24,17 @@ FunctionalWorkspace.hessian, and its normal part along Gu is removed.
   onto the tangent space.
 * On nonpositive curvature at the first CG step the step is that
   preconditioned gradient, with a step-length memory doubling up to STEP_MAX.
-* A step is accepted on Armijo decrease of f, with halving backtracking.  Once
-  the predicted decrease is below ROUNDING, where evaluations of f cannot
-  confirm it, a step that does not raise f is accepted if it cuts the KKT
-  residual below KKT_CUT times its value, as the solver's N- endgame does.
-  So no accepted step raises f.
+* A step is accepted on Armijo decrease of f, with halving backtracking.  The
+  decrease is log(Lambda_n(u) / Lambda_n(u')) while the Armijo target is at
+  least ROUNDING.  Below it, two rounded evaluations of f cannot resolve the
+  decrease, so it is computed from differences, each free of cancellation:
+      dE = (u'-u)^T G (u'+u),
+      dA = sum omega w a u^q expm1(q log1p(delta/u)),
+      dB = sum omega w (rho'-rho)(w_u'+w_u),
+           rho'-rho = b u^p expm1(p log1p(delta/u)),
+      f(u) - f(u') = -kappa log1p(dE/E) + log1p(dA/A) + nu log1p(dB/B),
+  with delta = u' - u; dB rests on K being symmetric.  So no accepted step
+  raises f.
 * A step lowers no node below FLOOR times its value, so iterates stay strictly
   positive, as the minimizer is.  A clip to zero strands tail nodes at the
   floor of A's gradient, which then take many steps to recover.
@@ -72,8 +78,7 @@ STEP0 = 1.0           # first length of a preconditioned gradient step
 STEP_MAX = 4.0
 BACKTRACK_MAX = 40
 ARMIJO = 0.25
-ROUNDING = 1e-14      # predicted log Lambda_n decreases below this are rounding
-KKT_CUT = 0.7         # KKT residual factor that accepts a step below ROUNDING
+ROUNDING = 1e-14      # Armijo targets below this take the decrease from differences
 
 
 @dataclass
@@ -156,6 +161,29 @@ def _kkt(ws, g) -> float:
     return math.sqrt(float(g @ ws.solve_G(g)))
 
 
+def _power_difference(u, delta, e):
+    """(u + delta)^e - u^e without cancellation: u^e expm1(e log1p(delta/u)),
+    and (u + delta)^e where u = 0."""
+    out = (u + delta) ** e
+    pos = u > 0.0
+    up = u[pos]
+    out[pos] = up**e * np.expm1(e * np.log1p(delta[pos] / up))
+    return out
+
+
+def _log_decrease(ws, ev, trial, kappa: float, nu: float) -> float:
+    """f(u) - f(u'), f = log Lambda_n, from the differences of (E, A, B)
+    between the evaluations ev of u and trial of u' (module docstring)."""
+    g, p, q, u = ws.grid, ws.params.p, ws.params.q, ev.u
+    E, A, B = ev.triple.as_tuple()
+    quad = g.omega * g.weights
+    delta = trial.u - u
+    dE = float(delta @ ws.apply_G(trial.u + u))
+    dA = float(quad @ (ws.a * _power_difference(u, delta, q)))
+    dB = float(quad @ (ws.b * _power_difference(u, delta, p) * (trial.w_u + ev.w_u)))
+    return -kappa * math.log1p(dE / E) + math.log1p(dA / A) + nu * math.log1p(dB / B)
+
+
 def _newton_system(ws, ev, gA, gB, kappa: float, nu: float):
     """The tangent Hessian product of f = log Lambda_n at ev and its
     preconditioner, for solver.truncated_pcg (module docstring).
@@ -227,29 +255,29 @@ def refine_descent(start: GridFunction, params: ProblemParams,
         if kkt <= KKT_TOL or len(history) > opts.max_iters:
             break
         hess, precondition = _newton_system(ws, ev, gA, gB, kappa, nu)
-        del ev, gA, gB   # w_u is not needed past the set-up (peak memory)
+        del gA, gB   # ev stays: a decrease below ROUNDING needs its w_u
         x, slope, newton = truncated_pcg(hess, precondition, g, kkt)
         del g, hess, precondition
         s = 1.0 if newton else step
         for _bt in range(BACKTRACK_MAX):
             trial = np.maximum(u - s * x, FLOOR * u)
             trial /= math.sqrt(ws.norm_sq(trial))
-            ev = ws.evaluate(trial)
-            tval = float(lambda_n(ev.triple, p, q))
-            decrease = math.log(val / tval)
-            if decrease >= ARMIJO * s * slope:
-                break
-            if ARMIJO * s * slope < ROUNDING and tval <= val and (
-                    _kkt(ws, _log_gradient(ws, ev, kappa, nu)[0]) < KKT_CUT * kkt):
-                # the predicted decrease is below the rounding of log Lambda_n
-                # (a few 1e-15): a step that does not raise it is accepted on
-                # a falling KKT residual
+            trial_ev = ws.evaluate(trial)
+            tval = float(lambda_n(trial_ev.triple, p, q))
+            target = ARMIJO * s * slope
+            if target < ROUNDING:
+                decrease = _log_decrease(ws, ev, trial_ev, kappa, nu)
+            else:
+                decrease = math.log(val / tval)
+            if decrease >= target:
                 break
             s *= 0.5
         else:
             break   # no step accepted: u stays the minimizer
         del x, trial   # the next step must not hold them (peak memory)
-        val = tval
+        ev = trial_ev
+        # a decrease below rounding can leave the rounded tval a hair above val
+        val = min(val, tval)
         history.append(val)
         if not newton:
             step = min(2.0 * s, STEP_MAX)

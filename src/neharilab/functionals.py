@@ -28,7 +28,12 @@ has two independent engines in N = 3:
   At mu = 1 the kernel is Newton's k_1(r, s) = 2/max(r, s), so applying it
   to h is 2/r_i times the sum of h_j below i plus the sum of 2 h_j/r_j above
   i, plus the diagonal cell (2r - d/3)/r^2 h_i: two running sums, O(M) time
-  and memory.  Any other mu stores the dense M x M matrix (M <= 4096).
+  and memory.  Any other mu stores the dense M x M matrix (M <= 4096) and
+  applies it by BLAS dsymv, which reads one triangle: half the memory traffic
+  of a general product.  This relies on the matrix being symmetric bit for
+  bit, which the build keeps: r + s, |r - s| and r s commute in IEEE
+  arithmetic, so entries (i, j) and (j, i) are the same operations on the
+  same operands.
 * direct: midpoint pair sum over a Cartesian box with lattice kernel
   h^3 (h|k|)^(-mu) at lag k, computed as one free-space FFT convolution on
   the zero-padded (2m)^3 box (Hockney & Eastwood 1988), O(m^3 log m).  The
@@ -52,7 +57,7 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
-from scipy.linalg.blas import daxpy, dsbmv
+from scipy.linalg.blas import daxpy, dsbmv, dsymv
 
 from .errors import (
     GridTooLarge,
@@ -161,7 +166,10 @@ class FunctionalWorkspace:
 
         Built once per workspace: at mu = 1 only the diagonal-cell vector is
         stored and the operator is two running sums; otherwise the dense
-        matrix is stored and applied by a matrix-vector product.
+        matrix is stored and applied by dsymv from its upper triangle.  K is
+        symmetric bit for bit (module docstring), so its transpose, the
+        F-ordered view that BLAS takes without a copy, is K itself; a build
+        that broke the symmetry would make the apply wrong, not slow.
         """
         if self._K is None:
             g, mu = self.grid, self.params.mu
@@ -176,7 +184,7 @@ class FunctionalWorkspace:
                 self._K = self._dense_kernel()
         if self._K.ndim == 1:
             return partial(_apply_newton, self.grid.nodes, self._K)
-        return self._K.__matmul__
+        return partial(dsymv, 1.0, self._K.T)
 
     def _dense_kernel(self):
         g, mu = self.grid, self.params.mu

@@ -11,6 +11,9 @@ its neighbours, except on the first few cells where the exact cell mass is
 used unchanged (keeps every weight positive without measurable accuracy
 loss — those cells carry ~1e-14 of the total mass on graded grids).  The rule
 integrates r^k, k <= 2, to machine precision and sums exactly to R^N / N.
+The head rule holds up to a grading that falls with N (about 3.59 at N = 3,
+2.87 at N = 4, 2.39 at N = 5, the same at every M); beyond it weight 3
+turns nonpositive and the build raises GridError saying so.
 
 Cartesian grids are cell-centered cubes in N = 3 used by the direct (FFT
 convolution) nonlocal engine; with an even number of points per axis the
@@ -150,7 +153,12 @@ def build_radial_grid(R: float, M: int, grading: float = 2.0, dim: int = 3) -> R
     w[-3:] += (left[-1], centre[-1], right[-1])
 
     if not np.all(w > 0.0):
-        raise GridError("internal: nonpositive quadrature weight")
+        # the quadratic of cell h gives node h - 1 a negative term that, on
+        # strongly graded grids, outweighs the exact mass of head cell h - 1
+        raise GridError(
+            f"the exact-mass head rule of the radial quadrature (its first {h} cells) "
+            f"cannot take N = {N} with grading = {grading}: it leaves a nonpositive "
+            f"quadrature weight at node {int(np.argmin(w))}; lower the grading")
     assert r[0] > 0.0, "no node may sit at the origin"
     return RadialGrid(
         nodes=r,

@@ -27,10 +27,11 @@ the elliptic part and of the singular term.  The step x differs by branch:
   minimizer with null direction u.  H adds to P the nonlocal Hessian, of
   size about (2p-1) B on N-, which P lacks and which stalls a gradient step.
   H_hat x = g is solved by truncated CG (Steihaug 1983), P factored once per
-  step, with matrix-free products (one kernel apply each).  CG stops at
-  ||r|| <= min(0.5, sqrt(residual)) ||r_0||, on nonpositive curvature
-  (keeping the last iterate, or P^-1 g at the first step) or after CG_MAX
-  steps.  N+ keeps the gradient step: Newton there stalls near a saddle.
+  step, with matrix-free products (one kernel apply each).  H u itself needs
+  no apply: the kernel's input c u is that of w_u, so H u is read from w_u.
+  CG stops at ||r|| <= min(0.5, sqrt(residual)) ||r_0||, on nonpositive
+  curvature (keeping the last iterate, or P^-1 g at the first step) or after
+  CG_MAX steps.  N+ keeps the gradient step: Newton there stalls near a saddle.
 
 One evaluation per point (FunctionalWorkspace.evaluate: w_u and (E, A, B))
 supplies an iterate's energy, defect and residual.  Each backtracking trial
@@ -178,10 +179,23 @@ def _singular_shift(ws, u, lam, ff):
     return g.omega * g.weights * lam * ws.a * (1.0 - q) * np.maximum(u, ff * np.max(u)) ** (q - 2.0)
 
 
+def _hessian_along_u(ws, ev, diag):
+    """H u with no kernel apply, diag as ws.hessian(ev, diag) left it.
+
+    c u = b u^p r^-a w is w_u's own kernel input, so K(c u) = w_u / (2 pi
+    r^-a) and H u = G u + diag u - p omega w b u^(p-1) w_u.
+    """
+    g, p, u = ws.grid, ws.params.p, ev.u
+    hu = ws.apply_G(u)
+    hu += diag * u
+    hu -= p * g.omega * g.weights * ws.b * u ** (p - 1.0) * ev.w_u
+    return hu
+
+
 def _branch_hessian(ws, ev, diag):
     """v -> H_hat v = H v - (Hu)(u^T H v) / (u^T H u), H = ws.hessian(ev, diag)."""
-    hess = ws.hessian(ev, diag)
-    hu = hess(ev.u)
+    hess = ws.hessian(ev, diag)   # folds the nonlocal diagonal into diag first
+    hu = _hessian_along_u(ws, ev, diag)
     uhu = float(ev.u @ hu)
 
     def apply(v, out=None):

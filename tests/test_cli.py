@@ -226,6 +226,17 @@ def test_nonfinite_radius_in_config_is_named_grid_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_grading_beyond_the_head_rule_in_config_is_named_grid_error(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text(SMALL_CONFIG.replace("grading = 2.0", "grading = 4.0"))
+    assert cli.main(["cross-check", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert ("GridError: the exact-mass head rule of the radial quadrature (its first 4 "
+            "cells) cannot take N = 3 with grading = 4.0") in captured.err
+    assert "internal" not in captured.err
+    assert captured.out == ""
+
+
 def test_cross_check_within_tolerance(small_config, capsys):
     code = cli.main(["cross-check", "--config", small_config, "--box-m", "16",
                      "--tolerance", "0.05"])

@@ -15,6 +15,7 @@ from neharilab.extremal import (
 )
 from neharilab.fibering import lambda_e, lambda_n, scale_triple
 from neharilab.functionals import workspace
+from neharilab.solver import truncated_pcg
 
 
 def test_family_sweep_pinned_gaussian_lattice(params, grid):
@@ -179,6 +180,67 @@ def test_refinement_iterates_stay_positive_and_descend(grid, monkeypatch, overri
     assert min(smallest) > 0.0
     assert history == sorted(history, reverse=True)   # no accepted step rises
     assert val == history[-1] and kkt <= KKT_TOL
+    at_minimizer = float(lambda_n(nl.reduced_triple(minimizer, params), params.p, params.q))
+    assert val == pytest.approx(at_minimizer, rel=1e-14)
+
+
+# mu, p, q, alpha (b = inverse_poly, other parameters default) where two
+# rounded values of Lambda_n cannot confirm the last decreases: a test on
+# their quotient alone stops at a KKT residual of 3.5e-8 (rounding the
+# parameters hides this)
+ROUNDING_STALL = {"mu": 1.5384186600273857, "p": 3.4088480231755236,
+                  "q": 0.8492518179809778, "alpha": 0.11978813903018636,
+                  "b_form": "inverse_poly"}
+
+
+def test_refinement_converges_where_rounded_values_stall(grid):
+    params = nl.validate(dataclasses.replace(nl.ProblemParams(), **ROUNDING_STALL))
+    est = estimate_lambda_star(params, grid)
+    assert est.kkt_residual <= KKT_TOL
+    assert est.descent_values == sorted(est.descent_values, reverse=True)
+
+
+def _step_to(ws, u, v):
+    """The evaluations of u and of v scaled to E = 1, and log(Lambda_n(u) /
+    Lambda_n(v)) from the two rounded values."""
+    prm = ws.params
+    ev = ws.evaluate(u / np.sqrt(ws.norm_sq(u)))
+    trial = ws.evaluate(v / np.sqrt(ws.norm_sq(v)))
+    quotient = np.log(float(lambda_n(ev.triple, prm.p, prm.q))
+                      / float(lambda_n(trial.triple, prm.p, prm.q)))
+    return ev, trial, quotient
+
+
+@pytest.mark.parametrize("mu", [1.0, 1.5])
+def test_difference_form_decrease_matches_the_quotient(grid, mu):
+    # a step of relative size 1e-3 from a profile far from the minimizer:
+    # the quotient of two rounded values resolves it to ~1e-12
+    params = nl.validate(dataclasses.replace(nl.ProblemParams(), mu=mu))
+    ws, (kappa, nu) = workspace(grid, params), _kappa_nu(params)
+    u = nl.sample_profile("inverse_poly", 0.7, grid, beta=1.5).values
+    ev, trial, quotient = _step_to(ws, u, u * (1.0 + 1e-3 * np.sin(1.3 * grid.nodes)))
+    decrease = extremal._log_decrease(ws, ev, trial, kappa, nu)
+    assert decrease == pytest.approx(quotient, rel=1e-8)
+
+
+def test_difference_form_resolves_a_decrease_below_rounding(params, grid, estimate):
+    # At the converged minimizer (KKT residual ~5e-9) the Newton step's
+    # predicted decrease, slope / 2 for any CG iterate, is far below the
+    # rounding of log Lambda_n, and the quotient of two rounded values cannot
+    # resolve it; the difference form recovers it
+    ws, (kappa, nu) = workspace(grid, params), _kappa_nu(params)
+    u = estimate.minimizer.values / np.sqrt(ws.norm_sq(estimate.minimizer.values))
+    ev = ws.evaluate(u)
+    g, gA, gB = extremal._log_gradient(ws, ev, kappa, nu)
+    hess, precondition = extremal._newton_system(ws, ev, gA, gB, kappa, nu)
+    x, slope, newton = truncated_pcg(hess, precondition, g, extremal._kkt(ws, g))
+    assert newton and 0.0 < extremal.ARMIJO * slope < extremal.ROUNDING
+    ev, trial, quotient = _step_to(ws, u, np.maximum(u - x, extremal.FLOOR * u))
+    decrease = extremal._log_decrease(ws, ev, trial, kappa, nu)
+    assert decrease > 0.0
+    assert decrease == pytest.approx(0.5 * slope, rel=1e-4)
+    # the quotient moves in steps of ~1e-16, so not even within a factor 2
+    assert not 0.5 * decrease < quotient < 2.0 * decrease
 
 
 @pytest.mark.parametrize("overrides", [{}, {"mu": 1.5, "p": 3.5, "b_form": "constant"}],

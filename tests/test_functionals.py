@@ -402,14 +402,20 @@ def test_newton_w_u_memory_is_linear(params):
 
 @pytest.mark.parametrize("M", [16, 100, 513])
 @pytest.mark.parametrize("mu", [0.5, 1.5, 2.0, 2.5])
-def test_dense_kernel_matches_broadcast_formula(mu, M):
+def test_dense_kernel_matches_broadcast_formula(mu, M, rng):
     # 100 and 513 rows leave a partial last row block
     g = nl.build_radial_grid(20.0, M, 2.0)
     ws = functionals.FunctionalWorkspace(g, dataclasses.replace(nl.ProblemParams(), mu=mu))
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # no RuntimeWarning leaves the build
-        ws.kernel()
-    assert np.array_equal(ws._K, broadcast_dense_kernel(g, mu))
+        apply = ws.kernel()
+    K = broadcast_dense_kernel(g, mu)
+    assert np.array_equal(ws._K, K)
+    # dsymv reads one triangle of the F-ordered view K.T, which is K only
+    # because the build keeps K symmetric bit for bit
+    assert np.array_equal(ws._K, ws._K.T)
+    h = rng.random(M)
+    assert np.max(np.abs(apply(h) - K @ h)) <= 1e-13 * np.max(np.abs(K @ h))
 
 
 def test_dense_kernel_build_holds_one_matrix():
@@ -424,6 +430,21 @@ def test_dense_kernel_build_holds_one_matrix():
         tracemalloc.stop()
     assert ws._K.shape == (1024, 1024)
     assert peak <= 1.25 * ws._K.nbytes
+
+
+def test_dense_apply_makes_no_copy(rng):
+    # a C-ordered matrix handed to dsymv would be copied whole (8 MB here)
+    g = nl.build_radial_grid(20.0, 1024, 2.0)
+    ws = functionals.FunctionalWorkspace(g, dataclasses.replace(nl.ProblemParams(), mu=1.5))
+    apply = ws.kernel()
+    h = rng.random(g.M)
+    tracemalloc.start()
+    try:
+        apply(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ws._K.nbytes / 4
 
 
 def test_dense_kernel_size_cap_names_the_cost():

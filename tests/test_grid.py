@@ -92,6 +92,18 @@ def test_nonfinite_grid_inputs_rejected_by_name(R, grading, name):
             nl.build_radial_grid(R, 256, grading)
 
 
+@pytest.mark.parametrize("dim, grading", [(3, 4.0), (4, 3.0), (5, 2.5)])
+def test_grading_beyond_the_head_rule_is_named(dim, grading):
+    # inputs that pass validation but leave weight 3 nonpositive: a named
+    # limit of the exact-mass head rule, not an internal fault
+    with pytest.raises(GridError) as info:
+        nl.build_radial_grid(20.0, 256, grading, dim)
+    msg = str(info.value)
+    assert f"cannot take N = {dim} with grading = {grading}" in msg
+    assert "exact-mass head rule" in msg and "node 3" in msg
+    assert "internal" not in msg
+
+
 def test_degenerate_grid_rejected():
     with pytest.raises(DegenerateGrid):
         nl.build_radial_grid(10.0, 8)

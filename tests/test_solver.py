@@ -352,6 +352,22 @@ def test_branch_hessian_matches_defect_difference(grid, mu, p):
         assert np.max(np.abs(fd - hv)[live]) <= 1e-6 * np.max(np.abs(hv)[live])
 
 
+@pytest.mark.parametrize("mu", [1.0, 1.5])
+def test_hessian_along_u_reads_w_u(grid, monkeypatch, mu):
+    # c u is w_u's own kernel input, so H u comes from w_u with no kernel apply
+    prm = nl.validate(dataclasses.replace(nl.ProblemParams(), mu=mu))
+    ws = workspace(grid, prm)
+    gauss = nl.sample_profile("gaussian", 1.0, grid)
+    lam = 0.5 * float(nl.lambda_n(nl.reduced_triple(gauss, prm), prm.p, prm.q))
+    u = project_to_nehari(gauss, lam, Branch.NMINUS, prm).values
+    ev = ws.evaluate(u)
+    diag = solver._singular_shift(ws, u, lam, functionals.DEFAULT_FLOOR_FACTOR)
+    ref = ws.hessian(ev, diag)(u)   # folds the nonlocal diagonal into diag
+    monkeypatch.setattr(ws, "kernel", None)
+    hu = solver._hessian_along_u(ws, ev, diag)
+    assert np.max(np.abs(hu - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 # lambda / lambda* and exponents where a gradient step on N- needs up to 36 iterations
 NEWTON_FRACS = (0.1, 0.5, 0.9, 0.99)
 NEWTON_CASES = {
