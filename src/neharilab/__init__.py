@@ -16,15 +16,10 @@ from .grid import (
 from .functionals import (
     ReducedTriple,
     energy,
-    gradient_action,
-    nonlocal_action,
-    nonlocal_potential,
     norm_sq,
     reduced_triple,
-    singular_action,
     steinweiss_B_direct,
     steinweiss_B_radial,
-    weight_a,
 )
 from .fibering import (
     Branch,

@@ -159,6 +159,9 @@ def _fmt(x: float) -> str:
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     prm = validate(cfg.params)
+    # the grids every other command builds: a bad one fails here by name
+    cfg.build_grid()
+    build_cartesian_grid(cfg.box_L, cfg.box_m)
     lo, hi = critical_exponents(prm.N, prm.alpha, prm.mu)
     g3 = gamma3_window(prm.N, prm.q)
     print(f"valid: p window ({_fmt(lo)}, {_fmt(hi)}), p = {_fmt(prm.p)}")

@@ -131,7 +131,3 @@ class ConfigError(NehariLabError, ValueError):
 
 class ProfileNotInX(UserWarning):
     """Sampled profile decays too slowly for the truncated energy space."""
-
-
-class SingularMassWarning(UserWarning):
-    """Floored-mass fraction above 1%: evaluation is floor-dominated."""

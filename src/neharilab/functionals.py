@@ -10,8 +10,7 @@ definite matrix G built once per (grid, potential) pair.  G = omega (D^T W D
 + diag(w V)) is pentadiagonal, so it is stored as its three upper bands,
 assembled in O(M) and factored by banded Cholesky.  G is the only energy
 operator: a Cartesian box is input to the direct B engine alone, and the
-norm, the inner product, the reduced triple and the energy raise
-UnsupportedDimension on it.
+norm, the reduced triple and the energy raise UnsupportedDimension on it.
 
 The nonlocal interaction
 
@@ -40,8 +39,8 @@ has two independent engines in N = 3:
   zero-lag entry is the self-cell term 4 pi rho^(3-mu)/(3-mu), rho the
   equal-volume-sphere radius (3 h^3 / 4 pi)^(1/3).
 
-Both engines evaluate B through the nonlocal potential w_u, so the discrete
-identity D(u, u) = B(u) holds exactly.
+Both engines evaluate B through the nonlocal potential w_u, so the nonlocal
+term of the defect paired with u, int b |u|^p w_u, is B(u) exactly.
 
 One evaluation per point: FunctionalWorkspace.evaluate computes w_u once and
 returns it with (E, A, B); the triple, the energy, the Euler-Lagrange defect
@@ -50,7 +49,6 @@ and its weak residual are all read from that record.
 
 from __future__ import annotations
 
-import warnings
 import weakref
 from dataclasses import dataclass
 from functools import partial
@@ -62,9 +60,7 @@ from scipy.linalg.blas import daxpy, dsbmv, dsymv
 from .errors import (
     GridTooLarge,
     KernelDomain,
-    LengthMismatch,
     NotInPositiveCone,
-    SingularMassWarning,
     UnsupportedDimension,
 )
 from .grid import GridFunction
@@ -241,12 +237,9 @@ class FunctionalWorkspace:
         return float(np.sqrt(self.space_integral(np.asarray(vals) ** 2)))
 
     def norm_sq(self, u_vals) -> float:
-        return self.inner(u_vals, u_vals)
-
-    def inner(self, u_vals, phi_vals) -> float:
         if self.grid.kind != "radial":
             raise UnsupportedDimension("the energy norm is implemented on radial grids")
-        return float(u_vals @ self.apply_G(phi_vals))
+        return float(u_vals @ self.apply_G(u_vals))
 
     def apply_G(self, u_vals):
         return dsbmv(2, 1.0, self.Gb, u_vals)
@@ -357,6 +350,9 @@ class FunctionalWorkspace:
         d_i = (G u)_i/(omega w_i) - lambda a_i max(u_i, eps)^(q-1)
               - b_i u_i^(p-1) (w_u)_i  [- source_i]
 
+        sum_i d_i phi_i omega w_i is J'_lambda(u)[phi] wherever the floor
+        eps = floor_factor * max(u) is inactive.
+
         The residual is the quadrature-weighted norm of d over the largest of
         the term norms, so 1e-4 means the defect is 1e-4 of the dominant
         balance.  Radial grids only.
@@ -429,25 +425,6 @@ def norm_sq(u: GridFunction, params: ProblemParams) -> float:
     return workspace(u.grid, params).norm_sq(u.values)
 
 
-def inner(u: GridFunction, phi: GridFunction, params: ProblemParams) -> float:
-    """Discrete inner product <u, phi>; matches norm_sq by polarization."""
-    if phi.grid is not u.grid:
-        raise LengthMismatch("u and phi must share a grid")
-    return workspace(u.grid, params).inner(u.values, phi.values)
-
-
-def weight_a(u: GridFunction, params: ProblemParams) -> float:
-    """A(u) = int a(x) |u|^q dx."""
-    ws = workspace(u.grid, params)
-    return ws.space_integral(ws.a * np.abs(u.values) ** params.q)
-
-
-def nonlocal_potential(u: GridFunction, params: ProblemParams) -> GridFunction:
-    """The potential w_u generated by b|u|^p through the weighted kernel."""
-    ws = workspace(u.grid, params)
-    return GridFunction(u.grid, ws.w_u(u.values))
-
-
 def _B_by_engine(u: GridFunction, params: ProblemParams, kind: str) -> float:
     if u.grid.kind != kind:
         raise UnsupportedDimension(f"this engine needs a {kind} grid, got {u.grid.kind}")
@@ -475,40 +452,6 @@ def floored_fraction(u: GridFunction, params: ProblemParams,
     return ws.space_integral(below) / ws.space_integral(np.ones_like(u.values))
 
 
-def singular_action(u: GridFunction, phi: GridFunction, params: ProblemParams,
-                    floor_factor: float = DEFAULT_FLOOR_FACTOR) -> float:
-    """H(u, phi) = int a u^(q-1) phi dx with u floored at floor_factor*max(u).
-
-    Emits SingularMassWarning when floored nodes contribute more than 1% of
-    the integrand's absolute mass: the evaluation is then floor-dominated
-    rather than genuine.  (The plain quadrature-mass share of {u < eps} is
-    reported separately by floored_fraction; a fast-decaying trial profile
-    can floor most of the domain's volume while contributing nothing to H.)
-    """
-    _require_cone(u)
-    ws = workspace(u.grid, params)
-    eps = floor_factor * float(np.max(u.values))
-    uf = np.maximum(u.values, eps)
-    integrand = ws.a * uf ** (params.q - 1.0) * phi.values
-    total_abs = ws.space_integral(np.abs(integrand))
-    if total_abs > 0.0:
-        floored_share = ws.space_integral(np.abs(integrand) * (u.values < eps)) / total_abs
-        if floored_share > 0.01:
-            warnings.warn(
-                f"floor-dominated evaluation: floored nodes carry {floored_share:.3%} "
-                "of the singular integrand",
-                SingularMassWarning,
-                stacklevel=2,
-            )
-    return ws.space_integral(integrand)
-
-
-def nonlocal_action(u: GridFunction, phi: GridFunction, params: ProblemParams) -> float:
-    """D(u, phi) = int b |u|^(p-2) u phi w_u dx; D(u, u) = B(u) exactly."""
-    ws = workspace(u.grid, params)
-    return ws.space_integral(ws.nonlocal_factor(u.values) * ws.w_u(u.values) * phi.values)
-
-
 def reduced_triple(u: GridFunction, params: ProblemParams) -> ReducedTriple:
     """Bundle (||u||^2, A(u), B(u)); u must lie in the positive cone."""
     _require_cone(u)
@@ -522,30 +465,3 @@ def energy(u: GridFunction, lam: float, params: ProblemParams) -> float:
 
 def energy_from_triple(triple: ReducedTriple, lam: float, params: ProblemParams) -> float:
     return 0.5 * triple.E - lam / params.q * triple.A - triple.B / (2.0 * params.p)
-
-
-def gradient_action(u: GridFunction, phi: GridFunction, lam: float,
-                    params: ProblemParams,
-                    floor_factor: float = DEFAULT_FLOOR_FACTOR) -> float:
-    """J'_lambda(u)[phi] = <u, phi> - lambda H(u, phi) - D(u, phi)."""
-    return (
-        inner(u, phi, params)
-        - lam * singular_action(u, phi, params, floor_factor)
-        - nonlocal_action(u, phi, params)
-    )
-
-
-def strong_form_defect(u: GridFunction, lam: float, params: ProblemParams,
-                       floor_factor: float = DEFAULT_FLOOR_FACTOR,
-                       include_nonlocal: bool = True,
-                       source=None) -> np.ndarray:
-    """Nodal Euler-Lagrange defect d with sum_i d_i phi_i w_i = J'(u)[phi].
-
-    At an on-branch point it is also the nodal gradient of the
-    branch-reduced energy (envelope theorem).  Radial grids only; see
-    FunctionalWorkspace.defect for the formula.
-    """
-    if u.grid.kind != "radial":
-        raise UnsupportedDimension("strong-form defect implemented on radial grids")
-    ws = workspace(u.grid, params)
-    return ws.defect(ws.evaluate(u.values), lam, floor_factor, include_nonlocal, source)[0]

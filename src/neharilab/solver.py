@@ -9,7 +9,7 @@ branch-reduced energy v -> J_lambda(t(v) v) by descent with reprojection:
           backtrack on the reduced energy.
 
 The envelope theorem makes the reduced gradient at an on-branch point equal
-the plain gradient action J'_lambda(u)[.], so the strong-form defect
+the defect pairing phi -> sum_i d_i phi_i omega w_i.  The strong-form defect
 
     d_i = (G u)_i / (omega w_i) - lambda a_i max(u_i, eps)^(q-1)
           - b_i u_i^(p-1) (w_u)_i
@@ -57,13 +57,12 @@ from scipy.linalg.blas import daxpy, dnrm2
 from . import fibering
 from .errors import NoConvergence, RayMissesNehari, UnsupportedDimension
 from .fibering import Branch, DoubleRoot, NoRoot, nehari_roots
-from .functionals import (  # strong_form_defect: public here next to weak_residual
+from .functionals import (
     DEFAULT_FLOOR_FACTOR,
     Evaluation,
     ReducedTriple,
     energy_from_triple,
     floored_fraction,
-    strong_form_defect,
     workspace,
 )
 from .grid import GridFunction, sample_profile
@@ -137,6 +136,17 @@ def _to_branch(params, ev, lam, branch):
     return Evaluation(u, w_u, triple)
 
 
+def strong_form_defect(u: GridFunction, lam: float, params: ProblemParams,
+                       floor_factor: float = DEFAULT_FLOOR_FACTOR,
+                       include_nonlocal: bool = True, source=None) -> np.ndarray:
+    """Nodal Euler-Lagrange defect d with sum_i d_i phi_i omega w_i =
+    J'_lambda(u)[phi] (see FunctionalWorkspace.defect).  At an on-branch
+    point it is also the nodal gradient of the branch-reduced energy
+    (envelope theorem).
+    """
+    return _defect(u, lam, params, floor_factor, include_nonlocal, source)[0]
+
+
 def weak_residual(u: GridFunction, lam: float, params: ProblemParams,
                   floor_factor: float = DEFAULT_FLOOR_FACTOR,
                   include_nonlocal: bool = True, source=None) -> float:
@@ -144,10 +154,14 @@ def weak_residual(u: GridFunction, lam: float, params: ProblemParams,
     FunctionalWorkspace.defect).  ``include_nonlocal=False`` and ``source``
     are test hooks for the linear problem -Delta u + V u = source.
     """
+    return _defect(u, lam, params, floor_factor, include_nonlocal, source)[1]
+
+
+def _defect(u, lam, params, floor_factor, include_nonlocal, source):
     if u.grid.kind != "radial":
-        raise UnsupportedDimension("weak residual implemented on radial grids")
+        raise UnsupportedDimension("the Euler-Lagrange defect is implemented on radial grids")
     ws = workspace(u.grid, params)
-    return ws.defect(ws.evaluate(u.values), lam, floor_factor, include_nonlocal, source)[1]
+    return ws.defect(ws.evaluate(u.values), lam, floor_factor, include_nonlocal, source)
 
 
 def _initial_ray(ws, lam, branch, init, grid, params, budget):

@@ -66,6 +66,21 @@ def test_validate_rejects_bad_config(bad_config, capsys):
     assert "2*alpha + mu" in err
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("grading = 2.0", "grading = 4.0",
+     "GridError: the exact-mass head rule of the radial quadrature"),
+    ("grading = 2.0", "grading = 2.0\nm_axis = 25",
+     "GridError: m must be even so no node sits at the origin, got 25"),
+], ids=["grading", "odd-m-axis"])
+def test_validate_rejects_grid_the_commands_reject(tmp_path, capsys, old, new, message):
+    path = tmp_path / "cfg.ini"
+    path.write_text(SMALL_CONFIG.replace(old, new))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_missing_config_is_usage_error(capsys):
     assert cli.main(["validate", "--config", "/nonexistent.ini"]) == 2
 

@@ -8,12 +8,7 @@ import pytest
 from scipy import integrate as scipy_integrate
 
 import neharilab as nl
-from neharilab.errors import (
-    GridTooLarge,
-    NotInPositiveCone,
-    SingularMassWarning,
-    UnsupportedDimension,
-)
+from neharilab.errors import GridTooLarge, NotInPositiveCone, UnsupportedDimension
 from neharilab import functionals
 from neharilab.functionals import workspace
 
@@ -48,17 +43,6 @@ def test_norm_gaussian_oracle(params):
     g = nl.build_radial_grid(12.0, 512, 2.0)
     u = nl.GridFunction(g, np.exp(-g.nodes**2 / 2.0))
     assert nl.norm_sq(u, params) == pytest.approx(4.0 * np.pi**1.5, rel=5e-3)
-
-
-def test_inner_polarization(grid, params, rng):
-    u = nl.GridFunction(grid, rng.uniform(0, 1, grid.M))
-    v = nl.GridFunction(grid, rng.uniform(0, 1, grid.M))
-    lhs = nl.functionals.inner(u, v, params)
-    pol = 0.25 * (
-        nl.norm_sq(nl.GridFunction(grid, u.values + v.values), params)
-        - nl.norm_sq(nl.GridFunction(grid, u.values - v.values), params)
-    )
-    assert lhs == pytest.approx(pol, rel=1e-11)
 
 
 def test_cartesian_energy_norm_unsupported(params):
@@ -97,11 +81,10 @@ def test_banded_operations_match_dense_linear_algebra(params, rng, M):
     g = nl.build_radial_grid(20.0, M, 2.0)
     ws = workspace(g, params)
     G = dense_energy_operator(g, ws.V)
-    u, v = rng.uniform(0.0, 1.0, (2, M))
+    u = rng.uniform(0.0, 1.0, M)
     Gu = G @ u
     np.testing.assert_allclose(ws.apply_G(u), Gu, rtol=0, atol=1e-14 * np.max(np.abs(Gu)))
     assert ws.norm_sq(u) == pytest.approx(u @ Gu, rel=1e-13)
-    assert ws.inner(v, u) == pytest.approx(v @ Gu, rel=1e-13)
     z = np.linalg.solve(G, u)
     np.testing.assert_allclose(ws.solve_G(u), z, rtol=0, atol=1e-12 * np.max(np.abs(z)))
     shift = rng.uniform(0.0, 1.0, M) * np.diagonal(G)
@@ -124,16 +107,17 @@ def test_workspace_cache_does_not_keep_grid_alive(params):
 # --- A(u) ----------------------------------------------------------------------
 
 def test_weight_a_homogeneity_exact(grid, params, gaussian):
-    A = nl.weight_a(gaussian, params)
-    A3 = nl.weight_a(gaussian.scaled(3.0), params)
+    ws = workspace(grid, params)
+    A = ws.evaluate(gaussian.values).triple.A
+    A3 = ws.evaluate(3.0 * gaussian.values).triple.A
     assert A3 == pytest.approx(3.0**params.q * A, rel=1e-12)
-    assert nl.weight_a(nl.GridFunction(grid, np.zeros(grid.M)), params) == 0.0
+    assert ws.evaluate(np.zeros(grid.M)).triple.A == 0.0
 
 
 def test_weight_a_adaptive_quadrature_oracle():
     prm = dataclasses.replace(nl.ProblemParams(), gamma3=1.2)
     g = nl.build_radial_grid(16.0, 256, 2.0)
-    A = nl.weight_a(nl.sample_profile("gaussian", 1.0, g), prm)
+    A = workspace(g, prm).evaluate(nl.sample_profile("gaussian", 1.0, g).values).triple.A
     oracle = 4 * np.pi * scipy_integrate.quad(
         lambda r: (1 + r * r) ** -1.2 * np.exp(-r * r * 0.5) * r * r,
         0.0, g.R, epsabs=1e-13, epsrel=1e-12,
@@ -209,8 +193,8 @@ def test_B_direct_fft_size_cap_names_the_cost(params):
 @pytest.mark.parametrize("m", [26, 32])
 def test_B_direct_computes_at_m_26_and_32(params, m):
     cg = nl.build_cartesian_grid(3.0, m)
-    wu = nl.nonlocal_potential(nl.sample_profile("gaussian", 1.0, cg), params)
-    assert np.all(wu.values > 0.0) and np.all(np.isfinite(wu.values))
+    wu = workspace(cg, params).w_u(nl.sample_profile("gaussian", 1.0, cg).values)
+    assert np.all(wu > 0.0) and np.all(np.isfinite(wu))
 
 
 @pytest.mark.parametrize("m", [8, 16])
@@ -288,9 +272,9 @@ def test_kernel_positive_across_mu_range(grid):
     u = nl.sample_profile("gaussian", 1.0, grid)
     for mu in (0.3, 1.0, 1.9, 2.0, 2.1, 2.5, 2.9):
         prm = dataclasses.replace(nl.ProblemParams(), mu=mu, alpha=0.01)
-        wu = nl.nonlocal_potential(u, prm)
-        assert np.all(wu.values > 0.0)
-        assert np.all(np.isfinite(wu.values))
+        wu = workspace(grid, prm).w_u(u.values)
+        assert np.all(wu > 0.0)
+        assert np.all(np.isfinite(wu))
 
 
 @pytest.mark.parametrize("mu,alpha", [(2.0, 0.4), (2.5, 0.2)])
@@ -466,79 +450,49 @@ def test_dense_kernel_size_cap_names_the_cost():
 
 
 def test_nonlocal_potential_zero_and_homogeneity(params, gaussian):
-    wu = nl.nonlocal_potential(gaussian, params)
-    assert np.all(wu.values >= 0.0) and np.all(np.isfinite(wu.values))
-    wu2 = nl.nonlocal_potential(gaussian.scaled(2.0), params)
-    assert wu2.values == pytest.approx(2.0**params.p * wu.values, rel=1e-12)
-    zero = nl.GridFunction(gaussian.grid, np.zeros(gaussian.grid.M))
-    assert np.all(nl.nonlocal_potential(zero, params).values == 0.0)
+    ws = workspace(gaussian.grid, params)
+    wu = ws.w_u(gaussian.values)
+    assert np.all(wu >= 0.0) and np.all(np.isfinite(wu))
+    wu2 = ws.w_u(2.0 * gaussian.values)
+    assert wu2 == pytest.approx(2.0**params.p * wu, rel=1e-12)
+    assert np.all(ws.w_u(np.zeros(gaussian.grid.M)) == 0.0)
 
 
 def test_nonlocal_selfconsistency_exact(params, gaussian):
     # integrating b u^p w_u reproduces B(u) (same-engine algebraic identity)
     ws = workspace(gaussian.grid, params)
-    wu = nl.nonlocal_potential(gaussian, params)
-    val = ws.space_integral(ws.b * gaussian.values**params.p * wu.values)
+    wu = ws.w_u(gaussian.values)
+    val = ws.space_integral(ws.b * gaussian.values**params.p * wu)
     assert val == pytest.approx(nl.steinweiss_B_radial(gaussian, params), rel=1e-10)
 
 
 def test_D_uu_equals_B_exactly(params, smooth):
-    D = nl.nonlocal_action(smooth, smooth, params)
-    B = nl.steinweiss_B_radial(smooth, params)
-    assert D == pytest.approx(B, rel=1e-13)
-
-
-def test_D_linear_in_phi(params, smooth, grid, rng):
-    phi1 = nl.GridFunction(grid, rng.normal(size=grid.M))
-    phi2 = nl.GridFunction(grid, rng.normal(size=grid.M))
-    combo = nl.GridFunction(grid, 2.0 * phi1.values - 0.7 * phi2.values)
-    lhs = nl.nonlocal_action(smooth, combo, params)
-    rhs = 2.0 * nl.nonlocal_action(smooth, phi1, params) - 0.7 * nl.nonlocal_action(smooth, phi2, params)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
-    zero = nl.GridFunction(grid, np.zeros(grid.M))
-    assert nl.nonlocal_action(smooth, zero, params) == 0.0
+    # the nonlocal term of the defect, paired with u, is B(u)
+    ws = workspace(smooth.grid, params)
+    ev = ws.evaluate(smooth.values)
+    D = ws.space_integral(ws.nonlocal_factor(ev.u) * ev.w_u * ev.u)
+    assert D == pytest.approx(ev.triple.B, rel=1e-13)
 
 
 # --- H -----------------------------------------------------------------------------
 
 def test_H_uu_equals_A(params, grid):
-    # |u|^{q-2} u * u = |u|^q for positive u; the slowly decaying profile
-    # stays far above the 1e-10 floor everywhere, so the identity is exact
+    # the singular term of the defect paired with u is A(u): u^(q-1) u = u^q
+    # on the slowly decaying profile, which stays far above the 1e-10 floor.
+    # At lambda = 1e6 that term carries the pairing (E is 1e-5 of it), so the
+    # tolerance bounds H(u, u) - A(u) itself
     u = nl.sample_profile("inverse_poly", 1.0, grid, beta=1.0)
     assert np.min(u.values) > 1e-10 * np.max(u.values)
-    assert nl.singular_action(u, u, params) == pytest.approx(
-        nl.weight_a(u, params), rel=1e-13
+    ws = workspace(grid, params)
+    ev = ws.evaluate(u.values)
+    lam = 1e6
+    d = ws.defect(ev, lam, include_nonlocal=False)[0]
+    assert ws.space_integral(d * u.values) == pytest.approx(
+        ev.triple.E - lam * ev.triple.A, rel=1e-13
     )
 
 
-def test_H_zero_phi(params, smooth, grid):
-    zero = nl.GridFunction(grid, np.zeros(grid.M))
-    assert nl.singular_action(smooth, zero, params) == 0.0
-
-
-def test_H_adaptive_quadrature_oracle():
-    prm = dataclasses.replace(nl.ProblemParams(), gamma3=1.2)
-    g = nl.build_radial_grid(16.0, 256, 2.0)
-    u = nl.sample_profile("gaussian", 1.0, g)
-    phi = nl.GridFunction(g, u.values**2)
-    H = nl.singular_action(u, phi, prm)
-    oracle = 4 * np.pi * scipy_integrate.quad(
-        lambda r: (1 + r * r) ** -1.2 * np.exp(-r * r) ** (0.5 - 1) * np.exp(-r * r) ** 2 * r * r,
-        0.0, g.R, epsabs=1e-13, epsrel=1e-12,
-    )[0]
-    assert H == pytest.approx(oracle, rel=1e-6)
-
-
-def test_H_floor_domination_warns(grid):
-    prm = nl.ProblemParams()
-    # plateau-with-dead-tail profile against a non-decaying test function:
-    # floored nodes carry a large share of the singular integrand
-    vals = np.where(grid.nodes < 2.0, 1.0, 0.0)
-    u = nl.GridFunction(grid, vals)
-    phi = nl.GridFunction(grid, np.ones(grid.M))
-    with pytest.warns(SingularMassWarning):
-        nl.singular_action(u, phi, prm)
-
+# --- floor ---------------------------------------------------------------------------
 
 def test_floored_fraction_zero_for_slowly_decaying_profile(params, grid):
     u = nl.sample_profile("inverse_poly", 1.0, grid, beta=1.0)
@@ -552,7 +506,7 @@ def test_floored_fraction_counts_dead_tail(params, grid):
     assert frac == pytest.approx(1.0 - 2.0**3 / 16.0**3, rel=1e-3)
 
 
-# --- energy and gradient ------------------------------------------------------------
+# --- energy and defect --------------------------------------------------------------
 
 def test_energy_reference_arithmetic():
     triple = nl.ReducedTriple(E=1.0, A=1.0, B=1.0)
@@ -589,39 +543,35 @@ def test_gaussian_reference_triple_pinned(params, grid, gaussian):
 
 
 def test_gradient_action_nehari_defect(params, grid):
-    # floor inactive on the slowly decaying profile, so H(u, u) = A(u) exactly
-    # and the gradient action at phi = u is the literal Nehari defect
+    # floor inactive on the slowly decaying profile, so the singular term
+    # paired with u is A(u) exactly and sum_i d_i u_i omega w_i is the
+    # literal Nehari defect
     u = nl.sample_profile("inverse_poly", 1.0, grid, beta=1.0)
-    t = nl.reduced_triple(u, params)
+    assert np.min(u.values) > 1e-10 * np.max(u.values)
+    ws = workspace(grid, params)
+    ev = ws.evaluate(u.values)
     lam = 0.3
-    val = nl.gradient_action(u, u, lam, params)
+    val = ws.space_integral(ws.defect(ev, lam)[0] * u.values)
+    t = ev.triple
     assert val == pytest.approx(t.E - lam * t.A - t.B, rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::neharilab.errors.SingularMassWarning")
-def test_gradient_action_linear_in_phi(params, smooth, grid, rng):
-    # random-sign phi against a fast-decaying u legitimately floor-dominates
-    # H, which is irrelevant for the linearity being checked here
-    phi1 = nl.GridFunction(grid, rng.normal(size=grid.M))
-    phi2 = nl.GridFunction(grid, rng.normal(size=grid.M))
-    combo = nl.GridFunction(grid, 1.3 * phi1.values + 0.2 * phi2.values)
-    lam = 0.2
-    lhs = nl.gradient_action(smooth, combo, lam, params)
-    rhs = 1.3 * nl.gradient_action(smooth, phi1, lam, params) + 0.2 * nl.gradient_action(
-        smooth, phi2, lam, params
-    )
-    assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-def test_gradient_action_finite_difference_oracle(params, grid):
-    # central difference of J along a direction that keeps u positive and
-    # away from the singular floor
+@pytest.mark.parametrize("mu,overrides", [
+    (1.0, {}),
+    (1.5, {"p": 3.5, "b_form": "constant"}),
+    (2.0, {"alpha": 0.2}),
+], ids=["newton-kernel", "dense-kernel", "log-kernel"])
+def test_gradient_action_finite_difference_oracle(grid, mu, overrides):
+    # the defect pairing against the central difference of J_lambda, along a
+    # direction that keeps u positive and away from the singular floor
+    prm = nl.validate(dataclasses.replace(nl.ProblemParams(), mu=mu, **overrides))
+    ws = workspace(grid, prm)
     u = nl.sample_profile("inverse_poly", 1.0, grid, beta=1.0)
     lam = 0.25
     psi = 1.0 + 0.3 * np.sin(grid.nodes)
-    phi = nl.GridFunction(grid, psi * u.values)
     eps = 1e-5
     up = nl.GridFunction(grid, u.values * (1 + eps * psi))
     um = nl.GridFunction(grid, u.values * (1 - eps * psi))
-    fd = (nl.energy(up, lam, params) - nl.energy(um, lam, params)) / (2 * eps)
-    assert nl.gradient_action(u, phi, lam, params) == pytest.approx(fd, rel=1e-5)
+    fd = (nl.energy(up, lam, prm) - nl.energy(um, lam, prm)) / (2 * eps)
+    d = ws.defect(ws.evaluate(u.values), lam)[0]
+    assert ws.space_integral(d * psi * u.values) == pytest.approx(fd, rel=1e-5)
