@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -101,7 +102,6 @@ def load_config(path: str | None) -> RunConfig:
                 q=s.getfloat("q", cfg.params.q),
                 gamma3=s.getfloat("gamma3", cfg.params.gamma3),
                 gamma4=s.getfloat("gamma4", cfg.params.gamma4),
-                v_form=s.get("v_form", cfg.params.v_form),
                 b_form=s.get("b_form", cfg.params.b_form),
                 lam=s.getfloat("lambda") if s.get("lambda", "") not in ("", None) else None,
                 choquard=s.getboolean("choquard", False),
@@ -118,14 +118,9 @@ def load_config(path: str | None) -> RunConfig:
             cfg.solver = SolverOptions(
                 tol=s.getfloat("tol", cfg.solver.tol),
                 max_iters=s.getint("max_iters", cfg.solver.max_iters),
-                step0=s.getfloat("step0", cfg.solver.step0),
-                floor_factor=s.getfloat("floor_factor", cfg.solver.floor_factor),
-                reinit_budget=s.getint("reinit_budget", cfg.solver.reinit_budget),
             )
-            if cfg.solver.tol <= 0 or cfg.solver.floor_factor <= 0:
+            if cfg.solver.tol <= 0:
                 raise ConfigError("solver tolerances must be positive")
-            if not 0.0 < cfg.solver.step0 <= 1.0:
-                raise ConfigError(f"solver step0 must lie in (0, 1], got {cfg.solver.step0}")
         if ini.has_section("sweep"):
             s = ini["sweep"]
             cfg.sweep_points = s.getint("points", cfg.sweep_points)
@@ -234,16 +229,18 @@ def cmd_lambda_star(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    grid, prm, est = _estimate(cfg)
-    # precedence: --lambda flag, config [problem] lambda, --lambda-frac of lambda*
+    # precedence: --lambda flag, config [problem] lambda, --lambda-frac of
+    # lambda*; the one in effect is checked before the estimate runs
     if args.lam is not None:
-        lam = args.lam
-    elif prm.lam is not None:
-        lam = prm.lam
+        name, value = "--lambda", args.lam
+    elif cfg.params.lam is not None:
+        name, value = "config lambda", cfg.params.lam
     else:
-        lam = args.lam_frac * est.lambda_star
-    if not (0.0 < lam):
-        raise ConfigError(f"lambda must be positive, got {lam}")
+        name, value = "--lambda-frac", args.lam_frac
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{name} must be finite and positive, got {value}")
+    grid, prm, est = _estimate(cfg)
+    lam = value * est.lambda_star if name == "--lambda-frac" else value
     plus, minus = solve_pair(lam, prm, grid, init=est.minimizer, opts=cfg.solver)
     print(f"lambda = {_fmt(lam)} (lambda_star_est = {_fmt(est.lambda_star)})")
     for tag, res in (("N+", plus), ("N-", minus)):

@@ -18,10 +18,11 @@ where g_E = 2Gu drops out.  A product is one kernel apply through
 FunctionalWorkspace.hessian, and its normal part along Gu is removed.
 
 * Each step solves the tangent Newton system by truncated PCG, stopped as the
-  solver's N- step is (Steihaug 1983).  The preconditioner is the banded
-  Cholesky factor of P = 2 kappa G/E + diag(q(1-q) omega w a u_f^(q-2))/A,
-  the analogue of the solver's G + singular shift; P^-1 r is projected back
-  onto the tangent space.
+  solver's N- step is (Steihaug 1983).  The preconditioner is
+  P = 2 kappa G/E + diag(q(1-q) omega w a u_f^(q-2))/A, u_f = ws.floored(u),
+  factored once per step by FunctionalWorkspace.factor: the analogue of the
+  solver's G + singular shift.  P^-1 r is projected back onto the tangent
+  space.
 * On nonpositive curvature at the first CG step the step is that
   preconditioned gradient, with a step-length memory doubling up to STEP_MAX.
 * A step is accepted on Armijo decrease of f, with halving backtracking.  The
@@ -55,12 +56,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.linalg.blas import daxpy, dsbmv
+from scipy.linalg.blas import daxpy
 
 from .errors import EmptyFamily, NotInPositiveCone
 from .fibering import lambda_n
-from .functionals import DEFAULT_FLOOR_FACTOR, reduced_triple, workspace
+from .functionals import reduced_triple, workspace
 from .grid import GridFunction, sample_profile
 from .params import ProblemParams, fibering_constants
 from .solver import truncated_pcg
@@ -145,13 +145,13 @@ def family_sweep(families, sigmas, grid, params: ProblemParams):
 def _log_gradient(ws, ev, kappa: float, nu: float):
     """grad f, f = log Lambda_n = kappa log E - log A - nu log B + const, at
     ev, with the A and B gradients g_A, g_B that the Hessian's rank terms need.
-    A's gradient floors u at DEFAULT_FLOOR_FACTOR max(u), as the solver does."""
+    A's gradient floors u by ws.floored, as the solver does."""
     g, p, q, u = ws.grid, ws.params.p, ws.params.q, ev.u
     E, A, B = ev.triple.as_tuple()
     quad = g.omega * g.weights
-    gA = quad * ws.a * q * np.maximum(u, DEFAULT_FLOOR_FACTOR * np.max(u)) ** (q - 1.0)
+    gA = quad * ws.a * q * ws.floored(u) ** (q - 1.0)
     gB = quad * ws.b * 2.0 * p * np.abs(u) ** (p - 1.0) * ev.w_u
-    grad = dsbmv(2, 2.0 * kappa / E, ws.Gb, u)
+    grad = ws.apply_G(u, 2.0 * kappa / E)
     grad = daxpy(gA, grad, a=-1.0 / A)
     return daxpy(gB, grad, a=-nu / B), gA, gB
 
@@ -189,21 +189,18 @@ def _newton_system(ws, ev, gA, gB, kappa: float, nu: float):
     preconditioner, for solver.truncated_pcg (module docstring).
 
     The product is v -> T^T (grad^2 f) v for G-tangent v (u^T G v = 0), with
-    T v = v - u (u^T G v) / E; the preconditioner is r -> T P^-1 r through the
-    banded Cholesky factor of P.  The diagonal of -grad^2 log A, which is
-    positive, goes into P and is then divided in place by s = 2 p nu / B and
-    handed to ws.hessian, which folds in B's diagonal: so s (hessian - G) is
-    -nu H_B / B, and one dsbmv adds the 2 kappa G / E part.  Each product is
-    one kernel apply.
+    T v = v - u (u^T G v) / E; the preconditioner is r -> T P^-1 r through
+    ws.factor(diag, 2 kappa / E), the factored P.  The diagonal of
+    -grad^2 log A, which is positive, goes into P and is then divided in place
+    by s = 2 p nu / B and handed to ws.hessian, which folds in B's diagonal:
+    so s (hessian - G) is -nu H_B / B, and one ws.apply_G adds the
+    2 kappa G / E part.  Each product is one kernel apply.
     """
     g, p, q = ws.grid, ws.params.p, ws.params.q
     u = ev.u
     E, A, B = ev.triple.as_tuple()
-    diag = g.omega * g.weights * ws.a * (q * (1.0 - q) / A) * np.maximum(
-        u, DEFAULT_FLOOR_FACTOR * np.max(u)) ** (q - 2.0)
-    ab = ws.Gb * (2.0 * kappa / E)
-    ab[2] += diag
-    cb = (cholesky_banded(ab, overwrite_ab=True, check_finite=False), False)
+    diag = g.omega * g.weights * ws.a * (q * (1.0 - q) / A) * ws.floored(u) ** (q - 2.0)
+    solve_P = ws.factor(diag, 2.0 * kappa / E)
     s = 2.0 * p * nu / B
     diag /= s
     hess = ws.hessian(ev, diag)
@@ -211,15 +208,14 @@ def _newton_system(ws, ev, gA, gB, kappa: float, nu: float):
 
     def apply(v, out=None):
         out = hess(v, out)
-        out = dsbmv(2, 2.0 * kappa / E - s, ws.Gb, v, beta=s, y=out, overwrite_y=True)
+        out = ws.apply_G(v, 2.0 * kappa / E - s, out, s)
         out = daxpy(gA, out, a=cA * float(gA @ v))
         out = daxpy(gB, out, a=cB * float(gB @ v))
-        return dsbmv(2, -float(u @ out) / E, ws.Gb, u, beta=1.0, y=out, overwrite_y=True)
+        return ws.apply_G(u, -float(u @ out) / E, out, 1.0)
 
     def precondition(r, out):
         # T P^-1 r, written into out
-        out[:] = r
-        y = cho_solve_banded(cb, out, overwrite_b=True, check_finite=False)
+        y = solve_P(r, out)
         return daxpy(u, y, a=-float(u @ ws.apply_G(y)) / E)
 
     return apply, precondition

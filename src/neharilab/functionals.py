@@ -11,6 +11,9 @@ definite matrix G built once per (grid, potential) pair.  G = omega (D^T W D
 assembled in O(M) and factored by banded Cholesky.  G is the only energy
 operator: a Cartesian box is input to the direct B engine alone, and the
 norm, the reduced triple and the energy raise UnsupportedDimension on it.
+Other modules reach G's bands only through FunctionalWorkspace.apply_G and
+factor.  The singular term lambda a u^(q-1), not differentiable at u = 0, is
+everywhere evaluated at FunctionalWorkspace.floored(u).
 
 The nonlocal interaction
 
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.linalg.blas import daxpy, dsbmv, dsymv
 
 from .errors import (
@@ -66,7 +69,7 @@ from .errors import (
 from .grid import GridFunction
 from .params import ProblemParams
 
-DEFAULT_FLOOR_FACTOR = 1e-10
+FLOOR_FACTOR = 1e-10  # the singular term's floor, relative to max(u)
 # the dense kernel is built in place: the M x M matrix (128 MB at the cap)
 # plus one _KERNEL_ROW_BLOCK x M block (2 MB); mu = 1 stores no matrix
 _DENSE_KERNEL_MAX_M = 4096
@@ -151,9 +154,21 @@ class FunctionalWorkspace:
     def solve_shifted(self, diag, rhs):
         """Solve (G + diag(diag)) z = rhs; the shift must keep it SPD
         (LinAlgError otherwise)."""
-        ab = self.Gb.copy(order="F")
-        ab[2] += diag
-        return solveh_banded(ab, rhs, overwrite_ab=True)
+        return self.factor(diag)(rhs, np.empty_like(rhs))
+
+    def factor(self, shift, scale=1.0):
+        """Factor scale G + diag(shift) once by banded Cholesky (LinAlgError
+        unless SPD) and return solve(r, out), which writes the solution of
+        that system into out and returns it."""
+        ab = self.Gb * scale   # the one (3, M) copy, F-ordered as Gb is
+        ab[2] += shift
+        cb = (cholesky_banded(ab, overwrite_ab=True, check_finite=False), False)
+
+        def solve(r, out):
+            out[:] = r
+            return cho_solve_banded(cb, out, overwrite_b=True, check_finite=False)
+
+        return solve
 
     # -- kernel ---------------------------------------------------------------
 
@@ -241,8 +256,13 @@ class FunctionalWorkspace:
             raise UnsupportedDimension("the energy norm is implemented on radial grids")
         return float(u_vals @ self.apply_G(u_vals))
 
-    def apply_G(self, u_vals):
-        return dsbmv(2, 1.0, self.Gb, u_vals)
+    def apply_G(self, v, alpha=1.0, y=None, beta=0.0):
+        """alpha G v + beta y (BLAS dsbmv), written into y when it is given."""
+        return dsbmv(2, alpha, self.Gb, v, beta=beta, y=y, overwrite_y=y is not None)
+
+    def floored(self, u_vals):
+        """max(u, FLOOR_FACTOR max(u)): u as the singular term sees it."""
+        return np.maximum(u_vals, FLOOR_FACTOR * np.max(u_vals))
 
     # -- nonlocal potential ----------------------------------------------------
 
@@ -319,7 +339,7 @@ class FunctionalWorkspace:
             out = np.multiply(c, v, out=out)
             k = K(out)
             k *= c
-            out = dsbmv(2, 1.0, self.Gb, v, y=out, overwrite_y=True)
+            out = self.apply_G(v, y=out)
             out = daxpy(k, out, a=coef)
             np.multiply(diag, v, out=k)
             out += k
@@ -343,7 +363,6 @@ class FunctionalWorkspace:
         return self.space_integral(self.b * np.abs(u_vals) ** self.params.p * wu)
 
     def defect(self, ev: Evaluation, lam: float,
-               floor_factor: float = DEFAULT_FLOOR_FACTOR,
                include_nonlocal: bool = True, source=None):
         """Strong-form Euler-Lagrange defect d at ev and its weak residual.
 
@@ -351,7 +370,7 @@ class FunctionalWorkspace:
               - b_i u_i^(p-1) (w_u)_i  [- source_i]
 
         sum_i d_i phi_i omega w_i is J'_lambda(u)[phi] wherever the floor
-        eps = floor_factor * max(u) is inactive.
+        eps = FLOOR_FACTOR * max(u) is inactive.
 
         The residual is the quadrature-weighted norm of d over the largest of
         the term norms, so 1e-4 means the defect is 1e-4 of the dominant
@@ -361,7 +380,7 @@ class FunctionalWorkspace:
         d = self.apply_G(uv) / (g.omega * g.weights)
         scales = [self.wnorm(d)]
         if lam != 0.0:
-            sing = np.maximum(uv, floor_factor * float(np.max(uv))) ** (self.params.q - 1.0)
+            sing = self.floored(uv) ** (self.params.q - 1.0)
             d = d - lam * self.a * sing
             scales.append(lam * self.wnorm(self.a * sing))
         if include_nonlocal:
@@ -380,7 +399,7 @@ _workspaces: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 def _params_key(params: ProblemParams):
     return (params.alpha, params.mu, params.p, params.q, params.gamma3,
-            params.gamma4, params.v_form, params.b_form)
+            params.gamma4, params.b_form)
 
 
 def workspace(grid, params: ProblemParams) -> FunctionalWorkspace:
@@ -443,12 +462,10 @@ def steinweiss_B_direct(u: GridFunction, params: ProblemParams) -> float:
     return _B_by_engine(u, params, "cartesian")
 
 
-def floored_fraction(u: GridFunction, params: ProblemParams,
-                     floor_factor: float = DEFAULT_FLOOR_FACTOR) -> float:
-    """Quadrature-mass share of the domain where u < floor."""
+def floored_fraction(u: GridFunction, params: ProblemParams) -> float:
+    """Quadrature-mass share of the domain where u lies below its floor."""
     ws = workspace(u.grid, params)
-    eps = floor_factor * float(np.max(u.values))
-    below = (u.values < eps).astype(float)
+    below = (ws.floored(u.values) > u.values).astype(float)
     return ws.space_integral(below) / ws.space_integral(np.ones_like(u.values))
 
 

@@ -173,13 +173,14 @@ def build_radial_grid(R: float, M: int, grading: float = 2.0, dim: int = 3) -> R
 
 
 def build_cartesian_grid(L: float, m: int) -> CartesianGrid:
-    """Cell-centered cube [-L, L]^3; m even and >= 8 (no origin node)."""
+    """Cell-centered cube [-L, L]^3; L finite and positive, m even and >= 8
+    (no origin node)."""
     if m < 8:
         raise DegenerateGrid(f"m must be >= 8, got {m}")
     if m % 2 != 0:
         raise GridError(f"m must be even so no node sits at the origin, got {m}")
-    if L <= 0.0:
-        raise GridError(f"L must be positive, got {L}")
+    if not (np.isfinite(L) and L > 0.0):
+        raise GridError(f"L must be finite and positive, got {L}")
     h = 2.0 * L / m
     axis = (np.arange(m) + 0.5) * h - L
     pts = np.array(np.meshgrid(axis, axis, axis, indexing="ij")).reshape(3, -1).T

@@ -24,7 +24,7 @@ nothing is clamped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .errors import (
     WeightViolation,
 )
 
-V_FORMS = ("coercive",)          # V(x) = 1 + |x|^2
 B_FORMS = ("inverse_poly", "constant")
 
 
@@ -51,13 +50,9 @@ class ProblemParams:
     q: float = 0.5
     gamma3: float = 1.3
     gamma4: float = 1.0
-    v_form: str = "coercive"
     b_form: str = "inverse_poly"
     lam: float | None = None
     choquard: bool = False       # explicit opt-in for alpha = 0 (pure Choquard kernel)
-
-    def with_lambda(self, lam: float) -> "ProblemParams":
-        return replace(self, lam=lam)
 
     # potential families, evaluated on radius arrays
     def a_values(self, r):
@@ -155,12 +150,10 @@ def validate(params: ProblemParams) -> ProblemParams:
             if not (params.gamma4 > g4lo):
                 decay.append(f"gamma4 = {params.gamma4} must exceed {g4lo}")
 
-    if params.v_form not in V_FORMS:
-        decay.append(f"unsupported v_form {params.v_form!r} (supported: {V_FORMS})")
     if params.b_form not in B_FORMS:
         decay.append(f"unsupported b_form {params.b_form!r} (supported: {B_FORMS})")
-    if params.lam is not None and params.lam < 0.0:
-        singular.append(f"lambda must be >= 0, got {params.lam}")
+    if params.lam is not None and not (math.isfinite(params.lam) and params.lam >= 0.0):
+        singular.append(f"lambda must be finite and >= 0, got {params.lam}")
 
     violations = weight + singular + window + decay
     if not violations:

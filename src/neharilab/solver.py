@@ -14,11 +14,13 @@ the defect pairing phi -> sum_i d_i phi_i omega w_i.  The strong-form defect
     d_i = (G u)_i / (omega w_i) - lambda a_i max(u_i, eps)^(q-1)
           - b_i u_i^(p-1) (w_u)_i
 
-is both the step's source (the gradient is g = omega w d) and the
-convergence measure (its quadrature-weighted norm, relative to the size of
-its largest term).  Both branches precondition with the SPD operator
-P = G + diag(omega w lambda a (1-q) u^(q-2)), which carries the stiffness of
-the elliptic part and of the singular term.  The step x differs by branch:
+with eps = FLOOR_FACTOR max(u) (FunctionalWorkspace.floored), is both the
+step's source (the gradient is g = omega w d) and the convergence measure
+(its quadrature-weighted norm, relative to the size of its largest term).
+Both branches precondition with the SPD operator
+P = G + diag(omega w lambda a (1-q) u_f^(q-2)), u_f the floored u, which
+carries the stiffness of the elliptic part and of the singular term; it is
+factored by FunctionalWorkspace.factor.  The step x differs by branch:
 
 * N+: one preconditioned gradient step, x = P^-1 g.
 * N-: an inexact Newton step on the reduced energy (local minimax, Li &
@@ -51,14 +53,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.linalg.blas import daxpy, dnrm2
 
 from . import fibering
 from .errors import NoConvergence, RayMissesNehari, UnsupportedDimension
 from .fibering import Branch, DoubleRoot, NoRoot, nehari_roots
 from .functionals import (
-    DEFAULT_FLOOR_FACTOR,
     Evaluation,
     ReducedTriple,
     energy_from_triple,
@@ -69,7 +69,7 @@ from .grid import GridFunction, sample_profile
 from .params import ProblemParams
 
 REINIT_SIGMAS = (1.0, 0.5, 2.0, 0.25, 4.0, 0.125)
-STEP_MAX = 1.0        # a full preconditioned step; SolverOptions.step0 lies in (0, 1]
+STEP_MAX = 1.0        # a full preconditioned step, and the first one tried
 BACKTRACK_MAX = 60
 ARMIJO = 0.25
 CG_MAX = 20           # inner iterations of one Newton-Krylov step
@@ -79,9 +79,6 @@ CG_MAX = 20           # inner iterations of one Newton-Krylov step
 class SolverOptions:
     tol: float = 1e-4              # weak-residual convergence target
     max_iters: int = 400
-    step0: float = 1.0
-    floor_factor: float = DEFAULT_FLOOR_FACTOR
-    reinit_budget: int = 6
 
 
 @dataclass
@@ -137,42 +134,38 @@ def _to_branch(params, ev, lam, branch):
 
 
 def strong_form_defect(u: GridFunction, lam: float, params: ProblemParams,
-                       floor_factor: float = DEFAULT_FLOOR_FACTOR,
                        include_nonlocal: bool = True, source=None) -> np.ndarray:
     """Nodal Euler-Lagrange defect d with sum_i d_i phi_i omega w_i =
     J'_lambda(u)[phi] (see FunctionalWorkspace.defect).  At an on-branch
     point it is also the nodal gradient of the branch-reduced energy
     (envelope theorem).
     """
-    return _defect(u, lam, params, floor_factor, include_nonlocal, source)[0]
+    return _defect(u, lam, params, include_nonlocal, source)[0]
 
 
 def weak_residual(u: GridFunction, lam: float, params: ProblemParams,
-                  floor_factor: float = DEFAULT_FLOOR_FACTOR,
                   include_nonlocal: bool = True, source=None) -> float:
     """Euler-Lagrange defect norm relative to its largest term (see
     FunctionalWorkspace.defect).  ``include_nonlocal=False`` and ``source``
     are test hooks for the linear problem -Delta u + V u = source.
     """
-    return _defect(u, lam, params, floor_factor, include_nonlocal, source)[1]
+    return _defect(u, lam, params, include_nonlocal, source)[1]
 
 
-def _defect(u, lam, params, floor_factor, include_nonlocal, source):
+def _defect(u, lam, params, include_nonlocal, source):
     if u.grid.kind != "radial":
         raise UnsupportedDimension("the Euler-Lagrange defect is implemented on radial grids")
     ws = workspace(u.grid, params)
-    return ws.defect(ws.evaluate(u.values), lam, floor_factor, include_nonlocal, source)
+    return ws.defect(ws.evaluate(u.values), lam, include_nonlocal, source)
 
 
-def _initial_ray(ws, lam, branch, init, grid, params, budget):
+def _initial_ray(ws, lam, branch, init, grid, params):
     """The evaluated Nehari point of the first candidate ray (init, then
     Gaussians) that carries Nehari points for lambda."""
     candidates = []
     if init is not None:
         candidates.append(init)
-    candidates.extend(
-        sample_profile("gaussian", s, grid) for s in REINIT_SIGMAS[: max(budget, 0)]
-    )
+    candidates.extend(sample_profile("gaussian", s, grid) for s in REINIT_SIGMAS)
     last_error = None
     for cand in candidates:
         try:
@@ -182,15 +175,15 @@ def _initial_ray(ws, lam, branch, init, grid, params, budget):
             last_error = err
     raise RayMissesNehari(
         f"no sampled ray carries Nehari points at lambda = {lam} "
-        f"(reinitialization budget {budget} exhausted): {last_error}"
+        f"(init and {len(REINIT_SIGMAS)} Gaussians tried): {last_error}"
     )
 
 
-def _singular_shift(ws, u, lam, ff):
-    """lambda (1-q) omega w a u_f^(q-2), u_f = max(u, ff max u): the singular
+def _singular_shift(ws, u, lam):
+    """lambda (1-q) omega w a u_f^(q-2), u_f = ws.floored(u): the singular
     term's Hessian diagonal, the shift of the preconditioner G + shift."""
     g, q = ws.grid, ws.params.q
-    return g.omega * g.weights * lam * ws.a * (1.0 - q) * np.maximum(u, ff * np.max(u)) ** (q - 2.0)
+    return g.omega * g.weights * lam * ws.a * (1.0 - q) * ws.floored(u) ** (q - 2.0)
 
 
 def _hessian_along_u(ws, ev, diag):
@@ -222,15 +215,8 @@ def _newton_krylov_step(ws, ev, shift, g, res):
     """The N- step x ~ H_hat^-1 g by truncated PCG (module docstring) and its
     slope g.x; g is consumed as the residual.
     """
-    ab = ws.Gb.copy(order="F")
-    ab[2] += shift
-    cb = (cholesky_banded(ab, overwrite_ab=True, check_finite=False), False)
+    precondition = ws.factor(shift)
     hess = _branch_hessian(ws, ev, shift)   # folds the nonlocal diagonal into shift
-
-    def precondition(r, out):
-        out[:] = r
-        return cho_solve_banded(cb, out, overwrite_b=True, check_finite=False)
-
     return truncated_pcg(hess, precondition, g, res)[:2]
 
 
@@ -290,18 +276,17 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
     if grid.kind != "radial":
         raise UnsupportedDimension("the solver runs on radial grids")
     ws = workspace(grid, params)
-    ff = opts.floor_factor
 
-    ev = _initial_ray(ws, lam, branch, init, grid, params, opts.reinit_budget)
+    ev = _initial_ray(ws, lam, branch, init, grid, params)
     J = energy_from_triple(ev.triple, lam, params)
     history = [J]
-    step = opts.step0
+    step = STEP_MAX
     for _ in range(opts.max_iters):
-        d, res = ws.defect(ev, lam, ff)
+        d, res = ws.defect(ev, lam)
         if res <= opts.tol:
             break
         u = ev.u
-        shift = _singular_shift(ws, u, lam, ff)
+        shift = _singular_shift(ws, u, lam)
         if branch == Branch.NPLUS:
             grad = grid.omega * grid.weights * d
             z = ws.solve_shifted(shift, grad)
@@ -311,7 +296,7 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
             d *= grid.omega * grid.weights
             z, slope = _newton_krylov_step(ws, ev, shift, d, res)
         accepted = None
-        s = min(step, STEP_MAX)
+        s = step
         for _bt in range(BACKTRACK_MAX):
             trial = np.clip(u - s * z, 0.0, None)
             if not np.any(trial > 0.0):
@@ -328,7 +313,7 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
             if ARMIJO * s * slope < 8e-15 * abs(J):
                 # energy differences at machine precision: fall back to a
                 # residual-decrease acceptance for the Newton endgame
-                if ws.defect(trial_ev, lam, ff)[1] < 0.7 * res:
+                if ws.defect(trial_ev, lam)[1] < 0.7 * res:
                     accepted = trial_ev
                     break
             s *= 0.5
@@ -343,7 +328,7 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
     ev = ws.evaluate(ev.u)   # afresh, so that t_final below checks the scalings
     J = history[-1] = energy_from_triple(ev.triple, lam, params)
     ufun = GridFunction(grid, ev.u)
-    res = ws.defect(ev, lam, ff)[1]
+    res = ws.defect(ev, lam)[1]
     converged = bool(res <= opts.tol)
     try:
         # every iterate is an absorbed projection, so the converged state's
@@ -360,7 +345,7 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
         iterations=len(history) - 1,
         converged=converged,
         t_at_convergence=t_final,
-        floored_mass=floored_fraction(ufun, params, ff),
+        floored_mass=floored_fraction(ufun, params),
         triple=ev.triple,
         energy_history=history,
     )

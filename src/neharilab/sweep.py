@@ -61,7 +61,9 @@ def default_lambda_grid(lambda_star: float, points: int = 9,
     """Lambda grid inside (0, lambda*): linear low end, geometric near the top.
 
     spacing: "linear", "geometric" (cluster toward lambda*), or "auto"
-    (linear lower half, geometric upper half).
+    (linear below the split, geometric above it; the split is 0.5 when the
+    window holds it, its midpoint otherwise, so every fraction stays inside
+    [frac_min, frac_max]).
     """
     if not (0.0 < frac_min < frac_max < 1.0):
         raise ValueError("need 0 < frac_min < frac_max < 1")
@@ -74,8 +76,9 @@ def default_lambda_grid(lambda_star: float, points: int = 9,
         frac = 1.0 - np.exp(np.linspace(np.log(1 - frac_min), np.log(1 - frac_max), points))
     elif spacing == "auto":
         nlow = points // 2
-        low = np.linspace(frac_min, 0.5, nlow, endpoint=False)
-        high = 1.0 - np.exp(np.linspace(np.log(0.5), np.log(1 - frac_max), points - nlow))
+        split = 0.5 if frac_min < 0.5 < frac_max else 0.5 * (frac_min + frac_max)
+        low = np.linspace(frac_min, split, nlow, endpoint=False)
+        high = 1.0 - np.exp(np.linspace(np.log(1 - split), np.log(1 - frac_max), points - nlow))
         frac = np.concatenate([low, high])
     else:
         raise ValueError(f"unknown spacing {spacing!r}")

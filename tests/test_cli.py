@@ -211,25 +211,59 @@ def test_sweep_with_unconverged_rows_exits_1(tmp_path, capsys):
     assert out.exists()   # the rows are still written, as solve writes its snapshots
 
 
-@pytest.mark.parametrize("flags", [["--points", "1"], ["--points", "0", "--frac-min", "0"]])
-def test_sweep_bad_grid_flags_are_usage_errors(small_config, tmp_path, capsys, monkeypatch,
-                                               flags):
-    def no_estimate(cfg):
-        raise AssertionError("the lambda* estimate ran before the flags were checked")
+@pytest.fixture()
+def no_estimate(monkeypatch):
+    def estimate(cfg):
+        raise AssertionError("the lambda* estimate ran before the input was checked")
 
-    monkeypatch.setattr(cli, "_estimate", no_estimate)
+    monkeypatch.setattr(cli, "_estimate", estimate)
+
+
+@pytest.mark.parametrize("flags", [["--points", "1"], ["--points", "0", "--frac-min", "0"]])
+def test_sweep_bad_grid_flags_are_usage_errors(small_config, tmp_path, capsys, no_estimate,
+                                               flags):
     out = tmp_path / "s.csv"
     assert cli.main(["sweep", "--config", small_config, "--out", str(out)] + flags) == 2
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("step0", ["0", "1.5"])
-def test_solver_step0_outside_unit_interval_is_usage_error(tmp_path, capsys, step0):
+def test_removed_option_keys_are_ignored(small_config, tmp_path, capsys):
+    # step0, floor_factor, reinit_budget and v_form each had one usable value;
+    # a config that still sets them, even to values once refused, loads as
+    # the config without them
+    path = tmp_path / "removed-keys.ini"
+    path.write_text(SMALL_CONFIG
+                    .replace("max_iters = 300", "max_iters = 300\nstep0 = 0\n"
+                             "floor_factor = -1\nreinit_budget = 0")
+                    .replace("gamma4 = 1.0", "gamma4 = 1.0\nv_form = other"))
+    cfg = cli.load_config(str(path))
+    assert cfg == cli.load_config(small_config)
+    assert [f.name for f in dataclasses.fields(cfg.solver)] == ["tol", "max_iters"]
+    assert cli.main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lambda", "inf"], ["--lambda", "nan"], ["--lambda", "0"],
+    ["--lambda-frac", "-1"], ["--lambda-frac", "inf"],
+])
+def test_solve_bad_lambda_flags_are_usage_errors(small_config, capsys, no_estimate, flags):
+    assert cli.main(["solve", "--config", small_config] + flags) == 2
+    captured = capsys.readouterr()
+    assert f"usage error: {flags[0]} must be finite and positive" in captured.err
+    assert captured.out == ""
+
+
+def test_nonfinite_config_lambda_is_rejected_by_name(tmp_path, capsys, no_estimate):
     path = tmp_path / "cfg.ini"
-    path.write_text(SMALL_CONFIG.replace("max_iters = 300", f"max_iters = 300\nstep0 = {step0}"))
-    assert cli.main(["validate", "--config", str(path)]) == 2
-    assert "step0" in capsys.readouterr().err
+    path.write_text(SMALL_CONFIG.replace("gamma4 = 1.0", "gamma4 = 1.0\nlambda = inf"))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "lambda must be finite and >= 0, got inf" in captured.err
+    assert captured.out == ""
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    assert "config lambda must be finite and positive, got inf" in capsys.readouterr().err
 
 
 def test_nonfinite_radius_in_config_is_named_grid_error(tmp_path, capsys):
@@ -238,6 +272,20 @@ def test_nonfinite_radius_in_config_is_named_grid_error(tmp_path, capsys):
     assert cli.main(["cross-check", "--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert "GridError: R must be finite and positive, got inf" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, box", [
+    (["validate"], "nan"),
+    (["cross-check"], "inf"),
+    (["cross-check", "--box-l", "inf"], "3.0"),
+])
+def test_nonfinite_box_halfwidth_is_named_grid_error(tmp_path, capsys, argv, box):
+    path = tmp_path / "cfg.ini"
+    path.write_text(SMALL_CONFIG.replace("grading = 2.0", f"grading = 2.0\nl = {box}"))
+    assert cli.main(argv[:1] + ["--config", str(path)] + argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert "GridError: L must be finite and positive, got" in captured.err
     assert captured.out == ""
 
 

@@ -91,6 +91,22 @@ def test_banded_operations_match_dense_linear_algebra(params, rng, M):
     z = np.linalg.solve(G + np.diag(shift), u)
     np.testing.assert_allclose(ws.solve_shifted(shift, u), z, rtol=0,
                                atol=1e-12 * np.max(np.abs(z)))
+    # factor(shift, scale): scale G + diag(shift), solved into out; r is kept
+    scale = 2.7
+    z = np.linalg.solve(scale * G + np.diag(shift), u)
+    solve = ws.factor(shift, scale)
+    r, out = u.copy(), np.empty(M)
+    np.testing.assert_allclose(solve(r, out), z, rtol=0, atol=1e-12 * np.max(np.abs(z)))
+    np.testing.assert_allclose(out, z, rtol=0, atol=1e-12 * np.max(np.abs(z)))
+    assert np.array_equal(r, u)
+    # apply_G(v, alpha, y, beta) = alpha G v + beta y, written into y
+    y = rng.uniform(-1.0, 1.0, M)
+    ref = -0.6 * Gu + 1.9 * y
+    got = ws.apply_G(u, -0.6, y, 1.9)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+    np.testing.assert_allclose(y, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+    np.testing.assert_allclose(ws.apply_G(u, 3.0), 3.0 * Gu, rtol=0,
+                               atol=3e-14 * np.max(np.abs(Gu)))
 
 
 def test_workspace_cache_does_not_keep_grid_alive(params):

@@ -92,6 +92,14 @@ def test_nonfinite_grid_inputs_rejected_by_name(R, grading, name):
             nl.build_radial_grid(R, 256, grading)
 
 
+@pytest.mark.parametrize("L", [float("nan"), float("inf"), -float("inf"), 0.0])
+def test_box_halfwidth_must_be_finite_and_positive(L):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # refused before any arithmetic
+        with pytest.raises(GridError, match="^L must be finite and positive"):
+            nl.build_cartesian_grid(L, 8)
+
+
 @pytest.mark.parametrize("dim, grading", [(3, 4.0), (4, 3.0), (5, 2.5)])
 def test_grading_beyond_the_head_rule_is_named(dim, grading):
     # inputs that pass validation but leave weight 3 nonpositive: a named

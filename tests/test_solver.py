@@ -324,25 +324,24 @@ def test_branch_hessian_matches_defect_difference(grid, mu, p):
     # On directions tangent to N- at u ((Hu).v = 0) the rank-one term
     # vanishes and H_hat v is the derivative of the gradient omega w d; along
     # u itself H_hat must vanish.  The floored nodes are left out: there the
-    # defect depends on u only through the floor ff * max(u).
+    # defect depends on u only through the floor FLOOR_FACTOR * max(u).
     # alpha = 0.2 keeps p = 3.5 inside the exponent window at mu = 2.
     prm = nl.validate(dataclasses.replace(nl.ProblemParams(), alpha=0.2, mu=mu, p=p))
     ws = workspace(grid, prm)
     gauss = nl.sample_profile("gaussian", 1.0, grid)
     lam = 0.5 * float(nl.lambda_n(nl.reduced_triple(gauss, prm), p, prm.q))
     u = project_to_nehari(gauss, lam, Branch.NMINUS, prm).values
-    ff = functionals.DEFAULT_FLOOR_FACTOR
     ev = ws.evaluate(u)
-    hu = ws.hessian(ev, solver._singular_shift(ws, u, lam, ff))(u)
-    hess = solver._branch_hessian(ws, ev, solver._singular_shift(ws, u, lam, ff))
+    hu = ws.hessian(ev, solver._singular_shift(ws, u, lam))(u)
+    hess = solver._branch_hessian(ws, ev, solver._singular_shift(ws, u, lam))
     quad = grid.omega * grid.weights
 
     def gradient(vals):
-        return quad * ws.defect(ws.evaluate(vals), lam, ff)[0]
+        return quad * ws.defect(ws.evaluate(vals), lam)[0]
 
     assert u @ hu < 0.0   # N-: the ray direction carries negative curvature
     assert np.max(np.abs(hess(u))) <= 1e-12 * np.max(np.abs(hu))
-    live = u >= ff * np.max(u)
+    live = ws.floored(u) == u
     eps = 1e-4
     for psi in (np.sin(1.3 * grid.nodes), np.exp(-0.3 * grid.nodes), grid.nodes / (1.0 + grid.nodes)):
         v = psi * u
@@ -361,7 +360,7 @@ def test_hessian_along_u_reads_w_u(grid, monkeypatch, mu):
     lam = 0.5 * float(nl.lambda_n(nl.reduced_triple(gauss, prm), prm.p, prm.q))
     u = project_to_nehari(gauss, lam, Branch.NMINUS, prm).values
     ev = ws.evaluate(u)
-    diag = solver._singular_shift(ws, u, lam, functionals.DEFAULT_FLOOR_FACTOR)
+    diag = solver._singular_shift(ws, u, lam)
     ref = ws.hessian(ev, diag)(u)   # folds the nonlocal diagonal into diag
     monkeypatch.setattr(ws, "kernel", None)
     hu = solver._hessian_along_u(ws, ev, diag)

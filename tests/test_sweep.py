@@ -34,6 +34,23 @@ def test_lambda_grid_shapes():
         sw.default_lambda_grid(1.0, frac_min=0.9, frac_max=0.1)
 
 
+def test_default_auto_grid_is_unchanged():
+    # linear from 0.15 below 0.5, geometric in 1 - frac from 0.5 to 0.85
+    ref = np.concatenate([np.linspace(0.15, 0.5, 4, endpoint=False),
+                          1.0 - np.exp(np.linspace(np.log(0.5), np.log(0.15), 5))])
+    assert np.array_equal(sw.default_lambda_grid(1.0), ref)
+
+
+@pytest.mark.parametrize("window", [(0.6, 0.85), (0.15, 0.4), (0.5, 0.9), (0.1, 0.5)])
+@pytest.mark.parametrize("points", [2, 3, 9])
+def test_auto_grid_stays_inside_its_window(window, points):
+    frac = sw.default_lambda_grid(1.0, points=points, frac_min=window[0],
+                                  frac_max=window[1], spacing="auto")
+    assert len(frac) == points and np.all(np.diff(frac) > 0)
+    assert frac[0] == window[0]
+    assert window[0] <= frac.min() and frac.max() <= window[1]
+
+
 def test_rows_sorted_and_converged(sweep_result):
     lams = [r.lam for r in sweep_result.rows]
     assert lams == sorted(lams)
