@@ -151,12 +151,24 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _sweep_fractions(cfg: RunConfig):
+    """The sweep's lambda / lambda* grid; a window or point count that
+    default_lambda_grid refuses is a usage error."""
+    try:
+        return sweep_mod.default_lambda_grid(
+            1.0, points=cfg.sweep_points, frac_min=cfg.sweep_frac_min,
+            frac_max=cfg.sweep_frac_max, spacing=cfg.sweep_spacing)
+    except ValueError as err:
+        raise ConfigError(f"bad sweep grid: {err}") from err
+
+
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     prm = validate(cfg.params)
     # the grids every other command builds: a bad one fails here by name
     cfg.build_grid()
     build_cartesian_grid(cfg.box_L, cfg.box_m)
+    _sweep_fractions(cfg)
     lo, hi = critical_exponents(prm.N, prm.alpha, prm.mu)
     g3 = gamma3_window(prm.N, prm.q)
     print(f"valid: p window ({_fmt(lo)}, {_fmt(hi)}), p = {_fmt(prm.p)}")
@@ -270,16 +282,10 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    try:  # fractions of lambda*: a bad flag fails before the estimate runs
-        fracs = sweep_mod.default_lambda_grid(
-            1.0,
-            points=cfg.sweep_points if args.points is None else args.points,
-            frac_min=cfg.sweep_frac_min if args.frac_min is None else args.frac_min,
-            frac_max=cfg.sweep_frac_max if args.frac_max is None else args.frac_max,
-            spacing=cfg.sweep_spacing if args.spacing is None else args.spacing,
-        )
-    except ValueError as err:
-        raise ConfigError(f"bad sweep grid: {err}") from err
+    for key in ("points", "frac_min", "frac_max", "spacing"):
+        if getattr(args, key) is not None:
+            setattr(cfg, f"sweep_{key}", getattr(args, key))
+    fracs = _sweep_fractions(cfg)   # a bad flag fails before the estimate runs
     grid, prm, est = _estimate(cfg)
     lams = est.lambda_star * fracs
     ref = reduced_triple(est.minimizer, prm)

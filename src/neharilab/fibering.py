@@ -148,10 +148,6 @@ def q_e_prime(t, triple: ReducedTriple, p: float, q: float):
 def t_max_n(triple: ReducedTriple, p: float, q: float):
     """Maximizer of Q_n: ((2-q)E / ((2p-q)B))^(1/(2p-2)), in log space."""
     _check_B(triple)
-    return _t_max_n(triple, p, q)
-
-
-def _t_max_n(triple, p, q):
     return np.exp(
         (np.log((2 - q) * np.asarray(triple.E)) - np.log((2 * p - q) * np.asarray(triple.B)))
         / (2 * p - 2)
@@ -167,10 +163,6 @@ def lambda_n(triple: ReducedTriple, p: float, q: float):
     """Lambda_n = max_t Q_n(t), evaluated in log space."""
     _check_A(triple)
     _check_B(triple)
-    return _lambda_n(triple, p, q)
-
-
-def _lambda_n(triple, p, q):
     C = fibering_constants(p, q)
     kappa = (2 * p - q) / (2 * p - 2)
     nu = (2 - q) / (2 * p - 2)
@@ -209,6 +201,14 @@ class NoRoot:
 RootsResult = Union[TwoRoots, DoubleRoot, NoRoot]
 
 
+def _exp(x: float) -> float:
+    """math.exp, inf where it overflows (as np.exp)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _solve_h(rho, lo, hi, tau, rising, p, q):
     """tau in (lo, hi) with h(tau) = rho (h rising there for N+, falling for N-).
 
@@ -245,13 +245,18 @@ def nehari_roots(triple: ReducedTriple, lam: float, p: float, q: float) -> Roots
     itself, with phi''(t_plus) > 0 > phi''(t_minus).  Within the tangency band
     |lambda - Lambda_n| <= 1e-12 Lambda_n: DoubleRoot(t_n).  Above: NoRoot.
     lambda and the triple are validated once, here; nothing below re-checks.
+    Lambda_n and t_n are those of lambda_n and t_max_n, evaluated in the same
+    log-space order on floats by math.
     """
     if not 0.0 < lam < math.inf:
         raise NonpositiveT(f"nehari_roots needs finite lambda > 0, got {lam!r}")
     _check_A(triple)
     _check_B(triple)
-    Ln = float(_lambda_n(triple, p, q))
-    tn = float(_t_max_n(triple, p, q))
+    E, A, B = float(triple.E), float(triple.A), float(triple.B)
+    Ln = fibering_constants(p, q).c_pq * _exp(
+        (2 * p - q) / (2 * p - 2) * math.log(E) - math.log(A)
+        - (2 - q) / (2 * p - 2) * math.log(B))
+    tn = _exp((math.log((2 - q) * E) - math.log((2 * p - q) * B)) / (2 * p - 2))
     if not (0.0 < tn < math.inf and 0.0 < Ln < math.inf):
         raise RootBracketFailure(f"t_n = {tn!r}, Lambda_n = {Ln!r} are not positive floats")
     if abs(lam - Ln) <= DOUBLE_ROOT_BAND * Ln:

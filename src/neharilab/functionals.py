@@ -12,8 +12,11 @@ assembled in O(M) and factored by banded Cholesky.  G is the only energy
 operator: a Cartesian box is input to the direct B engine alone, and the
 norm, the reduced triple and the energy raise UnsupportedDimension on it.
 Other modules reach G's bands only through FunctionalWorkspace.apply_G and
-factor.  The singular term lambda a u^(q-1), not differentiable at u = 0, is
-everywhere evaluated at FunctionalWorkspace.floored(u).
+factor, which factors scale G + diag(shift) by LAPACK's banded Cholesky
+dpbtrf and solves by dpbtrs, both called directly (a matrix that is not SPD
+raises numpy's LinAlgError).  The singular term lambda a u^(q-1), not
+differentiable at u = 0, is everywhere evaluated at
+FunctionalWorkspace.floored(u).
 
 The nonlocal interaction
 
@@ -40,7 +43,14 @@ has two independent engines in N = 3:
   h^3 (h|k|)^(-mu) at lag k, computed as one free-space FFT convolution on
   the zero-padded (2m)^3 box (Hockney & Eastwood 1988), O(m^3 log m).  The
   zero-lag entry is the self-cell term 4 pi rho^(3-mu)/(3-mu), rho the
-  equal-volume-sphere radius (3 h^3 / 4 pi)^(1/3).
+  equal-volume-sphere radius (3 h^3 / 4 pi)^(1/3).  The kernel is even in
+  every lag, so it is set on the (m+1)^3 octant of lags 0..m only: the DFT
+  of an even sequence of length 2m is the DCT-I of its first m+1 entries,
+  taken per axis as np.fft.hfft.  The convolution runs one axis at a time:
+  the forward transforms skip the zero padding (the input's m lines go in,
+  2m frequencies come out) and the inverse ones skip the half of the box
+  that is discarded (after an axis is inverted only its first m entries go
+  on to the next).
 
 Both engines evaluate B through the nonlocal potential w_u, so the nonlocal
 term of the defect paired with u, int b |u|^p w_u, is B(u) exactly.
@@ -52,13 +62,14 @@ and its weak residual are all read from that record.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.linalg.blas import daxpy, dsbmv, dsymv
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import (
     GridTooLarge,
@@ -117,7 +128,7 @@ class FunctionalWorkspace:
             self._build_radial_operator()
             # w_u = 2 pi r^-a k(f r^-a w); the products keep this order
             self._w_out = 2.0 * np.pi * self._r_alpha
-        self._K = self._box_hat = self._cho = None  # built lazily
+        self._K = self._apply_K = self._box_hat = self._cho = None  # built lazily
 
     # -- radial operator -----------------------------------------------------
 
@@ -145,11 +156,11 @@ class FunctionalWorkspace:
 
     def cho(self):
         if self._cho is None:
-            self._cho = cholesky_banded(self.Gb)
+            self._cho = _banded_cholesky(self.Gb.copy(order="F"))
         return self._cho
 
     def solve_G(self, rhs):
-        return cho_solve_banded((self.cho(), False), rhs)
+        return dpbtrs(self.cho(), rhs)[0]
 
     def solve_shifted(self, diag, rhs):
         """Solve (G + diag(diag)) z = rhs; the shift must keep it SPD
@@ -162,11 +173,11 @@ class FunctionalWorkspace:
         that system into out and returns it."""
         ab = self.Gb * scale   # the one (3, M) copy, F-ordered as Gb is
         ab[2] += shift
-        cb = (cholesky_banded(ab, overwrite_ab=True, check_finite=False), False)
+        cb = _banded_cholesky(ab)
 
         def solve(r, out):
             out[:] = r
-            return cho_solve_banded(cb, out, overwrite_b=True, check_finite=False)
+            return dpbtrs(cb, out, overwrite_b=1)[0]
 
         return solve
 
@@ -182,7 +193,7 @@ class FunctionalWorkspace:
         F-ordered view that BLAS takes without a copy, is K itself; a build
         that broke the symmetry would make the apply wrong, not slow.
         """
-        if self._K is None:
+        if self._apply_K is None:
             g, mu = self.grid, self.params.mu
             if g.dim != 3:
                 raise UnsupportedDimension("the radial nonlocal kernel is implemented for N = 3")
@@ -191,11 +202,11 @@ class FunctionalWorkspace:
             if mu == 1.0:
                 r = g.nodes
                 self._K = (2.0 * r - g.cell_widths / 3.0) / (r * r)  # diagonal cells of k_1
+                self._apply_K = partial(_apply_newton, r, self._K)
             else:
                 self._K = self._dense_kernel()
-        if self._K.ndim == 1:
-            return partial(_apply_newton, self.grid.nodes, self._K)
-        return partial(dsymv, 1.0, self._K.T)
+                self._apply_K = partial(dsymv, 1.0, self._K.T)
+        return self._apply_K
 
     def _dense_kernel(self):
         g, mu = self.grid, self.params.mu
@@ -247,10 +258,6 @@ class FunctionalWorkspace:
             return float(g.omega * (g.weights @ vals))
         return float(g.h**3 * np.sum(vals))
 
-    def wnorm(self, vals) -> float:
-        """Quadrature-weighted L^2 norm of a nodal field."""
-        return float(np.sqrt(self.space_integral(np.asarray(vals) ** 2)))
-
     def norm_sq(self, u_vals) -> float:
         if self.grid.kind != "radial":
             raise UnsupportedDimension("the energy norm is implemented on radial grids")
@@ -262,7 +269,7 @@ class FunctionalWorkspace:
 
     def floored(self, u_vals):
         """max(u, FLOOR_FACTOR max(u)): u as the singular term sees it."""
-        return np.maximum(u_vals, FLOOR_FACTOR * np.max(u_vals))
+        return np.maximum(u_vals, FLOOR_FACTOR * u_vals.max())
 
     # -- nonlocal potential ----------------------------------------------------
 
@@ -276,17 +283,23 @@ class FunctionalWorkspace:
     def _w_u_direct(self, f) -> np.ndarray:
         """Every lag between two nodes is below m per axis, so on the (2m)^3
         box the cyclic convolution wraps nothing: its [:m, :m, :m] block is
-        the free-space sum."""
+        the free-space sum, taken one axis at a time (module docstring)."""
         hat = self._box_kernel_hat()
         m = self.grid.m
-        shape, axes = (2 * m,) * 3, (0, 1, 2)
-        g = (f * self._r_alpha).reshape(m, m, m)
-        conv = np.fft.irfftn(np.fft.rfftn(g, s=shape, axes=axes) * hat, s=shape, axes=axes)
-        return self._r_alpha * conv[:m, :m, :m].reshape(-1)
+        n = 2 * m
+        z = np.fft.rfft((f * self._r_alpha).reshape(m, m, m), n, axis=2)
+        z = np.fft.fft(z, n, axis=1)
+        z = np.fft.fft(z, n, axis=0)
+        z *= hat
+        z = np.fft.ifft(z, axis=0)[:m]
+        z = np.fft.ifft(z, axis=1)[:, :m]
+        conv = np.fft.irfft(z, n, axis=2)[:, :, :m]
+        return self._r_alpha * conv.reshape(-1)
 
     def _box_kernel_hat(self):
-        """rfftn of the lattice kernel on the (2m)^3 lags, built once.  The
-        kernel is even in each lag, so only the real part is kept."""
+        """The lattice kernel's real DFT on the (2m)^3 lags in rfftn's
+        (2m, 2m, m+1) layout, built once from the octant of lags 0..m
+        (module docstring)."""
         if self._box_hat is None:
             g, mu = self.grid, self.params.mu
             if not (0.0 < mu < 3.0):
@@ -298,14 +311,17 @@ class FunctionalWorkspace:
                     f"the direct engine's zero-padded FFT is limited to "
                     f"{_BOX_FFT_MAX_MB} MB per (2m)^3 array, got m = {g.m} "
                     f"({mb:.1f} MB per array)")
-            lag2 = np.minimum(np.arange(n), n - np.arange(n)) ** 2.0
+            lag2 = np.arange(g.m + 1) ** 2.0
             K = lag2[:, None, None] + lag2[None, :, None] + lag2[None, None, :]
             with np.errstate(divide="ignore"):
                 np.power(K, -0.5 * mu, out=K)
             K *= g.h ** (3.0 - mu)
             rho = (3.0 * g.h**3 / (4.0 * np.pi)) ** (1.0 / 3.0)
             K[0, 0, 0] = 4.0 * np.pi * rho ** (3.0 - mu) / (3.0 - mu)
-            self._box_hat = np.fft.rfftn(K).real.copy()
+            # the last axis keeps rfftn's m+1 frequencies, the others all 2m
+            K = np.fft.hfft(K, n, axis=2)[:, :, :g.m + 1]
+            K = np.fft.hfft(K, n, axis=1)
+            self._box_hat = np.fft.hfft(K, n, axis=0)
         return self._box_hat
 
     def nonlocal_factor(self, u_vals) -> np.ndarray:
@@ -377,21 +393,26 @@ class FunctionalWorkspace:
         balance.  Radial grids only.
         """
         g, uv = self.grid, ev.u
-        d = self.apply_G(uv) / (g.omega * g.weights)
-        scales = [self.wnorm(d)]
+        quad = g.omega * g.weights
+        Gu = self.apply_G(uv)
+        d = Gu / quad
+        # each term's squared norm is one dot product against quad
+        squares = [float(d @ Gu)]
         if lam != 0.0:
-            sing = self.floored(uv) ** (self.params.q - 1.0)
-            d = d - lam * self.a * sing
-            scales.append(lam * self.wnorm(self.a * sing))
+            term = self.floored(uv)
+            term **= self.params.q - 1.0
+            term *= lam * self.a
+            squares.append(float(term @ (quad * term)))
+            d -= term
         if include_nonlocal:
             term = self.nonlocal_factor(uv) * ev.w_u
-            d = d - term
-            scales.append(self.wnorm(term))
+            squares.append(float(term @ (quad * term)))
+            d -= term
         if source is not None:
             source = np.asarray(source, dtype=float)
-            d = d - source
-            scales.append(self.wnorm(source))
-        return d, self.wnorm(d) / max(scales)
+            squares.append(float(source @ (quad * source)))
+            d -= source
+        return d, math.sqrt(float(d @ (quad * d)) / max(squares))
 
 
 _workspaces: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -417,17 +438,26 @@ def _apply_newton(r, cells, h):
     """sum_j k_1(r_i, r_j) h_j: 2/r_i times the sum of h below i, plus the
     sum of 2 h_j/r_j above i, plus the diagonal cell.  Computed in place,
     in the order of 2 (below / r + above) + cells h, in three buffers."""
-    out = np.cumsum(h)
+    out = np.add.accumulate(h)
     out -= h
     out /= r
     t = h / r
-    above = np.cumsum(t[::-1])[::-1]
+    above = np.add.accumulate(t[::-1])[::-1]
     above -= t
     out += above
     out *= 2.0
     np.multiply(cells, h, out=t)
     out += t
     return out
+
+
+def _banded_cholesky(ab):
+    """The upper banded Cholesky factor of ab, in ab's F-ordered memory
+    (LAPACK dpbtrf); LinAlgError unless the matrix is SPD."""
+    c, info = dpbtrf(ab, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    return c
 
 
 def _require_cone(u: GridFunction):

@@ -99,7 +99,7 @@ class GridFunction:
             raise LengthMismatch(
                 f"values shape {self.values.shape} does not match grid size {self.grid.size}"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise GridError("grid function values must be finite")
 
     def scaled(self, s: float) -> "GridFunction":
@@ -110,7 +110,8 @@ class GridFunction:
 
     @property
     def in_positive_cone(self) -> bool:
-        return bool(np.all(self.values >= 0.0) and np.any(self.values > 0.0))
+        v = self.values
+        return bool((v >= 0.0).all() and (v > 0.0).any())
 
 
 def build_radial_grid(R: float, M: int, grading: float = 2.0, dim: int = 3) -> RadialGrid:

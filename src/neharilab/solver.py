@@ -49,6 +49,7 @@ rest on the scalings.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -161,11 +162,10 @@ def _defect(u, lam, params, include_nonlocal, source):
 
 def _initial_ray(ws, lam, branch, init, grid, params):
     """The evaluated Nehari point of the first candidate ray (init, then
-    Gaussians) that carries Nehari points for lambda."""
-    candidates = []
-    if init is not None:
-        candidates.append(init)
-    candidates.extend(sample_profile("gaussian", s, grid) for s in REINIT_SIGMAS)
+    Gaussians) that carries Nehari points for lambda.  A Gaussian is sampled
+    only once every candidate before it has missed."""
+    gaussians = (sample_profile("gaussian", s, grid) for s in REINIT_SIGMAS)
+    candidates = gaussians if init is None else itertools.chain((init,), gaussians)
     last_error = None
     for cand in candidates:
         try:
@@ -298,8 +298,9 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
         accepted = None
         s = step
         for _bt in range(BACKTRACK_MAX):
-            trial = np.clip(u - s * z, 0.0, None)
-            if not np.any(trial > 0.0):
+            trial = u - s * z
+            np.maximum(trial, 0.0, out=trial)
+            if not (trial > 0.0).any():
                 s *= 0.5
                 continue
             try:

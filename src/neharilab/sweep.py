@@ -63,7 +63,8 @@ def default_lambda_grid(lambda_star: float, points: int = 9,
     spacing: "linear", "geometric" (cluster toward lambda*), or "auto"
     (linear below the split, geometric above it; the split is 0.5 when the
     window holds it, its midpoint otherwise, so every fraction stays inside
-    [frac_min, frac_max]).
+    [frac_min, frac_max]; two points are the window's ends alone).  Every
+    spacing starts at frac_min and ends at frac_max exactly.
     """
     if not (0.0 < frac_min < frac_max < 1.0):
         raise ValueError("need 0 < frac_min < frac_max < 1")
@@ -82,7 +83,11 @@ def default_lambda_grid(lambda_star: float, points: int = 9,
         frac = np.concatenate([low, high])
     else:
         raise ValueError(f"unknown spacing {spacing!r}")
-    return lambda_star * np.sort(frac)
+    frac = np.sort(frac)
+    # the ends exactly: exp(log(1 - f)) may round off f, and at two points
+    # the auto grid's geometric half is the split alone
+    frac[0], frac[-1] = frac_min, frac_max
+    return lambda_star * frac
 
 
 def fixed_profile_roots(triple: ReducedTriple, lam: float, params: ProblemParams):
@@ -94,14 +99,14 @@ def fixed_profile_roots(triple: ReducedTriple, lam: float, params: ProblemParams
 
 def _predict(bases, lam, grid):
     """Per-branch starts at lam from the converged rows (lam_i, u+_i, u-_i):
-    the last row's solutions, or clip(u1 + f (u1 - u0), 0) with
+    the last row's solutions, or max(u1 + f (u1 - u0), 0) with
     f = (lam - lam1)/(lam1 - lam0) once there are two."""
     lam1, *u1 = bases[-1]
     if len(bases) == 1:
         return tuple(u1)
     lam0, *u0 = bases[-2]
     f = (lam - lam1) / (lam1 - lam0)
-    return tuple(GridFunction(grid, np.clip(b.values + f * (b.values - a.values), 0.0, None))
+    return tuple(GridFunction(grid, np.maximum(b.values + f * (b.values - a.values), 0.0))
                  for a, b in zip(u0, u1))
 
 

@@ -4,7 +4,9 @@ Each oracle avoids the code path it checks: maximizers come from a log-grid
 scan plus golden-section refinement, integrals from adaptive quadrature,
 derivatives from central differences, the energy operator from a dense
 D^T W D product, the quadrature weights from a per-cell loop and the dense
-radial kernel from its closed form on broadcast (M, M) arrays.  The Q_n / Q_e maximizer (maximize_on_ray, q_n_raw) and the
+radial kernel from its closed form on broadcast (M, M) arrays, the direct
+engine's FFT convolution from the full (2m)^3 lag array and whole-box
+transforms.  The Q_n / Q_e maximizer (maximize_on_ray, q_n_raw) and the
 random triple and exponent samplers live in neharilab.invariants, which runs
 the invariant battery on them; they are re-exported here.
 """
@@ -122,3 +124,29 @@ def direct_pair_sum_w_u(u_vals, grid, params):
     rho = (3.0 * h**3 / (4.0 * np.pi)) ** (1.0 / 3.0)
     out += gv * 4.0 * np.pi * rho ** (3.0 - mu) / (3.0 - mu)
     return (r_alpha * out.T).T
+
+
+def full_box_kernel_hat(grid, mu):
+    """rfftn of the direct engine's lattice kernel on the full (2m)^3 lag
+    array (lag min(k, 2m - k) per axis), real part: the kernel is even."""
+    n = 2 * grid.m
+    lag2 = np.minimum(np.arange(n), n - np.arange(n)) ** 2.0
+    K = lag2[:, None, None] + lag2[None, :, None] + lag2[None, None, :]
+    with np.errstate(divide="ignore"):
+        K = K ** (-0.5 * mu) * grid.h ** (3.0 - mu)
+    rho = (3.0 * grid.h**3 / (4.0 * np.pi)) ** (1.0 / 3.0)
+    K[0, 0, 0] = 4.0 * np.pi * rho ** (3.0 - mu) / (3.0 - mu)
+    return np.fft.rfftn(K).real
+
+
+def full_box_w_u(u_vals, grid, params):
+    """w_u on a Cartesian box by one zero-padded whole-box rfftn / irfftn
+    convolution with full_box_kernel_hat."""
+    m = grid.m
+    shape, axes = (2 * m,) * 3, (0, 1, 2)
+    r_alpha = grid.radii ** -params.alpha
+    f = params.b_values(grid.radii) * np.abs(u_vals) ** params.p * r_alpha
+    hat = full_box_kernel_hat(grid, params.mu)
+    conv = np.fft.irfftn(np.fft.rfftn(f.reshape(m, m, m), s=shape, axes=axes) * hat,
+                         s=shape, axes=axes)
+    return r_alpha * conv[:m, :m, :m].reshape(-1)

@@ -228,6 +228,18 @@ def test_sweep_bad_grid_flags_are_usage_errors(small_config, tmp_path, capsys, n
     assert not out.exists()
 
 
+def test_validate_refuses_the_sweep_window_sweep_refuses(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text(SMALL_CONFIG + "\n[sweep]\nfrac_min = 0.9\n")
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert ("usage error: bad sweep grid: need 0 < frac_min < frac_max < 1"
+            in captured.err)
+    assert captured.out == ""
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    assert "bad sweep grid" in capsys.readouterr().err
+
+
 def test_removed_option_keys_are_ignored(small_config, tmp_path, capsys):
     # step0, floor_factor, reinit_budget and v_form each had one usable value;
     # a config that still sets them, even to values once refused, loads as

@@ -9,7 +9,7 @@ from neharilab import fibering as fib
 from neharilab.errors import NonpositiveT, ZeroA, ZeroB
 from neharilab.functionals import ReducedTriple
 
-from oracles import bisect_q_n, random_triples
+from oracles import bisect_q_n, random_exponents, random_triples
 
 UNIT = ReducedTriple(E=1.0, A=1.0, B=1.0)
 P, Q = 2.0, 0.5
@@ -202,6 +202,35 @@ def test_root_residuals_across_random_triples(rng):
             assert isinstance(roots, fib.TwoRoots)
             for t in (roots.t_plus, roots.t_minus):
                 assert abs(float(fib.q_n(t, tr, p, q)) - frac * Ln) <= 1e-12 * Ln
+
+
+def test_scalar_nehari_roots_matches_array_closed_forms(rng):
+    # nehari_roots takes Lambda_n and t_n on floats with math; lambda_n and
+    # t_max_n take them on arrays with numpy.  Each side rounds its logs and
+    # its exp on its own, and exp(x) carries a relative error of |x| times
+    # that of x, so the bound is 1e-15 per unit of the exponents' size
+    for p, q in zip(*random_exponents(rng, 20)):
+        tr = random_triples(rng, 50)
+        Ln_all, tn_all = fib.lambda_n(tr, p, q), fib.t_max_n(tr, p, q)
+        kappa, nu = (2 * p - q) / (2 * p - 2), (2 - q) / (2 * p - 2)
+        for E, A, B, Ln, tn in zip(*(x.tolist() for x in (*tr.as_tuple(), Ln_all, tn_all))):
+            cond_L = 1.0 + kappa * abs(np.log(E)) + abs(np.log(A)) + nu * abs(np.log(B))
+            cond_t = 1.0 + (abs(np.log((2 - q) * E)) + abs(np.log((2 * p - q) * B))) / (2 * p - 2)
+            triple = ReducedTriple(E, A, B)
+            above = fib.nehari_roots(triple, 2.0 * Ln, p, q)
+            assert isinstance(above, fib.NoRoot)
+            assert abs(above.lambda_n - Ln) <= 1e-15 * cond_L * Ln
+            assert abs(above.t_n - tn) <= 1e-15 * cond_t * tn
+            below = fib.nehari_roots(triple, 0.5 * Ln, p, q)
+            assert isinstance(below, fib.TwoRoots) and below.t_n == above.t_n
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+@pytest.mark.parametrize("field", ["E", "A", "B"])
+def test_nehari_roots_names_bad_triple_fields(field, bad):
+    fields = {"E": 1.0, "A": 1.0, "B": 1.0, field: bad}
+    with pytest.raises(ZeroA if field == "A" else ZeroB):
+        fib.nehari_roots(ReducedTriple(**fields), 0.1, P, Q)
 
 
 def test_qn_unimodal_between_roots(rng):

@@ -18,6 +18,8 @@ from oracles import (
     dense_newton_kernel,
     dense_w_u,
     direct_pair_sum_w_u,
+    full_box_kernel_hat,
+    full_box_w_u,
 )
 
 
@@ -107,6 +109,40 @@ def test_banded_operations_match_dense_linear_algebra(params, rng, M):
     np.testing.assert_allclose(y, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
     np.testing.assert_allclose(ws.apply_G(u, 3.0), 3.0 * Gu, rtol=0,
                                atol=3e-14 * np.max(np.abs(Gu)))
+
+
+def test_factor_refuses_a_shift_that_is_not_spd(params):
+    g = nl.build_radial_grid(20.0, 64, 2.0)
+    ws = workspace(g, params)
+    shift = -2.0 * ws.Gb[2]   # every diagonal entry of G + diag(shift) negative
+    with pytest.raises(np.linalg.LinAlgError):
+        ws.factor(shift)
+    with pytest.raises(np.linalg.LinAlgError):
+        ws.solve_shifted(shift, np.ones(g.M))
+    with pytest.raises(np.linalg.LinAlgError):
+        ws.factor(np.zeros(g.M), -1.0)
+
+
+def test_kernel_apply_is_built_once(params, grid):
+    ws = workspace(grid, params)
+    assert ws.kernel() is ws.kernel()
+
+
+def test_evaluate_calls_w_u_and_norm_sq_once(params, grid, gaussian, monkeypatch):
+    # the tracer times w_u and norm_sq as layers of their own: evaluate must
+    # call them through the workspace, not inline them
+    calls = {"w_u": 0, "norm_sq": 0}
+    for name in calls:
+        method = getattr(functionals.FunctionalWorkspace, name)
+
+        def counted(self, u_vals, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, u_vals)
+
+        monkeypatch.setattr(functionals.FunctionalWorkspace, name, counted)
+    ev = workspace(grid, params).evaluate(gaussian.values)
+    assert calls == {"w_u": 1, "norm_sq": 1}
+    assert ev.triple.B > 0.0
 
 
 def test_workspace_cache_does_not_keep_grid_alive(params):
@@ -234,6 +270,20 @@ def test_B_direct_fft_matches_pair_sum(m, mu, alpha):
         B = nl.steinweiss_B_direct(nl.GridFunction(cg, u), prm)
         B_oracle = cg.h**3 * np.sum(ws.b * u**prm.p * oracle)
         assert B == pytest.approx(B_oracle, rel=1e-13, abs=0.0), name
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("mu", [0.5, 1.5, 2.0, 2.5])
+def test_octant_hat_and_axis_transforms_match_whole_box_fft(m, mu):
+    prm = dataclasses.replace(nl.ProblemParams(), mu=mu)
+    cg = nl.build_cartesian_grid(3.0, m)
+    ws = workspace(cg, prm)
+    hat, ref = ws._box_kernel_hat(), full_box_kernel_hat(cg, mu)
+    assert hat.shape == ref.shape == (2 * m, 2 * m, m + 1)
+    assert np.max(np.abs(hat - ref)) <= 1e-14 * np.max(np.abs(ref))
+    u = np.random.default_rng(m).uniform(0.05, 1.0, cg.size)
+    oracle = full_box_w_u(u, cg, prm)
+    assert np.max(np.abs(ws.w_u(u) - oracle) / oracle) <= 1e-13
 
 
 def test_engine_agreement_moderate_grids(params):

@@ -89,9 +89,13 @@ def test_envelope_gradient_matches_reduced_fd(params, grid, estimate, lam):
 def test_envelope_gradient_small_at_converged_solution(params, pair):
     plus, _ = pair
     ws = workspace(plus.solution.grid, params)
+
+    def wnorm(vals):   # quadrature-weighted L^2 norm of a nodal field
+        return np.sqrt(ws.space_integral(vals**2))
+
     g = strong_form_defect(plus.solution, plus.lam, params)
-    assert ws.wnorm(g) <= 10.0 * plus.weak_residual * max(
-        ws.wnorm(ws.apply_G(plus.solution.values) / (plus.solution.grid.omega * plus.solution.grid.weights)),
+    assert wnorm(g) <= 10.0 * plus.weak_residual * max(
+        wnorm(ws.apply_G(plus.solution.values) / (plus.solution.grid.omega * plus.solution.grid.weights)),
         1.0,
     )
 
@@ -275,6 +279,54 @@ def test_solve_above_every_sampled_ray_reports_ray_miss(params, grid, estimate):
     )
     with pytest.raises(RayMissesNehari):
         minimize_on_branch(lam_big, Branch.NPLUS, estimate.minimizer, params, grid=grid)
+
+
+def _counted_sample_profile(monkeypatch):
+    sigmas = []
+
+    def counted(family, scale, grid, beta=None):
+        sigmas.append(scale)
+        return nl.sample_profile(family, scale, grid, beta)
+
+    monkeypatch.setattr(solver, "sample_profile", counted)
+    return sigmas
+
+
+def test_initial_ray_samples_no_gaussian_when_init_hits(params, grid, estimate, lam,
+                                                         monkeypatch):
+    sigmas = _counted_sample_profile(monkeypatch)
+    ws = workspace(grid, params)
+    for branch in (Branch.NPLUS, Branch.NMINUS):
+        ev = solver._initial_ray(ws, lam, branch, estimate.minimizer, grid, params)
+        assert ev.u == pytest.approx(project_to_nehari(estimate.minimizer, lam, branch,
+                                                       params).values, rel=1e-12)
+    assert sigmas == []
+
+
+def test_initial_ray_falls_back_in_reinit_order(params, grid, estimate, monkeypatch):
+    # lambda above Lambda_n of init and of the Gaussians before the j-th, below
+    # the j-th's: it is the first ray that hits, and the ones after it are
+    # never sampled
+    from neharilab.solver import REINIT_SIGMAS
+
+    def lam_n(u):
+        return float(nl.lambda_n(nl.reduced_triple(u, params), params.p, params.q))
+
+    gaussians = [nl.sample_profile("gaussian", s, grid) for s in REINIT_SIGMAS]
+    values = [lam_n(estimate.minimizer)] + [lam_n(u) for u in gaussians]
+    j = next(k for k in range(1, len(REINIT_SIGMAS)) if values[k + 1] > max(values[:k + 1]))
+    assert j < len(REINIT_SIGMAS) - 1
+    lam = 0.5 * (max(values[:j + 1]) + values[j + 1])
+    sigmas = _counted_sample_profile(monkeypatch)
+    ws = workspace(grid, params)
+    ev = solver._initial_ray(ws, lam, Branch.NPLUS, estimate.minimizer, grid, params)
+    assert sigmas == list(REINIT_SIGMAS[:j + 1])
+    hit = project_to_nehari(gaussians[j], lam, Branch.NPLUS, params)
+    assert ev.u == pytest.approx(hit.values, rel=1e-12)
+    # no init: the Gaussians alone, in the same order
+    sigmas.clear()
+    solver._initial_ray(ws, lam, Branch.NPLUS, None, grid, params)
+    assert sigmas == list(REINIT_SIGMAS[:j + 1])
 
 
 @pytest.mark.parametrize("overrides", [

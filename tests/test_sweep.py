@@ -47,8 +47,17 @@ def test_auto_grid_stays_inside_its_window(window, points):
     frac = sw.default_lambda_grid(1.0, points=points, frac_min=window[0],
                                   frac_max=window[1], spacing="auto")
     assert len(frac) == points and np.all(np.diff(frac) > 0)
-    assert frac[0] == window[0]
+    assert frac[0] == window[0] and frac[-1] == window[1]
     assert window[0] <= frac.min() and frac.max() <= window[1]
+
+
+@pytest.mark.parametrize("spacing", ["linear", "geometric"])
+@pytest.mark.parametrize("points", [2, 3, 9])
+def test_every_spacing_ends_at_its_window(spacing, points):
+    # 1 - exp(log(1 - 0.15)) is not 0.15 in floating point
+    frac = sw.default_lambda_grid(1.0, points=points, spacing=spacing)
+    assert len(frac) == points and np.all(np.diff(frac) > 0)
+    assert frac[0] == 0.15 and frac[-1] == 0.85
 
 
 def test_rows_sorted_and_converged(sweep_result):
