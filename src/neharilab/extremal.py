@@ -2,7 +2,12 @@
 
 Lambda_n is 0-homogeneous, so the infimum over the positive cone is searched
 on the E = 1 sphere.  A deterministic family x scale lattice pre-search picks
-the start, and a Newton-Krylov iteration on
+the start.  family_sweep samples the lattice in blocks of
+max(1, _SWEEP_BLOCK // M) profiles into one (k, M) array and evaluates each
+block as one stack (FunctionalWorkspace.evaluate): one w_u and one norm_sq
+call per block, and at most _SWEEP_BLOCK doubles per stacked array whatever
+M and the lattice size; from M = 2048 on a block is one plain vector.  A
+Newton-Krylov iteration on
 
     f = log Lambda_n = kappa log E - log A - nu log B + const,
     kappa = (2p-q)/(2p-2),  nu = (2-q)/(2p-2),
@@ -58,10 +63,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.blas import daxpy
 
-from .errors import EmptyFamily, NotInPositiveCone
+from .errors import EmptyFamily, GridError, NotInPositiveCone
 from .fibering import lambda_n
-from .functionals import reduced_triple, workspace
-from .grid import GridFunction, sample_profile
+# reduced_triple stays importable here: perfbench's tracer wraps extremal.reduced_triple
+from .functionals import reduced_triple, workspace  # noqa: F401
+from .grid import GridFunction, _check_scale, _profile_values
 from .params import ProblemParams, fibering_constants
 from .solver import truncated_pcg
 
@@ -79,6 +85,10 @@ STEP_MAX = 4.0
 BACKTRACK_MAX = 40
 ARMIJO = 0.25
 ROUNDING = 1e-14      # Armijo targets below this take the decrease from differences
+# family_sweep's stacked arrays hold at most this many doubles (16 KB), so the
+# lattice's working set is bounded whatever M and the lattice size are: 8
+# rows at M = 256, 2 at M = 1024, a plain vector from M = 2048 on
+_SWEEP_BLOCK = 2048
 
 
 @dataclass
@@ -119,27 +129,54 @@ class ExtremalEstimate:
 def family_sweep(families, sigmas, grid, params: ProblemParams):
     """Evaluate Lambda_n over the family x scale lattice; return the argmin.
 
-    Returns (best_value, best_profile, trace) with the trace in lattice order
-    (deterministic).
+    The lattice is taken in its order, family by family, in blocks of
+    max(1, _SWEEP_BLOCK // M) profiles that may span families.  Each block is
+    sampled in place into one (k, M) buffer, one broadcast per family it
+    holds, and evaluated as one stack by FunctionalWorkspace.evaluate; a
+    block of one row is a plain vector.  A row outside the positive cone is
+    skipped, and a nonpositive scale is refused before any profile is
+    sampled.
+
+    Returns (best_value, best_profile, trace): the trace in lattice order
+    (deterministic), the first of equal minima, and the winner as its own
+    GridFunction.
     """
     families = list(families)
     sigmas = list(sigmas)
     if not families or not sigmas:
         raise EmptyFamily("family sweep needs at least one family and one scale")
+    for sigma in sigmas:
+        _check_scale(sigma)
+    ws = workspace(grid, params)
+    lattice = [(fam, beta, sigma) for fam, beta in families for sigma in sigmas]
+    scales = np.array([sigma for _, _, sigma in lattice], dtype=float)[:, None]
+    n_sig = len(sigmas)
+    block = np.empty((min(max(1, _SWEEP_BLOCK // grid.size), len(lattice)), grid.size))
     best_val, best_u, trace = np.inf, None, []
-    for fam, beta in families:
-        for sigma in sigmas:
-            u = sample_profile(fam, sigma, grid, beta=beta)
-            if not u.in_positive_cone:
-                continue
-            t = reduced_triple(u, params)
-            val = float(lambda_n(t, params.p, params.q))
+    for i0 in range(0, len(lattice), len(block)):
+        blk = block[:len(lattice) - i0]
+        np.divide(grid.radii, scales[i0:i0 + len(blk)], out=blk)
+        # each family's rows of the block take its formula in one broadcast
+        for f in range(i0 // n_sig, (i0 + len(blk) - 1) // n_sig + 1):
+            r0, r1 = max(f * n_sig - i0, 0), min((f + 1) * n_sig - i0, len(blk))
+            _profile_values(families[f][0], blk[r0:r1], grid, families[f][1])
+        low, high = blk.min(axis=1), blk.max(axis=1)   # a NaN row has NaN for both
+        if not (np.isfinite(low).all() and np.isfinite(high).all()):
+            raise GridError("grid function values must be finite")
+        cone = (low >= 0.0) & (high > 0.0)
+        if not cone.any():
+            continue
+        U = blk if cone.all() else blk[cone]
+        vals = np.atleast_1d(lambda_n(ws.evaluate(U[0] if len(U) == 1 else U).triple,
+                                      params.p, params.q))
+        for j, val in zip(np.flatnonzero(cone).tolist(), vals.tolist()):
+            fam, beta, sigma = lattice[i0 + j]
             trace.append(SweepEntry(family=fam, beta=beta, sigma=sigma, value=val))
             if val < best_val:
-                best_val, best_u = val, u
+                best_val, best_u = val, blk[j].copy()
     if best_u is None:
         raise EmptyFamily("no lattice profile lies in the positive cone")
-    return best_val, best_u, trace
+    return best_val, GridFunction(grid, best_u), trace
 
 
 def _log_gradient(ws, ev, kappa: float, nu: float):

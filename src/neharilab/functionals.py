@@ -57,7 +57,18 @@ term of the defect paired with u, int b |u|^p w_u, is B(u) exactly.
 
 One evaluation per point: FunctionalWorkspace.evaluate computes w_u once and
 returns it with (E, A, B); the triple, the energy, the Euler-Lagrange defect
-and its weak residual are all read from that record.
+and its weak residual are all read from that record.  On a radial grid
+evaluate takes a node vector or a stack of them, one per row of a C-ordered
+(k, M) array, and then returns the triple's fields as length-k arrays: one
+w_u and one norm_sq call for the whole stack, through the same formulas.
+The mu = 1 kernel's running sums run along the last axis; the dense kernel
+applies dsymv row by row, so each row keeps the vector's bits.  A level-3
+product does not pay on these thin stacks: dsymm took 1.0-1.5, 2.0 and 3.2
+times as long as k dsymv calls at (M, k) = (256, 8), (512, 4) and
+(1024, 2) (OpenBLAS 0.3.31, one Xeon thread).  E is the row-wise dot of u
+with G u, G's bands applied by slices; it is not expanded into band sums of
+u^2 and shifted products, a form that cancels and drifts 1e-12 relative at
+M = 1024.
 """
 
 from __future__ import annotations
@@ -85,7 +96,7 @@ FLOOR_FACTOR = 1e-10  # the singular term's floor, relative to max(u)
 # plus one _KERNEL_ROW_BLOCK x M block (2 MB); mu = 1 stores no matrix
 _DENSE_KERNEL_MAX_M = 4096
 _KERNEL_ROW_BLOCK = 64
-_BOX_FFT_MAX_MB = 16  # per padded (2m)^3 float array of the direct engine: m <= 64
+_BOX_FFT_MAX_MB = 43  # the direct engine's peak, _box_fft_mb(m): m <= 64
 
 
 @dataclass(frozen=True)
@@ -205,7 +216,7 @@ class FunctionalWorkspace:
                 self._apply_K = partial(_apply_newton, r, self._K)
             else:
                 self._K = self._dense_kernel()
-                self._apply_K = partial(dsymv, 1.0, self._K.T)
+                self._apply_K = partial(_apply_dense, self._K.T)
         return self._apply_K
 
     def _dense_kernel(self):
@@ -251,17 +262,27 @@ class FunctionalWorkspace:
 
     # -- integrals ------------------------------------------------------------
 
-    def space_integral(self, vals) -> float:
-        """Integral over R^N of a nodal integrand (angular factor included)."""
+    def space_integral(self, vals):
+        """Integral over R^N of a nodal integrand (angular factor included):
+        a float for a vector, an array of one per row for a stack."""
         g = self.grid
         if g.kind == "radial":
-            return float(g.omega * (g.weights @ vals))
-        return float(g.h**3 * np.sum(vals))
+            s = g.omega * (vals @ g.weights)
+        else:
+            s = g.h**3 * np.sum(vals, axis=-1)
+        return float(s) if np.ndim(s) == 0 else s
 
-    def norm_sq(self, u_vals) -> float:
+    def norm_sq(self, u_vals):
+        """u.Gu: a float for a vector (BLAS dsbmv), one per row for a stack."""
         if self.grid.kind != "radial":
             raise UnsupportedDimension("the energy norm is implemented on radial grids")
-        return float(u_vals @ self.apply_G(u_vals))
+        if u_vals.ndim == 1:
+            return float(u_vals @ self.apply_G(u_vals))
+        Gu = self.Gb[2] * u_vals
+        for k, band in ((1, self.Gb[1, 1:]), (2, self.Gb[0, 2:])):
+            Gu[:, :-k] += band * u_vals[:, k:]
+            Gu[:, k:] += band * u_vals[:, :-k]
+        return np.einsum("ij,ij->i", u_vals, Gu)
 
     def apply_G(self, v, alpha=1.0, y=None, beta=0.0):
         """alpha G v + beta y (BLAS dsbmv), written into y when it is given."""
@@ -274,7 +295,9 @@ class FunctionalWorkspace:
     # -- nonlocal potential ----------------------------------------------------
 
     def w_u(self, u_vals) -> np.ndarray:
-        """w_u(x) = int b(y)|u(y)|^p / (|x|^a |x-y|^mu |y|^a) dy at the nodes."""
+        """w_u(x) = int b(y)|u(y)|^p / (|x|^a |x-y|^mu |y|^a) dy at the nodes,
+        row by row for a stack (radial grids; the direct engine takes a
+        vector)."""
         f = self.b * np.abs(u_vals) ** self.params.p
         if self.grid.kind == "radial":
             return self._w_out * self.kernel()(f * self._r_alpha * self.grid.weights)
@@ -305,12 +328,13 @@ class FunctionalWorkspace:
             if not (0.0 < mu < 3.0):
                 raise KernelDomain(f"mu must lie in (0, 3), got {mu}")
             n = 2 * g.m
-            mb = n**3 * 8 / 2**20
+            mb = _box_fft_mb(g.m)
             if mb > _BOX_FFT_MAX_MB:
                 raise GridTooLarge(
                     f"the direct engine's zero-padded FFT is limited to "
-                    f"{_BOX_FFT_MAX_MB} MB per (2m)^3 array, got m = {g.m} "
-                    f"({mb:.1f} MB per array)")
+                    f"{_BOX_FFT_MAX_MB} MB, got m = {g.m}, which needs {mb:.1f} MB: "
+                    "the real (2m, 2m, m+1) kernel hat, two complex spectra of that "
+                    "shape and the m^3 input")
             lag2 = np.arange(g.m + 1) ** 2.0
             K = lag2[:, None, None] + lag2[None, :, None] + lag2[None, None, :]
             with np.errstate(divide="ignore"):
@@ -366,7 +390,8 @@ class FunctionalWorkspace:
     # -- one evaluation per point ---------------------------------------------
 
     def evaluate(self, u_vals) -> Evaluation:
-        """w_u(u) and (E, A, B) = (u.Gu, int a|u|^q, int b|u|^p w_u), one w_u."""
+        """w_u(u) and (E, A, B) = (u.Gu, int a|u|^q, int b|u|^p w_u), one w_u;
+        for a stack of rows, one w_u and one norm_sq for the whole stack."""
         wu = self.w_u(u_vals)
         return Evaluation(u_vals, wu, ReducedTriple(
             E=self.norm_sq(u_vals),
@@ -437,17 +462,36 @@ def workspace(grid, params: ProblemParams) -> FunctionalWorkspace:
 def _apply_newton(r, cells, h):
     """sum_j k_1(r_i, r_j) h_j: 2/r_i times the sum of h below i, plus the
     sum of 2 h_j/r_j above i, plus the diagonal cell.  Computed in place,
-    in the order of 2 (below / r + above) + cells h, in three buffers."""
-    out = np.add.accumulate(h)
+    in the order of 2 (below / r + above) + cells h, in three buffers, along
+    the last axis, so a stack of rows is applied row by row."""
+    out = np.add.accumulate(h, axis=-1)
     out -= h
     out /= r
     t = h / r
-    above = np.add.accumulate(t[::-1])[::-1]
+    above = np.add.accumulate(t[..., ::-1], axis=-1)[..., ::-1]
     above -= t
     out += above
     out *= 2.0
     np.multiply(cells, h, out=t)
     out += t
+    return out
+
+
+def _box_fft_mb(m):
+    """MB held at the peak of a direct w_u, rounded up to 0.1 MB: the real
+    (2m, 2m, m+1) kernel hat, two complex spectra of that shape (the axis-0
+    inverse transform reads one and writes the other) and the m^3 input."""
+    nbytes = (2 * m) ** 2 * (m + 1) * (8 + 2 * 16) + m**3 * 8
+    return math.ceil(nbytes / 2**20 * 10.0) / 10.0
+
+
+def _apply_dense(K, h):
+    """K h by dsymv, row by row for a stack."""
+    if h.ndim == 1:
+        return dsymv(1.0, K, h)
+    out = np.empty_like(h)
+    for row, y in zip(h, out):
+        dsymv(1.0, K, row, y=y, overwrite_y=1)
     return out
 
 

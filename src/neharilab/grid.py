@@ -216,16 +216,29 @@ def sample_profile(family: str, scale: float, grid, beta: float | None = None) -
     sobolev_bump:    u(r) = exp(1 - 1/(1 - (r/scale)^2)) for r < scale, else 0
     inverse_poly:    u(r) = (1 + (r/scale)^2)^(-beta), beta > (N-2)/2
     """
+    _check_scale(scale)
+    return GridFunction(grid, _profile_values(family, grid.radii / scale, grid, beta))
+
+
+def _check_scale(scale) -> None:
     if scale <= 0.0:
         raise GridError(f"scale must be positive, got {scale}")
-    r = grid.radii / scale
+
+
+def _profile_values(family: str, x, grid, beta=None):
+    """The sample_profile formulas at x = r/scale, written over x, which may
+    have any shape: a stack of rows, one scale each, is sampled in one
+    broadcast.  A bump row with no node inside its support is refused."""
     if family == "gaussian":
-        vals = np.exp(-(r**2))
+        x **= 2
+        np.negative(x, out=x)
+        np.exp(x, out=x)
     elif family == "sobolev_bump":
-        vals = np.zeros_like(r)
-        inside = r < 1.0
-        vals[inside] = np.exp(1.0 - 1.0 / (1.0 - r[inside] ** 2))
-        if not np.any(vals > 0.0):
+        inside = x < 1.0
+        t = x[inside]
+        x.fill(0.0)
+        x[inside] = np.exp(1.0 - 1.0 / (1.0 - t**2))
+        if not (x > 0.0).any(axis=-1).all():
             raise GridError("bump support contains no grid node; increase scale")
     elif family == "inverse_poly":
         if beta is None:
@@ -236,12 +249,14 @@ def sample_profile(family: str, scale: float, grid, beta: float | None = None) -
                 f"inverse_poly decay beta={beta} <= (N-2)/2: profile leaves the energy "
                 "space on the whole space (truncation regularizes it)",
                 ProfileNotInX,
-                stacklevel=2,
+                stacklevel=3,
             )
-        vals = (1.0 + r**2) ** (-beta)
+        x **= 2
+        x += 1.0
+        x **= -beta
     else:
         raise GridError(f"unknown profile family {family!r} (supported: {PROFILE_FAMILIES})")
-    return GridFunction(grid, vals)
+    return x
 
 
 # --- snapshots ---------------------------------------------------------------

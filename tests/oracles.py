@@ -6,13 +6,18 @@ derivatives from central differences, the energy operator from a dense
 D^T W D product, the quadrature weights from a per-cell loop and the dense
 radial kernel from its closed form on broadcast (M, M) arrays, the direct
 engine's FFT convolution from the full (2m)^3 lag array and whole-box
-transforms.  The Q_n / Q_e maximizer (maximize_on_ray, q_n_raw) and the
+transforms, and the lambda* lattice search from one profile at a time.  The Q_n / Q_e maximizer (maximize_on_ray, q_n_raw) and the
 random triple and exponent samplers live in neharilab.invariants, which runs
 the invariant battery on them; they are re-exported here.
 """
 
 import numpy as np
 
+from neharilab.errors import EmptyFamily
+from neharilab.extremal import SweepEntry
+from neharilab.fibering import lambda_n
+from neharilab.functionals import reduced_triple
+from neharilab.grid import sample_profile
 from neharilab.invariants import maximize_on_ray, q_n_raw, random_exponents, random_triples
 
 
@@ -150,3 +155,25 @@ def full_box_w_u(u_vals, grid, params):
     conv = np.fft.irfftn(np.fft.rfftn(f.reshape(m, m, m), s=shape, axes=axes) * hat,
                          s=shape, axes=axes)
     return r_alpha * conv[:m, :m, :m].reshape(-1)
+
+
+def loop_family_sweep(families, sigmas, grid, params):
+    """The family x scale lattice one profile at a time: sample it, skip it
+    outside the positive cone, else take Lambda_n of its reduced triple; the
+    first minimum wins.  Returns (best_value, best_profile, trace)."""
+    families, sigmas = list(families), list(sigmas)
+    if not families or not sigmas:
+        raise EmptyFamily("family sweep needs at least one family and one scale")
+    best_val, best_u, trace = np.inf, None, []
+    for fam, beta in families:
+        for sigma in sigmas:
+            u = sample_profile(fam, sigma, grid, beta=beta)
+            if not u.in_positive_cone:
+                continue
+            val = float(lambda_n(reduced_triple(u, params), params.p, params.q))
+            trace.append(SweepEntry(family=fam, beta=beta, sigma=sigma, value=val))
+            if val < best_val:
+                best_val, best_u = val, u
+    if best_u is None:
+        raise EmptyFamily("no lattice profile lies in the positive cone")
+    return best_val, best_u, trace

@@ -1,12 +1,15 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import neharilab as nl
 from neharilab import extremal
-from neharilab.errors import EmptyFamily
+from neharilab.errors import EmptyFamily, GridError, ProfileNotInX
 from neharilab.extremal import (
+    DEFAULT_FAMILIES,
+    DEFAULT_SIGMAS,
     KKT_TOL,
     DescentOptions,
     estimate_lambda_star,
@@ -16,6 +19,8 @@ from neharilab.extremal import (
 from neharilab.fibering import lambda_e, lambda_n, scale_triple
 from neharilab.functionals import workspace
 from neharilab.solver import truncated_pcg
+
+from oracles import loop_family_sweep
 
 
 def test_family_sweep_pinned_gaussian_lattice(params, grid):
@@ -43,6 +48,88 @@ def test_family_sweep_empty_rejected(params, grid):
         family_sweep([], [1.0], grid, params)
     with pytest.raises(EmptyFamily):
         family_sweep([("gaussian", None)], [], grid, params)
+
+
+def _assert_sweeps_agree(got, want):
+    (val, best, trace), (oval, obest, otrace) = got, want
+    assert np.array_equal(best.values, obest.values)
+    assert best.values.base is None   # its own array, not a view of a block
+    assert [(e.family, e.beta, e.sigma) for e in trace] == \
+        [(e.family, e.beta, e.sigma) for e in otrace]
+    for e, o in zip(trace, otrace):
+        assert e.value == pytest.approx(o.value, rel=1e-13, abs=0.0)
+    assert val == pytest.approx(oval, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("mu, M", [(1.0, 16), (1.0, 128), (1.0, 1024), (1.0, 4096),
+                                   (1.5, 256)])
+def test_family_sweep_matches_the_per_profile_loop(mu, M):
+    # M = 16 holds the whole lattice in one block, 128 two families per
+    # block, 1024 two profiles, 4096 one (the plain vector path); mu = 1.5
+    # takes its blocks through the dense kernel, row by row
+    prm = dataclasses.replace(nl.ProblemParams(), mu=mu)
+    g = nl.build_radial_grid(20.0, M, 2.0)
+    args = (DEFAULT_FAMILIES, DEFAULT_SIGMAS, g, prm)
+    _assert_sweeps_agree(family_sweep(*args), loop_family_sweep(*args))
+
+
+def test_family_sweep_skips_rows_outside_the_cone(params, grid, monkeypatch):
+    # every sampled stack gets a negative node in its first row: that is the
+    # first scale of each family (M = 128 puts two whole families in a block)
+    sample = extremal._profile_values
+
+    def first_row_negative(family, x, grid, beta=None):
+        x = sample(family, x, grid, beta)
+        x[0, 5] = -1e-3
+        return x
+
+    monkeypatch.setattr(extremal, "_profile_values", first_row_negative)
+    got = family_sweep(DEFAULT_FAMILIES, DEFAULT_SIGMAS, grid, params)
+    assert len(got[2]) == len(DEFAULT_FAMILIES) * (len(DEFAULT_SIGMAS) - 1)
+    _assert_sweeps_agree(got, loop_family_sweep(DEFAULT_FAMILIES, DEFAULT_SIGMAS[1:],
+                                                grid, params))
+
+    def all_zero(family, x, grid, beta=None):
+        x.fill(0.0)
+        return x
+
+    monkeypatch.setattr(extremal, "_profile_values", all_zero)
+    with pytest.raises(EmptyFamily, match="positive cone"):
+        family_sweep(DEFAULT_FAMILIES, DEFAULT_SIGMAS, grid, params)
+
+
+@pytest.mark.parametrize("sweep", [family_sweep, loop_family_sweep])
+def test_family_sweep_errors_and_warnings(params, grid, sweep):
+    with pytest.raises(EmptyFamily):
+        sweep([], [1.0], grid, params)
+    with pytest.raises(GridError, match="bump support contains no grid node"):
+        sweep([("gaussian", None), ("sobolev_bump", None)], [1.0, 1e-6], grid, params)
+    with pytest.raises(GridError, match="scale must be positive"):
+        sweep([("gaussian", None)], [1.0, 0.0], grid, params)
+    with pytest.raises(GridError, match="grid function values must be finite"):
+        sweep([("gaussian", None)], [1.0, np.nan], grid, params)
+    with pytest.warns(ProfileNotInX):
+        val, _, trace = sweep([("inverse_poly", 0.4)], [0.5, 1.0], grid, params)
+    assert len(trace) == 2 and np.isfinite(val)
+
+
+def _extra_peak(fn, *args):
+    fn(*args)   # warm: the workspace, its kernel and every cache
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("M", [256, 1024, 4096])
+def test_family_sweep_memory_is_bounded_by_the_loop(params, M):
+    # the stacked blocks hold at most _SWEEP_BLOCK doubles per array
+    g = nl.build_radial_grid(20.0, M, 2.0)
+    args = (DEFAULT_FAMILIES, DEFAULT_SIGMAS, g, params)
+    assert _extra_peak(family_sweep, *args) <= _extra_peak(loop_family_sweep, *args) + 128 * 1024
 
 
 def test_refine_descent_decreases_from_sweep_winner(params, grid):

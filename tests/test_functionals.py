@@ -128,9 +128,15 @@ def test_kernel_apply_is_built_once(params, grid):
     assert ws.kernel() is ws.kernel()
 
 
-def test_evaluate_calls_w_u_and_norm_sq_once(params, grid, gaussian, monkeypatch):
-    # the tracer times w_u and norm_sq as layers of their own: evaluate must
-    # call them through the workspace, not inline them
+def _lattice_stack(grid):
+    # rows of three families at several scales, C-ordered as family_sweep's blocks
+    return np.array([nl.sample_profile(fam, sigma, grid, beta=beta).values
+                     for fam, beta in (("gaussian", None), ("sobolev_bump", None),
+                                       ("inverse_poly", 1.5))
+                     for sigma in (0.5, 1.4, 4.0)])
+
+
+def _count_w_u_and_norm_sq(monkeypatch):
     calls = {"w_u": 0, "norm_sq": 0}
     for name in calls:
         method = getattr(functionals.FunctionalWorkspace, name)
@@ -140,9 +146,41 @@ def test_evaluate_calls_w_u_and_norm_sq_once(params, grid, gaussian, monkeypatch
             return _method(self, u_vals)
 
         monkeypatch.setattr(functionals.FunctionalWorkspace, name, counted)
+    return calls
+
+
+def test_evaluate_calls_w_u_and_norm_sq_once(params, grid, gaussian, monkeypatch):
+    # the tracer times w_u and norm_sq as layers of their own: evaluate must
+    # call them through the workspace, not inline them
+    calls = _count_w_u_and_norm_sq(monkeypatch)
     ev = workspace(grid, params).evaluate(gaussian.values)
     assert calls == {"w_u": 1, "norm_sq": 1}
     assert ev.triple.B > 0.0
+
+
+def test_stacked_evaluate_calls_w_u_and_norm_sq_once(params, grid, monkeypatch):
+    # a whole stack of rows is one w_u and one norm_sq layer, as one vector is
+    calls = _count_w_u_and_norm_sq(monkeypatch)
+    ev = workspace(grid, params).evaluate(_lattice_stack(grid))
+    assert calls == {"w_u": 1, "norm_sq": 1}
+    assert np.all(ev.triple.B > 0.0)
+
+
+@pytest.mark.parametrize("M", [64, 256, 1024])
+@pytest.mark.parametrize("mu", [1.0, 1.5, 2.0, 2.5])
+def test_stacked_evaluate_matches_row_by_row(mu, M):
+    # mu = 1 runs the running sums along the last axis, the others dsymv per row
+    # (mu = 2 the log kernel); E comes from G's bands applied by slices
+    g = nl.build_radial_grid(20.0, M, 2.0)
+    ws = workspace(g, dataclasses.replace(nl.ProblemParams(), mu=mu, alpha=0.2))
+    U = _lattice_stack(g)
+    ev = ws.evaluate(U)
+    assert ev.w_u.shape == U.shape
+    for i, row in enumerate(U):
+        one = ws.evaluate(row)
+        for got, want in zip(ev.triple.as_tuple(), one.triple.as_tuple()):
+            assert got[i] == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert np.max(np.abs(ev.w_u[i] - one.w_u)) <= 1e-14 * np.max(one.w_u)
 
 
 def test_workspace_cache_does_not_keep_grid_alive(params):
@@ -226,7 +264,8 @@ def test_B_direct_refinement_monotone(params):
 
 
 def test_B_direct_fft_size_cap_names_the_cost(params):
-    # m = 64 pads to 128^3 = 16 MB per array; m = 66 pads past the cap
+    # a w_u holds the (2m, 2m, m+1) hat, two complex spectra of that shape and
+    # the m^3 input: 42.7 MB at m = 64, 46.8 MB at m = 66, past the 43 MB cap
     cg = nl.build_cartesian_grid(3.0, 66)
     u = nl.sample_profile("gaussian", 1.0, cg)
     ws = workspace(cg, params)
@@ -239,7 +278,25 @@ def test_B_direct_fft_size_cap_names_the_cost(params):
         tracemalloc.stop()
     assert peak < 10 * 2**20   # refused before any FFT array is allocated
     msg = str(info.value)
-    assert "m = 66" in msg and "17.5 MB" in msg and "16 MB" in msg
+    assert "m = 66" in msg and "46.8 MB" in msg and "43 MB" in msg
+
+
+def test_B_direct_peak_stays_within_the_stated_footprint(params):
+    # the first w_u at m = 64 builds the kernel hat and runs the convolution;
+    # its tracemalloc peak is the figure the GridTooLarge message would state
+    cg = nl.build_cartesian_grid(3.0, 64)
+    u = nl.sample_profile("gaussian", 1.0, cg)
+    ws = workspace(cg, params)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ws.w_u(u.values)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    stated = functionals._box_fft_mb(64)
+    assert stated <= functionals._BOX_FFT_MAX_MB
+    assert peak <= stated * 2**20
 
 
 @pytest.mark.parametrize("m", [26, 32])

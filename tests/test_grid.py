@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import neharilab as nl
+from neharilab import grid as grid_module
 from neharilab.errors import (
     DegenerateGrid,
     GridError,
@@ -192,6 +193,39 @@ def test_profile_scaling_composition(grid):
         u2 = nl.sample_profile(family, 2.0, grid, beta=beta)
         base = nl.sample_profile(family, 1.0, half, beta=beta)
         assert u2.values == pytest.approx(base.values, rel=1e-13, abs=1e-300)
+
+
+def test_profiles_are_their_closed_forms_bit_for_bit(grid):
+    # the formulas as written in the sample_profile docstring, scale by scale
+    for sigma in (0.35, 1.0, 4.0):
+        r = grid.nodes / sigma
+        bump = np.zeros_like(r)
+        bump[r < 1.0] = np.exp(1.0 - 1.0 / (1.0 - r[r < 1.0] ** 2))
+        for family, beta, expected in (("gaussian", None, np.exp(-(r**2))),
+                                       ("sobolev_bump", None, bump),
+                                       ("inverse_poly", 1.0, (1.0 + r**2) ** (-1.0)),
+                                       ("inverse_poly", 1.5, (1.0 + r**2) ** (-1.5))):
+            u = nl.sample_profile(family, sigma, grid, beta=beta)
+            assert np.array_equal(u.values, expected), (family, beta, sigma)
+
+
+def test_broadcast_sampling_rows_equal_single_samples(grid):
+    sigmas = np.array([0.35, 0.5, 0.7, 1.0, 1.4, 2.0, 2.8, 4.0])
+    for family, beta in (("gaussian", None), ("sobolev_bump", None), ("inverse_poly", 1.5)):
+        rows = grid_module._profile_values(family, grid.nodes / sigmas[:, None], grid, beta)
+        for row, sigma in zip(rows, sigmas):
+            assert np.array_equal(row, nl.sample_profile(family, sigma, grid, beta=beta).values)
+
+
+def test_profile_errors(grid):
+    with pytest.raises(GridError, match="scale must be positive"):
+        nl.sample_profile("gaussian", 0.0, grid)
+    with pytest.raises(GridError, match="bump support contains no grid node"):
+        nl.sample_profile("sobolev_bump", 1e-6, grid)
+    with pytest.raises(GridError, match="needs beta"):
+        nl.sample_profile("inverse_poly", 1.0, grid)
+    with pytest.raises(GridError, match="unknown profile family"):
+        nl.sample_profile("lorentzian", 1.0, grid)
 
 
 def test_slow_decay_profile_warns(grid):
