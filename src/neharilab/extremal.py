@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.blas import daxpy
 
-from .errors import EmptyFamily, GridError, NotInPositiveCone
+from .errors import EmptyFamily, GridError, NotInPositiveCone, UnsupportedDimension
 from .fibering import lambda_n
 # reduced_triple stays importable here: perfbench's tracer wraps extremal.reduced_triple
 from .functionals import reduced_triple, workspace  # noqa: F401
@@ -134,8 +134,8 @@ def family_sweep(families, sigmas, grid, params: ProblemParams):
     sampled in place into one (k, M) buffer, one broadcast per family it
     holds, and evaluated as one stack by FunctionalWorkspace.evaluate; a
     block of one row is a plain vector.  A row outside the positive cone is
-    skipped, and a nonpositive scale is refused before any profile is
-    sampled.
+    skipped.  A Cartesian grid, whose energy norm is not implemented, and a
+    nonpositive scale are refused before any profile is sampled.
 
     Returns (best_value, best_profile, trace): the trace in lattice order
     (deterministic), the first of equal minima, and the winner as its own
@@ -145,6 +145,8 @@ def family_sweep(families, sigmas, grid, params: ProblemParams):
     sigmas = list(sigmas)
     if not families or not sigmas:
         raise EmptyFamily("family sweep needs at least one family and one scale")
+    if grid.kind != "radial":
+        raise UnsupportedDimension("the energy norm is implemented on radial grids")
     for sigma in sigmas:
         _check_scale(sigma)
     ws = workspace(grid, params)

@@ -62,13 +62,12 @@ evaluate takes a node vector or a stack of them, one per row of a C-ordered
 (k, M) array, and then returns the triple's fields as length-k arrays: one
 w_u and one norm_sq call for the whole stack, through the same formulas.
 The mu = 1 kernel's running sums run along the last axis; the dense kernel
-applies dsymv row by row, so each row keeps the vector's bits.  A level-3
-product does not pay on these thin stacks: dsymm took 1.0-1.5, 2.0 and 3.2
-times as long as k dsymv calls at (M, k) = (256, 8), (512, 4) and
-(1024, 2) (OpenBLAS 0.3.31, one Xeon thread).  E is the row-wise dot of u
-with G u, G's bands applied by slices; it is not expanded into band sums of
-u^2 and shifted products, a form that cancels and drifts 1e-12 relative at
-M = 1024.
+and G are applied row by row (dsymv, dsbmv), so each row's w_u and E keep
+the vector's bits.  A level-3 product does not pay on these thin stacks:
+dsymm took 1.0-1.5, 2.0 and 3.2 times as long as k dsymv calls at
+(M, k) = (256, 8), (512, 4) and (1024, 2) (OpenBLAS 0.3.31, one Xeon
+thread).  E is not expanded into band sums of u^2 and shifted products, a
+form that cancels and drifts 1e-12 relative at M = 1024.
 """
 
 from __future__ import annotations
@@ -216,7 +215,7 @@ class FunctionalWorkspace:
                 self._apply_K = partial(_apply_newton, r, self._K)
             else:
                 self._K = self._dense_kernel()
-                self._apply_K = partial(_apply_dense, self._K.T)
+                self._apply_K = partial(dsymv, 1.0, self._K.T)
         return self._apply_K
 
     def _dense_kernel(self):
@@ -264,25 +263,20 @@ class FunctionalWorkspace:
 
     def space_integral(self, vals):
         """Integral over R^N of a nodal integrand (angular factor included):
-        a float for a vector, an array of one per row for a stack."""
+        a float for a vector, one per row for a stack (radial grids)."""
         g = self.grid
-        if g.kind == "radial":
-            s = g.omega * (vals @ g.weights)
-        else:
-            s = g.h**3 * np.sum(vals, axis=-1)
-        return float(s) if np.ndim(s) == 0 else s
+        if g.kind != "radial":
+            return float(g.h**3 * np.sum(vals))
+        s = g.omega * (vals @ g.weights)
+        return float(s) if vals.ndim == 1 else s
 
     def norm_sq(self, u_vals):
-        """u.Gu: a float for a vector (BLAS dsbmv), one per row for a stack."""
+        """u.Gu (BLAS dsbmv): a float for a vector, one per row for a stack."""
         if self.grid.kind != "radial":
             raise UnsupportedDimension("the energy norm is implemented on radial grids")
         if u_vals.ndim == 1:
             return float(u_vals @ self.apply_G(u_vals))
-        Gu = self.Gb[2] * u_vals
-        for k, band in ((1, self.Gb[1, 1:]), (2, self.Gb[0, 2:])):
-            Gu[:, :-k] += band * u_vals[:, k:]
-            Gu[:, k:] += band * u_vals[:, :-k]
-        return np.einsum("ij,ij->i", u_vals, Gu)
+        return np.array([u @ self.apply_G(u) for u in u_vals])
 
     def apply_G(self, v, alpha=1.0, y=None, beta=0.0):
         """alpha G v + beta y (BLAS dsbmv), written into y when it is given."""
@@ -299,9 +293,12 @@ class FunctionalWorkspace:
         row by row for a stack (radial grids; the direct engine takes a
         vector)."""
         f = self.b * np.abs(u_vals) ** self.params.p
-        if self.grid.kind == "radial":
-            return self._w_out * self.kernel()(f * self._r_alpha * self.grid.weights)
-        return self._w_u_direct(f)
+        if self.grid.kind != "radial":
+            return self._w_u_direct(f)
+        h = f * self._r_alpha * self.grid.weights
+        if h.ndim > 1 and self.params.mu != 1.0:   # dsymv takes one row at a time
+            return self._w_out * np.array([self.kernel()(row) for row in h])
+        return self._w_out * self.kernel()(h)
 
     def _w_u_direct(self, f) -> np.ndarray:
         """Every lag between two nodes is below m per axis, so on the (2m)^3
@@ -399,7 +396,7 @@ class FunctionalWorkspace:
             B=self._B(u_vals, wu),
         ))
 
-    def _B(self, u_vals, wu) -> float:
+    def _B(self, u_vals, wu):
         """B = int b |u|^p w_u, with w_u = w_u(u) given."""
         return self.space_integral(self.b * np.abs(u_vals) ** self.params.p * wu)
 
@@ -483,16 +480,6 @@ def _box_fft_mb(m):
     inverse transform reads one and writes the other) and the m^3 input."""
     nbytes = (2 * m) ** 2 * (m + 1) * (8 + 2 * 16) + m**3 * 8
     return math.ceil(nbytes / 2**20 * 10.0) / 10.0
-
-
-def _apply_dense(K, h):
-    """K h by dsymv, row by row for a stack."""
-    if h.ndim == 1:
-        return dsymv(1.0, K, h)
-    out = np.empty_like(h)
-    for row, y in zip(h, out):
-        dsymv(1.0, K, row, y=y, overwrite_y=1)
-    return out
 
 
 def _banded_cholesky(ab):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import neharilab as nl
-from neharilab import extremal
-from neharilab.errors import EmptyFamily, GridError, ProfileNotInX
+from neharilab import extremal, functionals
+from neharilab.errors import EmptyFamily, GridError, ProfileNotInX, UnsupportedDimension
 from neharilab.extremal import (
     DEFAULT_FAMILIES,
     DEFAULT_SIGMAS,
@@ -96,6 +96,16 @@ def test_family_sweep_skips_rows_outside_the_cone(params, grid, monkeypatch):
     monkeypatch.setattr(extremal, "_profile_values", all_zero)
     with pytest.raises(EmptyFamily, match="positive cone"):
         family_sweep(DEFAULT_FAMILIES, DEFAULT_SIGMAS, grid, params)
+
+
+@pytest.mark.parametrize("sweep", [family_sweep, loop_family_sweep])
+def test_family_sweep_refuses_a_cartesian_grid(params, sweep):
+    # m = 8 would put several profiles in one block; the energy norm is radial
+    cg = nl.build_cartesian_grid(3.0, 8)
+    with pytest.raises(UnsupportedDimension, match="radial grids"):
+        sweep(DEFAULT_FAMILIES, DEFAULT_SIGMAS, cg, params)
+    if sweep is family_sweep:   # refused before a workspace or its FFT kernel is built
+        assert cg not in functionals._workspaces
 
 
 @pytest.mark.parametrize("sweep", [family_sweep, loop_family_sweep])

@@ -170,7 +170,7 @@ def test_stacked_evaluate_calls_w_u_and_norm_sq_once(params, grid, monkeypatch):
 @pytest.mark.parametrize("mu", [1.0, 1.5, 2.0, 2.5])
 def test_stacked_evaluate_matches_row_by_row(mu, M):
     # mu = 1 runs the running sums along the last axis, the others dsymv per row
-    # (mu = 2 the log kernel); E comes from G's bands applied by slices
+    # (mu = 2 the log kernel); E is dsbmv per row, so it keeps the vector's bits
     g = nl.build_radial_grid(20.0, M, 2.0)
     ws = workspace(g, dataclasses.replace(nl.ProblemParams(), mu=mu, alpha=0.2))
     U = _lattice_stack(g)
@@ -181,6 +181,8 @@ def test_stacked_evaluate_matches_row_by_row(mu, M):
         for got, want in zip(ev.triple.as_tuple(), one.triple.as_tuple()):
             assert got[i] == pytest.approx(want, rel=1e-14, abs=0.0)
         assert np.max(np.abs(ev.w_u[i] - one.w_u)) <= 1e-14 * np.max(one.w_u)
+        # w_u and E keep the vector's bits; A and B sum the stack by one dgemv
+        assert ev.triple.E[i] == one.triple.E and np.array_equal(ev.w_u[i], one.w_u)
 
 
 def test_workspace_cache_does_not_keep_grid_alive(params):
