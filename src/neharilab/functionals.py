@@ -46,11 +46,15 @@ has two independent engines in N = 3:
   equal-volume-sphere radius (3 h^3 / 4 pi)^(1/3).  The kernel is even in
   every lag, so it is set on the (m+1)^3 octant of lags 0..m only: the DFT
   of an even sequence of length 2m is the DCT-I of its first m+1 entries,
-  taken per axis as np.fft.hfft.  The convolution runs one axis at a time:
-  the forward transforms skip the zero padding (the input's m lines go in,
-  2m frequencies come out) and the inverse ones skip the half of the box
-  that is discarded (after an axis is inverted only its first m entries go
-  on to the next).
+  taken per axis as np.fft.hfft.  The convolution runs one axis at a time
+  in one complex (2m, 2m, m+1) spectrum, each transform written in place
+  through numpy.fft's out= (numpy >= 2.0).  The forward transforms skip the
+  zero padding (the input's m lines go in, 2m frequencies come out, and the
+  padded lines are zeroed, not transformed); the inverse ones skip the half
+  of the box that is discarded (after an axis is inverted only its first m
+  entries go on to the next), and the real result is written into the spent
+  half of the spectrum.  A first w_u at m = 64 holds 28.4 MB at its peak
+  (_box_fft_mb), the cap.
 
 Both engines evaluate B through the nonlocal potential w_u, so the nonlocal
 term of the defect paired with u, int b |u|^p w_u, is B(u) exactly.
@@ -95,7 +99,7 @@ FLOOR_FACTOR = 1e-10  # the singular term's floor, relative to max(u)
 # plus one _KERNEL_ROW_BLOCK x M block (2 MB); mu = 1 stores no matrix
 _DENSE_KERNEL_MAX_M = 4096
 _KERNEL_ROW_BLOCK = 64
-_BOX_FFT_MAX_MB = 43  # the direct engine's peak, _box_fft_mb(m): m <= 64
+_BOX_FFT_MAX_MB = 29  # the direct engine's peak, _box_fft_mb(m): m <= 64
 
 
 @dataclass(frozen=True)
@@ -130,10 +134,10 @@ class FunctionalWorkspace:
         self.grid = weakref.proxy(grid)
         self.params = params
         r = grid.radii
-        self.a = params.a_values(r)
         self.b = params.b_values(r)
         self._r_alpha = r ** (-params.alpha)
-        if grid.kind == "radial":
+        if grid.kind == "radial":   # a box feeds the direct engine only: no a, V or G
+            self.a = params.a_values(r)
             self.V = params.v_values(r)
             self._build_radial_operator()
             # w_u = 2 pi r^-a k(f r^-a w); the products keep this order
@@ -288,11 +292,12 @@ class FunctionalWorkspace:
 
     # -- nonlocal potential ----------------------------------------------------
 
-    def w_u(self, u_vals) -> np.ndarray:
+    def w_u(self, u_vals, f=None) -> np.ndarray:
         """w_u(x) = int b(y)|u(y)|^p / (|x|^a |x-y|^mu |y|^a) dy at the nodes,
         row by row for a stack (radial grids; the direct engine takes a
-        vector)."""
-        f = self.b * np.abs(u_vals) ** self.params.p
+        vector).  f is the density b|u|^p when the caller has formed it."""
+        if f is None:
+            f = self._density(u_vals)
         if self.grid.kind != "radial":
             return self._w_u_direct(f)
         h = f * self._r_alpha * self.grid.weights
@@ -303,18 +308,30 @@ class FunctionalWorkspace:
     def _w_u_direct(self, f) -> np.ndarray:
         """Every lag between two nodes is below m per axis, so on the (2m)^3
         box the cyclic convolution wraps nothing: its [:m, :m, :m] block is
-        the free-space sum, taken one axis at a time (module docstring)."""
+        the free-space sum.  It is taken in one (2m, 2m, m+1) complex
+        spectrum z, transformed in place one axis at a time: the input's
+        lines fill z[:m, :m], the padded lines are zeroed just before the
+        first transform that reads them, only z[:m] goes on after the axis-0
+        inverse and only z[:m, :m] after the axis-1 one, and the real result
+        is written into z[m:], spent by then (module docstring)."""
         hat = self._box_kernel_hat()
         m = self.grid.m
         n = 2 * m
-        z = np.fft.rfft((f * self._r_alpha).reshape(m, m, m), n, axis=2)
-        z = np.fft.fft(z, n, axis=1)
-        z = np.fft.fft(z, n, axis=0)
+        z = np.empty((n, n, m + 1), dtype=complex)
+        top = z[:m]
+        np.fft.rfft((f * self._r_alpha).reshape(m, m, m), n, axis=2, out=top[:, :m])
+        top[:, m:] = 0.0
+        np.fft.fft(top, axis=1, out=top)
+        z[m:] = 0.0
+        np.fft.fft(z, axis=0, out=z)
         z *= hat
-        z = np.fft.ifft(z, axis=0)[:m]
-        z = np.fft.ifft(z, axis=1)[:, :m]
-        conv = np.fft.irfft(z, n, axis=2)[:, :, :m]
-        return self._r_alpha * conv.reshape(-1)
+        np.fft.ifft(z, axis=0, out=z)
+        np.fft.ifft(top, axis=1, out=top)
+        conv = z[m:].reshape(-1).view(float)[:n * m * m].reshape(m, m, n)
+        np.fft.irfft(top[:, :m], n, axis=2, out=conv)
+        conv = conv[:, :, :m]
+        conv *= self._r_alpha.reshape(m, m, m)
+        return conv.reshape(-1)   # a copy: the spectrum is freed on return
 
     def _box_kernel_hat(self):
         """The lattice kernel's real DFT on the (2m)^3 lags in rfftn's
@@ -330,8 +347,8 @@ class FunctionalWorkspace:
                 raise GridTooLarge(
                     f"the direct engine's zero-padded FFT is limited to "
                     f"{_BOX_FFT_MAX_MB} MB, got m = {g.m}, which needs {mb:.1f} MB: "
-                    "the real (2m, 2m, m+1) kernel hat, two complex spectra of that "
-                    "shape and the m^3 input")
+                    "the real (2m, 2m, m+1) kernel hat, one complex spectrum of that "
+                    "shape and two m^3 arrays")
             lag2 = np.arange(g.m + 1) ** 2.0
             K = lag2[:, None, None] + lag2[None, :, None] + lag2[None, None, :]
             with np.errstate(divide="ignore"):
@@ -387,18 +404,20 @@ class FunctionalWorkspace:
     # -- one evaluation per point ---------------------------------------------
 
     def evaluate(self, u_vals) -> Evaluation:
-        """w_u(u) and (E, A, B) = (u.Gu, int a|u|^q, int b|u|^p w_u), one w_u;
-        for a stack of rows, one w_u and one norm_sq for the whole stack."""
-        wu = self.w_u(u_vals)
+        """w_u(u) and (E, A, B) = (u.Gu, int a|u|^q, int b|u|^p w_u), one w_u
+        and one density b|u|^p; for a stack of rows, one w_u and one norm_sq
+        for the whole stack."""
+        f = self._density(u_vals)
+        wu = self.w_u(u_vals, f)
         return Evaluation(u_vals, wu, ReducedTriple(
             E=self.norm_sq(u_vals),
             A=self.space_integral(self.a * np.abs(u_vals) ** self.params.q),
-            B=self._B(u_vals, wu),
+            B=self.space_integral(f * wu),
         ))
 
-    def _B(self, u_vals, wu):
-        """B = int b |u|^p w_u, with w_u = w_u(u) given."""
-        return self.space_integral(self.b * np.abs(u_vals) ** self.params.p * wu)
+    def _density(self, u_vals):
+        """b |u|^p, the nonlocal term's density."""
+        return self.b * np.abs(u_vals) ** self.params.p
 
     def defect(self, ev: Evaluation, lam: float,
                include_nonlocal: bool = True, source=None):
@@ -475,10 +494,17 @@ def _apply_newton(r, cells, h):
 
 
 def _box_fft_mb(m):
-    """MB held at the peak of a direct w_u, rounded up to 0.1 MB: the real
-    (2m, 2m, m+1) kernel hat, two complex spectra of that shape (the axis-0
-    inverse transform reads one and writes the other) and the m^3 input."""
-    nbytes = (2 * m) ** 2 * (m + 1) * (8 + 2 * 16) + m**3 * 8
+    """MB held at the peak of a first direct w_u, rounded up to 0.1 MB: the
+    density b|u|^p (m^3 doubles) plus the larger of two phases.  The hat
+    build ends in one hfft that holds its (m+1, 2m, m+1) real input, that
+    input's conjugate and complex cast, and the real (2m, 2m, m+1) hat it
+    returns.  The convolution holds that hat, one complex spectrum of the
+    same shape and one more m^3 array (its input, later its output)."""
+    n = 2 * m
+    hat = n * n * (m + 1) * 8
+    build = (m + 1) ** 2 * n * (8 + 8 + 16) + hat
+    convolve = hat + n * n * (m + 1) * 16 + m**3 * 8
+    nbytes = m**3 * 8 + max(build, convolve)
     return math.ceil(nbytes / 2**20 * 10.0) / 10.0
 
 
@@ -509,7 +535,8 @@ def _B_by_engine(u: GridFunction, params: ProblemParams, kind: str) -> float:
     if u.grid.kind != kind:
         raise UnsupportedDimension(f"this engine needs a {kind} grid, got {u.grid.kind}")
     ws = workspace(u.grid, params)
-    return ws._B(u.values, ws.w_u(u.values))
+    f = ws._density(u.values)
+    return ws.space_integral(f * ws.w_u(u.values, f))
 
 
 def steinweiss_B_radial(u: GridFunction, params: ProblemParams) -> float:

@@ -17,7 +17,8 @@ turns nonpositive and the build raises GridError saying so.
 
 Cartesian grids are cell-centered cubes in N = 3 used by the direct (FFT
 convolution) nonlocal engine; with an even number of points per axis the
-origin is never a node.
+origin is never a node.  A box stores its axis of m cell centers only; its
+(m^3, 3) points and its radii are formed when read.
 """
 
 from __future__ import annotations
@@ -73,13 +74,22 @@ class CartesianGrid:
     L: float
     m: int
     h: float
-    points: np.ndarray  # (m^3, 3) cell centers
+    axis: np.ndarray  # (m,) cell centers along each axis
 
     kind = "cartesian"
 
     @property
+    def points(self) -> np.ndarray:
+        """(m^3, 3) cell centers, the last coordinate varying fastest."""
+        a = self.axis
+        return np.array(np.meshgrid(a, a, a, indexing="ij")).reshape(3, -1).T
+
+    @property
     def radii(self) -> np.ndarray:
-        return np.linalg.norm(self.points, axis=1)
+        """|x| at the cell centers in the order of points, summed as
+        np.linalg.norm(points, axis=1) sums, so equal to it bit for bit."""
+        a2 = self.axis**2
+        return np.sqrt((a2[:, None, None] + a2[None, :, None]) + a2[None, None, :]).reshape(-1)
 
     @property
     def size(self) -> int:
@@ -184,9 +194,8 @@ def build_cartesian_grid(L: float, m: int) -> CartesianGrid:
         raise GridError(f"L must be finite and positive, got {L}")
     h = 2.0 * L / m
     axis = (np.arange(m) + 0.5) * h - L
-    pts = np.array(np.meshgrid(axis, axis, axis, indexing="ij")).reshape(3, -1).T
-    assert np.min(np.linalg.norm(pts, axis=1)) > 0.0
-    return CartesianGrid(L=float(L), m=int(m), h=h, points=pts)
+    assert np.min(np.abs(axis)) > 0.0, "no node may sit at the origin"
+    return CartesianGrid(L=float(L), m=int(m), h=h, axis=axis)
 
 
 def integrate(grid, values) -> float:

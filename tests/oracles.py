@@ -6,7 +6,8 @@ derivatives from central differences, the energy operator from a dense
 D^T W D product, the quadrature weights from a per-cell loop and the dense
 radial kernel from its closed form on broadcast (M, M) arrays, the direct
 engine's FFT convolution from the full (2m)^3 lag array and whole-box
-transforms, and the lambda* lattice search from one profile at a time.  The Q_n / Q_e maximizer (maximize_on_ray, q_n_raw) and the
+transforms or from fresh arrays transformed one axis at a time, and the
+lambda* lattice search from one profile at a time.  The Q_n / Q_e maximizer (maximize_on_ray, q_n_raw) and the
 random triple and exponent samplers live in neharilab.invariants, which runs
 the invariant battery on them; they are re-exported here.
 """
@@ -155,6 +156,25 @@ def full_box_w_u(u_vals, grid, params):
     conv = np.fft.irfftn(np.fft.rfftn(f.reshape(m, m, m), s=shape, axes=axes) * hat,
                          s=shape, axes=axes)
     return r_alpha * conv[:m, :m, :m].reshape(-1)
+
+
+def axis_w_u(u_vals, grid, params, hat):
+    """w_u on a Cartesian box by the zero-padded convolution with the kernel
+    transform hat, one axis at a time, each transform into a fresh array:
+    the forward ones pad each axis to 2m, the inverse ones keep the first m
+    entries of the axis they invert."""
+    m, n = grid.m, 2 * grid.m
+    r = grid.radii
+    r_alpha = r ** (-params.alpha)
+    f = params.b_values(r) * np.abs(u_vals) ** params.p
+    z = np.fft.rfft((f * r_alpha).reshape(m, m, m), n, axis=2)
+    z = np.fft.fft(z, n, axis=1)
+    z = np.fft.fft(z, n, axis=0)
+    z *= hat
+    z = np.fft.ifft(z, axis=0)[:m]
+    z = np.fft.ifft(z, axis=1)[:, :m]
+    conv = np.fft.irfft(z, n, axis=2)[:, :, :m]
+    return r_alpha * conv.reshape(-1)
 
 
 def loop_family_sweep(families, sigmas, grid, params):

@@ -13,6 +13,7 @@ from neharilab import functionals
 from neharilab.functionals import workspace
 
 from oracles import (
+    axis_w_u,
     broadcast_dense_kernel,
     dense_energy_operator,
     dense_newton_kernel,
@@ -141,9 +142,9 @@ def _count_w_u_and_norm_sq(monkeypatch):
     for name in calls:
         method = getattr(functionals.FunctionalWorkspace, name)
 
-        def counted(self, u_vals, _name=name, _method=method):
+        def counted(self, *args, _name=name, _method=method, **kwargs):
             calls[_name] += 1
-            return _method(self, u_vals)
+            return _method(self, *args, **kwargs)
 
         monkeypatch.setattr(functionals.FunctionalWorkspace, name, counted)
     return calls
@@ -266,8 +267,8 @@ def test_B_direct_refinement_monotone(params):
 
 
 def test_B_direct_fft_size_cap_names_the_cost(params):
-    # a w_u holds the (2m, 2m, m+1) hat, two complex spectra of that shape and
-    # the m^3 input: 42.7 MB at m = 64, 46.8 MB at m = 66, past the 43 MB cap
+    # a w_u holds the (2m, 2m, m+1) hat, one complex spectrum of that shape and
+    # two m^3 arrays: 28.4 MB at m = 64, 31.2 MB at m = 66, past the 29 MB cap
     cg = nl.build_cartesian_grid(3.0, 66)
     u = nl.sample_profile("gaussian", 1.0, cg)
     ws = workspace(cg, params)
@@ -280,12 +281,13 @@ def test_B_direct_fft_size_cap_names_the_cost(params):
         tracemalloc.stop()
     assert peak < 10 * 2**20   # refused before any FFT array is allocated
     msg = str(info.value)
-    assert "m = 66" in msg and "46.8 MB" in msg and "43 MB" in msg
+    assert "m = 66" in msg and "31.2 MB" in msg and "29 MB" in msg
 
 
 def test_B_direct_peak_stays_within_the_stated_footprint(params):
     # the first w_u at m = 64 builds the kernel hat and runs the convolution;
-    # its tracemalloc peak is the figure the GridTooLarge message would state
+    # its tracemalloc peak is the figure the GridTooLarge message would state,
+    # neither exceeded nor a loose overcount
     cg = nl.build_cartesian_grid(3.0, 64)
     u = nl.sample_profile("gaussian", 1.0, cg)
     ws = workspace(cg, params)
@@ -298,7 +300,14 @@ def test_B_direct_peak_stays_within_the_stated_footprint(params):
         tracemalloc.stop()
     stated = functionals._box_fft_mb(64)
     assert stated <= functionals._BOX_FFT_MAX_MB
-    assert peak <= stated * 2**20
+    assert 0.85 * stated * 2**20 < peak <= stated * 2**20
+
+
+def test_box_workspace_holds_only_what_the_direct_engine_reads(params):
+    # A, E and the energy raise UnsupportedDimension on a box, so no a, V or G
+    ws = functionals.FunctionalWorkspace(nl.build_cartesian_grid(3.0, 8), params)
+    for name in ("a", "V", "Gb"):
+        assert not hasattr(ws, name), name
 
 
 @pytest.mark.parametrize("m", [26, 32])
@@ -343,6 +352,17 @@ def test_octant_hat_and_axis_transforms_match_whole_box_fft(m, mu):
     u = np.random.default_rng(m).uniform(0.05, 1.0, cg.size)
     oracle = full_box_w_u(u, cg, prm)
     assert np.max(np.abs(ws.w_u(u) - oracle) / oracle) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [8, 16, 24, 40])
+@pytest.mark.parametrize("mu", [0.5, 1.5, 2.0, 2.5])
+def test_in_place_spectrum_is_the_axis_by_axis_convolution_bit_for_bit(m, mu):
+    prm = dataclasses.replace(nl.ProblemParams(), mu=mu)
+    cg = nl.build_cartesian_grid(3.0, m)
+    ws = workspace(cg, prm)
+    # a random profile has no mirror symmetry to hide a wrong lag or block
+    u = np.random.default_rng(m).uniform(0.05, 1.0, cg.size)
+    assert np.array_equal(ws.w_u(u), axis_w_u(u, cg, prm, ws._box_kernel_hat()))
 
 
 def test_engine_agreement_moderate_grids(params):

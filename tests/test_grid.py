@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -145,6 +146,27 @@ def test_cartesian_construction():
     assert g.h == pytest.approx(1.0)
     assert g.points.shape == (4096, 3)
     assert np.min(np.linalg.norm(g.points, axis=1)) > 0.0
+
+
+@pytest.mark.parametrize("L,m", [(3.0, 8), (4.55, 24), (1.7, 64)])
+def test_cartesian_radii_are_the_norms_of_the_points_bit_for_bit(L, m):
+    g = nl.build_cartesian_grid(L, m)
+    pts = g.points
+    assert pts.shape == (m**3, 3)
+    assert np.array_equal(pts[:m, 2], g.axis) and np.all(pts[:m, :2] == g.axis[0])
+    assert np.array_equal(g.radii, np.linalg.norm(pts, axis=1))
+
+
+def test_cartesian_grid_stores_its_axis_not_its_points():
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = nl.build_cartesian_grid(3.0, 64)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert g.axis.shape == (64,)
+    assert peak < 2**20   # the (m^3, 3) points would take 6 MB
 
 
 def test_cartesian_odd_m_rejected():
