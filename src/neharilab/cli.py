@@ -319,14 +319,18 @@ def cmd_cross_check(args) -> int:
     prm = validate(cfg.params)
     if prm.N != 3:
         raise ConfigError("cross-check requires N = 3")
-    rgrid = cfg.build_grid()
+    for flag, value in (("--sigma", args.sigma), ("--tolerance", args.tolerance)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{flag} must be finite and positive, got {value}")
     sigma = args.sigma
-    u_rad = sample_profile("gaussian", sigma, rgrid)
-    B_rad = steinweiss_B_radial(u_rad, prm)
-    # box sized to the profile: cfg.box_L is the half-width per unit scale
+    # box sized to the profile: cfg.box_L is the half-width per unit scale;
+    # built first, so a box past the direct engine's cap fails before any work
     L = args.box_l if args.box_l is not None else cfg.box_L * sigma
     m = args.box_m if args.box_m is not None else cfg.box_m
     cgrid = build_cartesian_grid(L, m)
+    rgrid = cfg.build_grid()
+    u_rad = sample_profile("gaussian", sigma, rgrid)
+    B_rad = steinweiss_B_radial(u_rad, prm)
     u_cart = sample_profile("gaussian", sigma, cgrid)
     B_dir = steinweiss_B_direct(u_cart, prm)
     gap = abs(B_rad - B_dir) / B_rad

@@ -44,17 +44,19 @@ has two independent engines in N = 3:
   the zero-padded (2m)^3 box (Hockney & Eastwood 1988), O(m^3 log m).  The
   zero-lag entry is the self-cell term 4 pi rho^(3-mu)/(3-mu), rho the
   equal-volume-sphere radius (3 h^3 / 4 pi)^(1/3).  The kernel is even in
-  every lag, so it is set on the (m+1)^3 octant of lags 0..m only: the DFT
-  of an even sequence of length 2m is the DCT-I of its first m+1 entries,
-  taken per axis as np.fft.hfft.  The convolution runs one axis at a time
-  in one complex (2m, 2m, m+1) spectrum, each transform written in place
-  through numpy.fft's out= (numpy >= 2.0).  The forward transforms skip the
-  zero padding (the input's m lines go in, 2m frequencies come out, and the
-  padded lines are zeroed, not transformed); the inverse ones skip the half
-  of the box that is discarded (after an axis is inverted only its first m
-  entries go on to the next), and the real result is written into the spent
-  half of the spectrum.  A first w_u at m = 64 holds 28.4 MB at its peak
-  (_box_fft_mb), the cap.
+  every lag, so it is set on the (m+1)^3 octant of lags 0..m only, and so is
+  its transform: the DFT of an even sequence of length 2m is the DCT-I of
+  its first m+1 entries, taken per axis as an unscaled irfft, and it is even
+  in the frequency too, so frequency k reads octant entry min(k, 2m - k).
+  The convolution runs one axis at a time, each transform written in place
+  through numpy.fft's out= (numpy >= 2.0), in a half-padded (m, 2m, m+1)
+  complex spectrum: axis 0 keeps the input's m rows, and its forward
+  transform, the kernel product and its inverse are taken a chunk of axis-1
+  frequencies at a time in one (2m, c, m+1) buffer, c = ceil(2m /
+  _BOX_CHUNKS), whose first m rows go back to the spectrum.  The real
+  result is written into the spent half of the spectrum.  A first w_u at
+  m = 76 holds 27.2 MB at its peak (_box_fft_mb), the largest box under the
+  cap; build_cartesian_grid refuses a larger one.
 
 Both engines evaluate B through the nonlocal potential w_u, so the nonlocal
 term of the defect paired with u, int b |u|^p w_u, is B(u) exactly.
@@ -80,6 +82,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg.blas import daxpy, dsbmv, dsymv
@@ -91,15 +94,18 @@ from .errors import (
     NotInPositiveCone,
     UnsupportedDimension,
 )
-from .grid import GridFunction
 from .params import ProblemParams
+
+if TYPE_CHECKING:   # grid imports this module for the box's size rule
+    from .grid import GridFunction
 
 FLOOR_FACTOR = 1e-10  # the singular term's floor, relative to max(u)
 # the dense kernel is built in place: the M x M matrix (128 MB at the cap)
 # plus one _KERNEL_ROW_BLOCK x M block (2 MB); mu = 1 stores no matrix
 _DENSE_KERNEL_MAX_M = 4096
 _KERNEL_ROW_BLOCK = 64
-_BOX_FFT_MAX_MB = 29  # the direct engine's peak, _box_fft_mb(m): m <= 64
+_BOX_FFT_MAX_MB = 29  # the direct engine's peak, _box_fft_mb(m): m <= 76
+_BOX_CHUNKS = 8       # the direct engine's axis-0 pass, in chunks of axis-1 frequencies
 
 
 @dataclass(frozen=True)
@@ -308,58 +314,62 @@ class FunctionalWorkspace:
     def _w_u_direct(self, f) -> np.ndarray:
         """Every lag between two nodes is below m per axis, so on the (2m)^3
         box the cyclic convolution wraps nothing: its [:m, :m, :m] block is
-        the free-space sum.  It is taken in one (2m, 2m, m+1) complex
-        spectrum z, transformed in place one axis at a time: the input's
-        lines fill z[:m, :m], the padded lines are zeroed just before the
-        first transform that reads them, only z[:m] goes on after the axis-0
-        inverse and only z[:m, :m] after the axis-1 one, and the real result
-        is written into z[m:], spent by then (module docstring)."""
+        the free-space sum.  It is taken in one (m, 2m, m+1) complex
+        spectrum t (module docstring): axes 2 and 1 are transformed in place
+        over all of t; axis 0 is padded to 2m only inside the chunk buffer,
+        a run of axis-1 frequencies on one side of k1 = m at a time, so the
+        octant's columns are read forward below m and mirrored from m on.
+        The product casts the octant to complex in numpy's ufunc buffer
+        (np.getbufsize() elements), less than the m^3 output _box_fft_mb
+        counts; the chunk's float view times the octant broadcast over
+        (re, im) is buffered as well and took twice as long."""
         hat = self._box_kernel_hat()
         m = self.grid.m
         n = 2 * m
-        z = np.empty((n, n, m + 1), dtype=complex)
-        top = z[:m]
-        np.fft.rfft((f * self._r_alpha).reshape(m, m, m), n, axis=2, out=top[:, :m])
-        top[:, m:] = 0.0
-        np.fft.fft(top, axis=1, out=top)
-        z[m:] = 0.0
-        np.fft.fft(z, axis=0, out=z)
-        z *= hat
-        np.fft.ifft(z, axis=0, out=z)
-        np.fft.ifft(top, axis=1, out=top)
-        conv = z[m:].reshape(-1).view(float)[:n * m * m].reshape(m, m, n)
-        np.fft.irfft(top[:, :m], n, axis=2, out=conv)
-        conv = conv[:, :, :m]
-        conv *= self._r_alpha.reshape(m, m, m)
-        return conv.reshape(-1)   # a copy: the spectrum is freed on return
+        c = _box_chunk(m)
+        t = np.empty((m, n, m + 1), dtype=complex)
+        np.fft.rfft((f * self._r_alpha).reshape(m, m, m), n, axis=2, out=t[:, :m])
+        t[:, m:] = 0.0
+        np.fft.fft(t, axis=1, out=t)
+        chunk = np.empty((n, c, m + 1), dtype=complex)
+        for lo, hi in ((0, m), (m, n)):
+            for j0 in range(lo, hi, c):
+                j1 = min(j0 + c, hi)
+                z = chunk[:, :j1 - j0]
+                np.fft.fft(t[:, j0:j1], n, axis=0, out=z)
+                cols = slice(j0, j1) if lo == 0 else slice(n - j0, n - j1, -1)
+                z[:m + 1] *= hat[:, cols]
+                z[m + 1:] *= hat[m - 1:0:-1, cols]
+                np.fft.ifft(z, axis=0, out=z)
+                t[:, j0:j1] = z[:m]
+        np.fft.ifft(t, axis=1, out=t)
+        conv = t.reshape(m, -1)[:, m * (m + 1):].view(float)[:, :n * m].reshape(m, m, n)
+        np.fft.irfft(t[:, :m], n, axis=2, out=conv)
+        w = conv[:, :, :m].reshape(-1)   # a copy: the spectrum is freed on return
+        w *= self._r_alpha   # on the copy, where numpy buffers no operand
+        return w
 
     def _box_kernel_hat(self):
-        """The lattice kernel's real DFT on the (2m)^3 lags in rfftn's
-        (2m, 2m, m+1) layout, built once from the octant of lags 0..m
-        (module docstring)."""
+        """The lattice kernel's real DFT on the (2m)^3 lags, kept as its
+        (m+1)^3 octant of frequencies 0..m and built from the octant of lags
+        0..m (module docstring)."""
         if self._box_hat is None:
             g, mu = self.grid, self.params.mu
             if not (0.0 < mu < 3.0):
                 raise KernelDomain(f"mu must lie in (0, 3), got {mu}")
-            n = 2 * g.m
-            mb = _box_fft_mb(g.m)
-            if mb > _BOX_FFT_MAX_MB:
-                raise GridTooLarge(
-                    f"the direct engine's zero-padded FFT is limited to "
-                    f"{_BOX_FFT_MAX_MB} MB, got m = {g.m}, which needs {mb:.1f} MB: "
-                    "the real (2m, 2m, m+1) kernel hat, one complex spectrum of that "
-                    "shape and two m^3 arrays")
-            lag2 = np.arange(g.m + 1) ** 2.0
+            m = g.m
+            n = 2 * m
+            lag2 = np.arange(m + 1) ** 2.0
             K = lag2[:, None, None] + lag2[None, :, None] + lag2[None, None, :]
             with np.errstate(divide="ignore"):
                 np.power(K, -0.5 * mu, out=K)
             K *= g.h ** (3.0 - mu)
             rho = (3.0 * g.h**3 / (4.0 * np.pi)) ** (1.0 / 3.0)
             K[0, 0, 0] = 4.0 * np.pi * rho ** (3.0 - mu) / (3.0 - mu)
-            # the last axis keeps rfftn's m+1 frequencies, the others all 2m
-            K = np.fft.hfft(K, n, axis=2)[:, :, :g.m + 1]
-            K = np.fft.hfft(K, n, axis=1)
-            self._box_hat = np.fft.hfft(K, n, axis=0)
+            K = np.fft.irfft(K, n, axis=2, norm="forward")[:, :, :m + 1]
+            K = np.fft.irfft(K, n, axis=1, norm="forward")[:, :m + 1]
+            # a copy, so the transform's upper half is freed
+            self._box_hat = np.fft.irfft(K, n, axis=0, norm="forward")[:m + 1].copy()
         return self._box_hat
 
     def nonlocal_factor(self, u_vals) -> np.ndarray:
@@ -495,17 +505,40 @@ def _apply_newton(r, cells, h):
 
 def _box_fft_mb(m):
     """MB held at the peak of a first direct w_u, rounded up to 0.1 MB: the
-    density b|u|^p (m^3 doubles) plus the larger of two phases.  The hat
-    build ends in one hfft that holds its (m+1, 2m, m+1) real input, that
-    input's conjugate and complex cast, and the real (2m, 2m, m+1) hat it
-    returns.  The convolution holds that hat, one complex spectrum of the
-    same shape and one more m^3 array (its input, later its output)."""
+    density b|u|^p (m^3 doubles) plus the larger of two phases.  Each octant
+    irfft after the first holds the real (m+1)^2 2m output of the one before,
+    the complex cast of its (m+1)^3 input (a view of that output) and its own
+    real output of the same size as the first.  The convolution holds the
+    real (m+1)^3 octant, the complex (m, 2m, m+1) spectrum, one complex
+    (2m, c, m+1) chunk buffer and one more m^3 array (its input, later its
+    output)."""
     n = 2 * m
-    hat = n * n * (m + 1) * 8
-    build = (m + 1) ** 2 * n * (8 + 8 + 16) + hat
-    convolve = hat + n * n * (m + 1) * 16 + m**3 * 8
+    c = _box_chunk(m)
+    build = (m + 1) ** 2 * (2 * n * 8 + (m + 1) * 16)
+    convolve = (m + 1) ** 3 * 8 + (m * n + n * c) * (m + 1) * 16 + m**3 * 8
     nbytes = m**3 * 8 + max(build, convolve)
     return math.ceil(nbytes / 2**20 * 10.0) / 10.0
+
+
+def check_box_footprint(m):
+    """Raise GridTooLarge unless the direct engine's peak on an m-box,
+    _box_fft_mb(m), is within _BOX_FFT_MAX_MB; m even and >= 8."""
+    mb = _box_fft_mb(m)
+    if mb > _BOX_FFT_MAX_MB:
+        largest = m - 2
+        while _box_fft_mb(largest) > _BOX_FFT_MAX_MB:
+            largest -= 2
+        raise GridTooLarge(
+            f"the direct engine's zero-padded FFT is limited to {_BOX_FFT_MAX_MB} MB "
+            f"(m <= {largest}), got m = {m}, which needs {mb:.1f} MB: the real "
+            "(m+1)^3 kernel octant, the complex (m, 2m, m+1) half-padded spectrum, "
+            f"one complex (2m, {_box_chunk(m)}, m+1) chunk and two m^3 arrays")
+
+
+def _box_chunk(m):
+    """c = ceil(2m / _BOX_CHUNKS), the axis-1 frequencies of one chunk of the
+    direct engine's axis-0 pass."""
+    return -(-2 * m // _BOX_CHUNKS)
 
 
 def _banded_cholesky(ab):
@@ -546,7 +579,7 @@ def steinweiss_B_radial(u: GridFunction, params: ProblemParams) -> float:
 
 def steinweiss_B_direct(u: GridFunction, params: ProblemParams) -> float:
     """B(u) by the midpoint pair sum on a Cartesian box, as one FFT
-    convolution (m <= 64)."""
+    convolution (m <= 76)."""
     return _B_by_engine(u, params, "cartesian")
 
 

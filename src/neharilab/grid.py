@@ -17,8 +17,10 @@ turns nonpositive and the build raises GridError saying so.
 
 Cartesian grids are cell-centered cubes in N = 3 used by the direct (FFT
 convolution) nonlocal engine; with an even number of points per axis the
-origin is never a node.  A box stores its axis of m cell centers only; its
-(m^3, 3) points and its radii are formed when read.
+origin is never a node.  The builder refuses a box past that engine's
+memory cap, so a command fails on it before any other work.  A box stores
+its axis of m cell centers only; its (m^3, 3) points and its radii are
+formed when read.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .errors import (
     SnapshotError,
     UnsupportedDimension,
 )
+from .functionals import check_box_footprint
 from .params import sphere_area
 
 _MASS_HEAD_CELLS = 4  # leading cells kept at exact cell mass (positivity guard)
@@ -185,11 +188,13 @@ def build_radial_grid(R: float, M: int, grading: float = 2.0, dim: int = 3) -> R
 
 def build_cartesian_grid(L: float, m: int) -> CartesianGrid:
     """Cell-centered cube [-L, L]^3; L finite and positive, m even and >= 8
-    (no origin node)."""
+    (no origin node) and within the direct engine's memory cap, the box's one
+    use (GridTooLarge past m = 76)."""
     if m < 8:
         raise DegenerateGrid(f"m must be >= 8, got {m}")
     if m % 2 != 0:
         raise GridError(f"m must be even so no node sits at the origin, got {m}")
+    check_box_footprint(m)
     if not (np.isfinite(L) and L > 0.0):
         raise GridError(f"L must be finite and positive, got {L}")
     h = 2.0 * L / m

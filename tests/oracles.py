@@ -145,6 +145,31 @@ def full_box_kernel_hat(grid, mu):
     return np.fft.rfftn(K).real
 
 
+def unfold_octant(octant):
+    """The (2m, 2m, m+1) rfftn layout of a kernel transform kept as its
+    (m+1)^3 octant: frequency k on axes 0 and 1 reads entry min(k, 2m - k)."""
+    m = octant.shape[0] - 1
+    k = np.arange(2 * m)
+    mirror = np.minimum(k, 2 * m - k)
+    return octant[mirror][:, mirror]
+
+
+def hfft_box_kernel_octant(grid, mu):
+    """The (m+1)^3 octant of the lattice kernel's transform taken per axis by
+    np.fft.hfft over the octant of lags 0..m (the DCT-I of an even sequence),
+    axis 1 transformed over all 2m frequencies before its octant is kept."""
+    m, n = grid.m, 2 * grid.m
+    lag2 = np.arange(m + 1) ** 2.0
+    K = lag2[:, None, None] + lag2[None, :, None] + lag2[None, None, :]
+    with np.errstate(divide="ignore"):
+        K = K ** (-0.5 * mu) * grid.h ** (3.0 - mu)
+    rho = (3.0 * grid.h**3 / (4.0 * np.pi)) ** (1.0 / 3.0)
+    K[0, 0, 0] = 4.0 * np.pi * rho ** (3.0 - mu) / (3.0 - mu)
+    K = np.fft.hfft(K, n, axis=2)[:, :, :m + 1]
+    K = np.fft.hfft(K, n, axis=1)
+    return np.fft.hfft(K, n, axis=0)[:m + 1, :m + 1]
+
+
 def full_box_w_u(u_vals, grid, params):
     """w_u on a Cartesian box by one zero-padded whole-box rfftn / irfftn
     convolution with full_box_kernel_hat."""

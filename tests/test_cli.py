@@ -71,7 +71,10 @@ def test_validate_rejects_bad_config(bad_config, capsys):
      "GridError: the exact-mass head rule of the radial quadrature"),
     ("grading = 2.0", "grading = 2.0\nm_axis = 25",
      "GridError: m must be even so no node sits at the origin, got 25"),
-], ids=["grading", "odd-m-axis"])
+    ("grading = 2.0", "grading = 2.0\nm_axis = 78",
+     "GridTooLarge: the direct engine's zero-padded FFT is limited to 29 MB (m <= 76), "
+     "got m = 78"),
+], ids=["grading", "odd-m-axis", "m-axis-past-cap"])
 def test_validate_rejects_grid_the_commands_reject(tmp_path, capsys, old, new, message):
     path = tmp_path / "cfg.ini"
     path.write_text(SMALL_CONFIG.replace(old, new))
@@ -326,6 +329,43 @@ def test_cross_check_default_config_passes(capsys):
     config = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
     assert cli.main(["cross-check", "--config", str(config)]) == 0
     assert "above tolerance" not in capsys.readouterr().out
+
+
+@pytest.fixture()
+def no_engines(monkeypatch):
+    """Make the B engines raise: a check that must come first shows by
+    returning before either runs."""
+    def engine(*args):
+        raise AssertionError("an engine ran")
+    monkeypatch.setattr(cli, "steinweiss_B_radial", engine)
+    monkeypatch.setattr(cli, "steinweiss_B_direct", engine)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cross_check_refuses_a_box_past_the_cap_before_the_radial_engine(
+        tmp_path, capsys, no_engines, source):
+    path = tmp_path / "cfg.ini"
+    config = SMALL_CONFIG if source == "flag" else SMALL_CONFIG.replace(
+        "grading = 2.0", "grading = 2.0\nm_axis = 78")
+    path.write_text(config)
+    argv = ["cross-check", "--config", str(path)] + (["--box-m", "78"] if source == "flag" else [])
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert "GridTooLarge" in captured.err and "got m = 78, which needs 29.5 MB" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--tolerance", "--sigma"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.1"])
+def test_cross_check_tolerance_and_sigma_must_be_finite_and_positive(
+        small_config, capsys, no_engines, flag, value):
+    # a NaN tolerance would pass any gap (gap > nan is false), and so would inf;
+    # a bad sigma would surface as a box half-width the user never set
+    assert cli.main(["cross-check", "--config", small_config, "--box-m", "8",
+                     f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert f"usage error: {flag} must be finite and positive" in captured.err
+    assert captured.out == ""
 
 
 def test_cross_check_flags_disagreement(small_config, capsys):

@@ -21,6 +21,8 @@ from oracles import (
     direct_pair_sum_w_u,
     full_box_kernel_hat,
     full_box_w_u,
+    hfft_box_kernel_octant,
+    unfold_octant,
 )
 
 
@@ -266,41 +268,44 @@ def test_B_direct_refinement_monotone(params):
     assert increments[1] < increments[0]
 
 
-def test_B_direct_fft_size_cap_names_the_cost(params):
-    # a w_u holds the (2m, 2m, m+1) hat, one complex spectrum of that shape and
-    # two m^3 arrays: 28.4 MB at m = 64, 31.2 MB at m = 66, past the 29 MB cap
-    cg = nl.build_cartesian_grid(3.0, 66)
-    u = nl.sample_profile("gaussian", 1.0, cg)
-    ws = workspace(cg, params)
+def test_B_direct_fft_size_cap_names_the_cost():
+    # a w_u holds the (m+1)^3 kernel octant, the (m, 2m, m+1) complex spectrum,
+    # one (2m, ceil(m/4), m+1) chunk and two m^3 arrays: 27.2 MB at m = 76,
+    # 29.5 MB at m = 78, past the 29 MB cap; the box itself is refused
     tracemalloc.start()
     try:
         with pytest.raises(GridTooLarge) as info:
-            ws.w_u(u.values)
+            nl.build_cartesian_grid(3.0, 78)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2**20   # refused before any FFT array is allocated
+    assert peak < 2**20   # refused before any box or FFT array is allocated
     msg = str(info.value)
-    assert "m = 66" in msg and "31.2 MB" in msg and "29 MB" in msg
+    assert "m = 78" in msg and "29.5 MB" in msg and "29 MB" in msg and "m <= 76" in msg
+    assert "(2m, 20, m+1) chunk" in msg
+    assert functionals._box_fft_mb(76) == 27.2
+    assert nl.build_cartesian_grid(3.0, 76).m == 76
 
 
 def test_B_direct_peak_stays_within_the_stated_footprint(params):
-    # the first w_u at m = 64 builds the kernel hat and runs the convolution;
-    # its tracemalloc peak is the figure the GridTooLarge message would state,
-    # neither exceeded nor a loose overcount
-    cg = nl.build_cartesian_grid(3.0, 64)
-    u = nl.sample_profile("gaussian", 1.0, cg)
-    ws = workspace(cg, params)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        ws.w_u(u.values)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    stated = functionals._box_fft_mb(64)
-    assert stated <= functionals._BOX_FFT_MAX_MB
-    assert 0.85 * stated * 2**20 < peak <= stated * 2**20
+    # the first w_u builds the kernel octant and runs the convolution; its
+    # tracemalloc peak is the figure the GridTooLarge message would state,
+    # neither exceeded nor a loose overcount, at the default box and at the
+    # largest box under the cap
+    for m in (24, 76):
+        cg = nl.build_cartesian_grid(3.0, m)
+        u = nl.sample_profile("gaussian", 1.0, cg)
+        ws = workspace(cg, params)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ws.w_u(u.values)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        stated = functionals._box_fft_mb(m)
+        assert stated <= functionals._BOX_FFT_MAX_MB
+        assert 0.85 * stated * 2**20 < peak <= stated * 2**20, m
 
 
 def test_box_workspace_holds_only_what_the_direct_engine_reads(params):
@@ -347,14 +352,18 @@ def test_octant_hat_and_axis_transforms_match_whole_box_fft(m, mu):
     cg = nl.build_cartesian_grid(3.0, m)
     ws = workspace(cg, prm)
     hat, ref = ws._box_kernel_hat(), full_box_kernel_hat(cg, mu)
-    assert hat.shape == ref.shape == (2 * m, 2 * m, m + 1)
-    assert np.max(np.abs(hat - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert hat.shape == (m + 1,) * 3
+    assert np.max(np.abs(unfold_octant(hat) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # the unscaled irfft of a real octant is hfft without its conjugate copy
+    assert np.array_equal(hat, hfft_box_kernel_octant(cg, mu))
     u = np.random.default_rng(m).uniform(0.05, 1.0, cg.size)
     oracle = full_box_w_u(u, cg, prm)
     assert np.max(np.abs(ws.w_u(u) - oracle) / oracle) <= 1e-13
 
 
-@pytest.mark.parametrize("m", [8, 16, 24, 40])
+# at m = 10 and 26 (not multiples of 4) a ceil(2m/8)-wide chunk would straddle
+# k1 = m, so it is split there and the run below m ends in a short chunk
+@pytest.mark.parametrize("m", [8, 10, 16, 24, 26, 40])
 @pytest.mark.parametrize("mu", [0.5, 1.5, 2.0, 2.5])
 def test_in_place_spectrum_is_the_axis_by_axis_convolution_bit_for_bit(m, mu):
     prm = dataclasses.replace(nl.ProblemParams(), mu=mu)
@@ -362,7 +371,8 @@ def test_in_place_spectrum_is_the_axis_by_axis_convolution_bit_for_bit(m, mu):
     ws = workspace(cg, prm)
     # a random profile has no mirror symmetry to hide a wrong lag or block
     u = np.random.default_rng(m).uniform(0.05, 1.0, cg.size)
-    assert np.array_equal(ws.w_u(u), axis_w_u(u, cg, prm, ws._box_kernel_hat()))
+    hat = unfold_octant(ws._box_kernel_hat())
+    assert np.array_equal(ws.w_u(u), axis_w_u(u, cg, prm, hat))
 
 
 def test_engine_agreement_moderate_grids(params):
