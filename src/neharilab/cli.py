@@ -165,9 +165,13 @@ def _sweep_fractions(cfg: RunConfig):
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     prm = validate(cfg.params)
-    # the grids every other command builds: a bad one fails here by name
-    cfg.build_grid()
+    # the grids every other command builds and the lambda* lattice sampled on
+    # the radial one: a bad one fails here by name
+    grid = cfg.build_grid()
     build_cartesian_grid(cfg.box_L, cfg.box_m)
+    for family, beta in cfg.families:
+        for sigma in cfg.sigmas:
+            sample_profile(family, sigma, grid, beta=beta)
     _sweep_fractions(cfg)
     lo, hi = critical_exponents(prm.N, prm.alpha, prm.mu)
     g3 = gamma3_window(prm.N, prm.q)

@@ -59,7 +59,7 @@ class LengthMismatch(GridError):
 
 
 class GridTooLarge(GridError):
-    """Cartesian FFT engine above 16 MB per padded array, or dense radial kernel above
+    """Direct engine's box past its 29 MB peak (m > 76), or dense radial kernel above
     M = 4096 (its build holds the M^2 matrix plus one 64-row block)."""
 
 

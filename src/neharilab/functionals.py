@@ -9,8 +9,8 @@ so the discrete inner product is the bilinear form of a symmetric positive
 definite matrix G built once per (grid, potential) pair.  G = omega (D^T W D
 + diag(w V)) is pentadiagonal, so it is stored as its three upper bands,
 assembled in O(M) and factored by banded Cholesky.  G is the only energy
-operator: a Cartesian box is input to the direct B engine alone, and the
-norm, the reduced triple and the energy raise UnsupportedDimension on it.
+operator: FunctionalWorkspace, which holds it, is radial only, and
+workspace() raises UnsupportedDimension on a box, the direct engine's input.
 Other modules reach G's bands only through FunctionalWorkspace.apply_G and
 factor, which factors scale G + diag(shift) by LAPACK's banded Cholesky
 dpbtrf and solves by dpbtrs, both called directly (a matrix that is not SPD
@@ -54,18 +54,19 @@ has two independent engines in N = 3:
   transform, the kernel product and its inverse are taken a chunk of axis-1
   frequencies at a time in one (2m, c, m+1) buffer, c = ceil(2m /
   _BOX_CHUNKS), whose first m rows go back to the spectrum.  The real
-  result is written into the spent half of the spectrum.  A first w_u at
-  m = 76 holds 27.2 MB at its peak (_box_fft_mb), the largest box under the
-  cap; build_cartesian_grid refuses a larger one.
+  result is written into the spent half of the spectrum.  The engine keeps
+  no workspace and caches nothing; a whole call at m = 76 holds 27.2 MB at
+  its peak (_box_fft_mb), the largest box under the cap, and
+  build_cartesian_grid refuses a larger one.
 
 Both engines evaluate B through the nonlocal potential w_u, so the nonlocal
 term of the defect paired with u, int b |u|^p w_u, is B(u) exactly.
 
 One evaluation per point: FunctionalWorkspace.evaluate computes w_u once and
 returns it with (E, A, B); the triple, the energy, the Euler-Lagrange defect
-and its weak residual are all read from that record.  On a radial grid
-evaluate takes a node vector or a stack of them, one per row of a C-ordered
-(k, M) array, and then returns the triple's fields as length-k arrays: one
+and its weak residual are all read from that record.  evaluate takes a node
+vector or a stack of them, one per row of a C-ordered (k, M) array, and
+then returns the triple's fields as length-k arrays: one
 w_u and one norm_sq call for the whole stack, through the same formulas.
 The mu = 1 kernel's running sums run along the last axis; the dense kernel
 and G are applied row by row (dsymv, dsbmv), so each row's w_u and E keep
@@ -139,16 +140,15 @@ class FunctionalWorkspace:
         # would keep every cached grid alive
         self.grid = weakref.proxy(grid)
         self.params = params
-        r = grid.radii
+        r = grid.nodes
+        self.a = params.a_values(r)
         self.b = params.b_values(r)
+        self.V = params.v_values(r)
         self._r_alpha = r ** (-params.alpha)
-        if grid.kind == "radial":   # a box feeds the direct engine only: no a, V or G
-            self.a = params.a_values(r)
-            self.V = params.v_values(r)
-            self._build_radial_operator()
-            # w_u = 2 pi r^-a k(f r^-a w); the products keep this order
-            self._w_out = 2.0 * np.pi * self._r_alpha
-        self._K = self._apply_K = self._box_hat = self._cho = None  # built lazily
+        self._build_radial_operator()
+        # w_u = 2 pi r^-a k(f r^-a w); the products keep this order
+        self._w_out = 2.0 * np.pi * self._r_alpha
+        self._K = self._apply_K = self._cho = None  # built lazily
 
     # -- radial operator -----------------------------------------------------
 
@@ -273,17 +273,13 @@ class FunctionalWorkspace:
 
     def space_integral(self, vals):
         """Integral over R^N of a nodal integrand (angular factor included):
-        a float for a vector, one per row for a stack (radial grids)."""
+        a float for a vector, one per row for a stack."""
         g = self.grid
-        if g.kind != "radial":
-            return float(g.h**3 * np.sum(vals))
         s = g.omega * (vals @ g.weights)
         return float(s) if vals.ndim == 1 else s
 
     def norm_sq(self, u_vals):
         """u.Gu (BLAS dsbmv): a float for a vector, one per row for a stack."""
-        if self.grid.kind != "radial":
-            raise UnsupportedDimension("the energy norm is implemented on radial grids")
         if u_vals.ndim == 1:
             return float(u_vals @ self.apply_G(u_vals))
         return np.array([u @ self.apply_G(u) for u in u_vals])
@@ -300,77 +296,14 @@ class FunctionalWorkspace:
 
     def w_u(self, u_vals, f=None) -> np.ndarray:
         """w_u(x) = int b(y)|u(y)|^p / (|x|^a |x-y|^mu |y|^a) dy at the nodes,
-        row by row for a stack (radial grids; the direct engine takes a
-        vector).  f is the density b|u|^p when the caller has formed it."""
+        row by row for a stack.  f is the density b|u|^p when the caller has
+        formed it."""
         if f is None:
             f = self._density(u_vals)
-        if self.grid.kind != "radial":
-            return self._w_u_direct(f)
         h = f * self._r_alpha * self.grid.weights
         if h.ndim > 1 and self.params.mu != 1.0:   # dsymv takes one row at a time
             return self._w_out * np.array([self.kernel()(row) for row in h])
         return self._w_out * self.kernel()(h)
-
-    def _w_u_direct(self, f) -> np.ndarray:
-        """Every lag between two nodes is below m per axis, so on the (2m)^3
-        box the cyclic convolution wraps nothing: its [:m, :m, :m] block is
-        the free-space sum.  It is taken in one (m, 2m, m+1) complex
-        spectrum t (module docstring): axes 2 and 1 are transformed in place
-        over all of t; axis 0 is padded to 2m only inside the chunk buffer,
-        a run of axis-1 frequencies on one side of k1 = m at a time, so the
-        octant's columns are read forward below m and mirrored from m on.
-        The product casts the octant to complex in numpy's ufunc buffer
-        (np.getbufsize() elements), less than the m^3 output _box_fft_mb
-        counts; the chunk's float view times the octant broadcast over
-        (re, im) is buffered as well and took twice as long."""
-        hat = self._box_kernel_hat()
-        m = self.grid.m
-        n = 2 * m
-        c = _box_chunk(m)
-        t = np.empty((m, n, m + 1), dtype=complex)
-        np.fft.rfft((f * self._r_alpha).reshape(m, m, m), n, axis=2, out=t[:, :m])
-        t[:, m:] = 0.0
-        np.fft.fft(t, axis=1, out=t)
-        chunk = np.empty((n, c, m + 1), dtype=complex)
-        for lo, hi in ((0, m), (m, n)):
-            for j0 in range(lo, hi, c):
-                j1 = min(j0 + c, hi)
-                z = chunk[:, :j1 - j0]
-                np.fft.fft(t[:, j0:j1], n, axis=0, out=z)
-                cols = slice(j0, j1) if lo == 0 else slice(n - j0, n - j1, -1)
-                z[:m + 1] *= hat[:, cols]
-                z[m + 1:] *= hat[m - 1:0:-1, cols]
-                np.fft.ifft(z, axis=0, out=z)
-                t[:, j0:j1] = z[:m]
-        np.fft.ifft(t, axis=1, out=t)
-        conv = t.reshape(m, -1)[:, m * (m + 1):].view(float)[:, :n * m].reshape(m, m, n)
-        np.fft.irfft(t[:, :m], n, axis=2, out=conv)
-        w = conv[:, :, :m].reshape(-1)   # a copy: the spectrum is freed on return
-        w *= self._r_alpha   # on the copy, where numpy buffers no operand
-        return w
-
-    def _box_kernel_hat(self):
-        """The lattice kernel's real DFT on the (2m)^3 lags, kept as its
-        (m+1)^3 octant of frequencies 0..m and built from the octant of lags
-        0..m (module docstring)."""
-        if self._box_hat is None:
-            g, mu = self.grid, self.params.mu
-            if not (0.0 < mu < 3.0):
-                raise KernelDomain(f"mu must lie in (0, 3), got {mu}")
-            m = g.m
-            n = 2 * m
-            lag2 = np.arange(m + 1) ** 2.0
-            K = lag2[:, None, None] + lag2[None, :, None] + lag2[None, None, :]
-            with np.errstate(divide="ignore"):
-                np.power(K, -0.5 * mu, out=K)
-            K *= g.h ** (3.0 - mu)
-            rho = (3.0 * g.h**3 / (4.0 * np.pi)) ** (1.0 / 3.0)
-            K[0, 0, 0] = 4.0 * np.pi * rho ** (3.0 - mu) / (3.0 - mu)
-            K = np.fft.irfft(K, n, axis=2, norm="forward")[:, :, :m + 1]
-            K = np.fft.irfft(K, n, axis=1, norm="forward")[:, :m + 1]
-            # a copy, so the transform's upper half is freed
-            self._box_hat = np.fft.irfft(K, n, axis=0, norm="forward")[:m + 1].copy()
-        return self._box_hat
 
     def nonlocal_factor(self, u_vals) -> np.ndarray:
         """b |u|^(p-2) u, the factor of w_u in J'(u)."""
@@ -441,7 +374,7 @@ class FunctionalWorkspace:
 
         The residual is the quadrature-weighted norm of d over the largest of
         the term norms, so 1e-4 means the defect is 1e-4 of the dominant
-        balance.  Radial grids only.
+        balance.
         """
         g, uv = self.grid, ev.u
         quad = g.omega * g.weights
@@ -476,6 +409,8 @@ def _params_key(params: ProblemParams):
 
 def workspace(grid, params: ProblemParams) -> FunctionalWorkspace:
     """Fetch (or build) the cached operator workspace for (grid, params)."""
+    if grid.kind != "radial":
+        raise UnsupportedDimension(f"the workspace is implemented on radial grids, got {grid.kind}")
     per_grid = _workspaces.setdefault(grid, {})
     key = _params_key(params)
     ws = per_grid.get(key)
@@ -503,15 +438,86 @@ def _apply_newton(r, cells, h):
     return out
 
 
+# --------------------------------------------------------------------------
+# the direct engine on a Cartesian box (no workspace, nothing cached)
+# --------------------------------------------------------------------------
+
+def _box_kernel_hat(grid, mu):
+    """The lattice kernel's real DFT on the (2m)^3 lags: its (m+1)^3 octant
+    of frequencies 0..m, built from the octant of lags 0..m (module docstring)."""
+    if not (0.0 < mu < 3.0):
+        raise KernelDomain(f"mu must lie in (0, 3), got {mu}")
+    m = grid.m
+    n = 2 * m
+    lag2 = np.arange(m + 1) ** 2.0
+    K = lag2[:, None, None] + lag2[None, :, None] + lag2[None, None, :]
+    with np.errstate(divide="ignore"):
+        np.power(K, -0.5 * mu, out=K)
+    K *= grid.h ** (3.0 - mu)
+    rho = (3.0 * grid.h**3 / (4.0 * np.pi)) ** (1.0 / 3.0)
+    K[0, 0, 0] = 4.0 * np.pi * rho ** (3.0 - mu) / (3.0 - mu)
+    K = np.fft.irfft(K, n, axis=2, norm="forward")[:, :, :m + 1]
+    K = np.fft.irfft(K, n, axis=1, norm="forward")[:, :m + 1]
+    # a copy, so the transform's upper half is freed
+    return np.fft.irfft(K, n, axis=0, norm="forward")[:m + 1].copy()
+
+
+def _box_w_u(u_vals, grid, params: ProblemParams):
+    """w_u at the box's nodes and the density f = b|u|^p it was formed from.
+
+    Every lag between two nodes is below m per axis, so on the (2m)^3 box
+    the cyclic convolution wraps nothing: its [:m, :m, :m] block is the
+    free-space sum, taken in one (m, 2m, m+1) complex spectrum t (module
+    docstring).  Axis 0 is padded to 2m only in the chunk buffer, a run of
+    axis-1 frequencies on one side of k1 = m at a time, so the octant's
+    columns are read forward below m and mirrored from m on.  The octant is
+    built before any m^3 array, and r^-a is freed for the chunk loop and
+    formed again for the output, so the loop's one m^3 array, f, leaves
+    room for numpy's buffer of the octant's complex cast in the product,
+    and the call peaks at _box_fft_mb."""
+    hat = _box_kernel_hat(grid, params.mu)
+    r_alpha = grid.radii   # raised to -a in place once b(r) is formed
+    f = params.b_values(r_alpha) * np.abs(u_vals) ** params.p
+    r_alpha **= -params.alpha
+    m = grid.m
+    n = 2 * m
+    c = _box_chunk(m)
+    t = np.empty((m, n, m + 1), dtype=complex)
+    np.fft.rfft((f * r_alpha).reshape(m, m, m), n, axis=2, out=t[:, :m])
+    del r_alpha
+    t[:, m:] = 0.0
+    np.fft.fft(t, axis=1, out=t)
+    chunk = np.empty((n, c, m + 1), dtype=complex)
+    for lo, hi in ((0, m), (m, n)):
+        for j0 in range(lo, hi, c):
+            j1 = min(j0 + c, hi)
+            z = chunk[:, :j1 - j0]
+            np.fft.fft(t[:, j0:j1], n, axis=0, out=z)
+            cols = slice(j0, j1) if lo == 0 else slice(n - j0, n - j1, -1)
+            z[:m + 1] *= hat[:, cols]
+            z[m + 1:] *= hat[m - 1:0:-1, cols]
+            np.fft.ifft(z, axis=0, out=z)
+            t[:, j0:j1] = z[:m]
+    del chunk, z, hat
+    np.fft.ifft(t, axis=1, out=t)
+    conv = t.reshape(m, -1)[:, m * (m + 1):].view(float)[:, :n * m].reshape(m, m, n)
+    np.fft.irfft(t[:, :m], n, axis=2, out=conv)
+    w = conv[:, :, :m].reshape(-1)   # a copy, so the spectrum can be freed
+    del t, conv
+    w *= grid.radii ** (-params.alpha)   # on the copy, where numpy buffers no operand
+    return w, f
+
+
 def _box_fft_mb(m):
-    """MB held at the peak of a first direct w_u, rounded up to 0.1 MB: the
-    density b|u|^p (m^3 doubles) plus the larger of two phases.  Each octant
-    irfft after the first holds the real (m+1)^2 2m output of the one before,
-    the complex cast of its (m+1)^3 input (a view of that output) and its own
+    """MB held at the peak of a steinweiss_B_direct call, rounded up to
+    0.1 MB: the density b|u|^p (m^3 doubles) plus the larger of two phases
+    (the octant build comes first, so this bounds it).  Each octant irfft
+    after the first holds the real (m+1)^2 2m output of the one before, the
+    complex cast of its (m+1)^3 input (a view of that output) and its own
     real output of the same size as the first.  The convolution holds the
-    real (m+1)^3 octant, the complex (m, 2m, m+1) spectrum, one complex
-    (2m, c, m+1) chunk buffer and one more m^3 array (its input, later its
-    output)."""
+    real (m+1)^3 octant, the complex (m, 2m, m+1) spectrum and two more m^3
+    arrays: r^-a and the input f r^-a, then one complex (2m, c, m+1) chunk
+    buffer (at least m^3 doubles) and the product's ufunc buffer."""
     n = 2 * m
     c = _box_chunk(m)
     build = (m + 1) ** 2 * (2 * n * 8 + (m + 1) * 16)
@@ -550,11 +556,6 @@ def _banded_cholesky(ab):
     return c
 
 
-def _require_cone(u: GridFunction):
-    if not u.in_positive_cone:
-        raise NotInPositiveCone("function must be nonnegative and not identically zero")
-
-
 # --------------------------------------------------------------------------
 # public operations
 # --------------------------------------------------------------------------
@@ -564,23 +565,21 @@ def norm_sq(u: GridFunction, params: ProblemParams) -> float:
     return workspace(u.grid, params).norm_sq(u.values)
 
 
-def _B_by_engine(u: GridFunction, params: ProblemParams, kind: str) -> float:
-    if u.grid.kind != kind:
-        raise UnsupportedDimension(f"this engine needs a {kind} grid, got {u.grid.kind}")
+def steinweiss_B_radial(u: GridFunction, params: ProblemParams) -> float:
+    """B(u) on a radial grid via the closed-form angular kernel (N = 3)."""
     ws = workspace(u.grid, params)
     f = ws._density(u.values)
     return ws.space_integral(f * ws.w_u(u.values, f))
 
 
-def steinweiss_B_radial(u: GridFunction, params: ProblemParams) -> float:
-    """B(u) on a radial grid via the closed-form angular kernel (N = 3)."""
-    return _B_by_engine(u, params, "radial")
-
-
 def steinweiss_B_direct(u: GridFunction, params: ProblemParams) -> float:
     """B(u) by the midpoint pair sum on a Cartesian box, as one FFT
-    convolution (m <= 76)."""
-    return _B_by_engine(u, params, "cartesian")
+    convolution (m <= 76); nothing is kept after the call."""
+    g = u.grid
+    if g.kind != "cartesian":
+        raise UnsupportedDimension(f"the direct engine needs a cartesian grid, got {g.kind}")
+    w, f = _box_w_u(u.values, g, params)
+    return float(g.h**3 * np.sum(f * w))
 
 
 def floored_fraction(u: GridFunction, params: ProblemParams) -> float:
@@ -592,7 +591,8 @@ def floored_fraction(u: GridFunction, params: ProblemParams) -> float:
 
 def reduced_triple(u: GridFunction, params: ProblemParams) -> ReducedTriple:
     """Bundle (||u||^2, A(u), B(u)); u must lie in the positive cone."""
-    _require_cone(u)
+    if not u.in_positive_cone:
+        raise NotInPositiveCone("function must be nonnegative and not identically zero")
     return workspace(u.grid, params).evaluate(u.values).triple
 
 

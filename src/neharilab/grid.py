@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -80,6 +81,7 @@ class CartesianGrid:
     axis: np.ndarray  # (m,) cell centers along each axis
 
     kind = "cartesian"
+    dim = 3
 
     @property
     def points(self) -> np.ndarray:
@@ -235,8 +237,8 @@ def sample_profile(family: str, scale: float, grid, beta: float | None = None) -
 
 
 def _check_scale(scale) -> None:
-    if scale <= 0.0:
-        raise GridError(f"scale must be positive, got {scale}")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise GridError(f"scale must be positive and finite, got {scale}")
 
 
 def _profile_values(family: str, x, grid, beta=None):
@@ -257,8 +259,7 @@ def _profile_values(family: str, x, grid, beta=None):
     elif family == "inverse_poly":
         if beta is None:
             raise GridError("inverse_poly profile needs beta")
-        dim = grid.dim if grid.kind == "radial" else 3
-        if beta <= (dim - 2) / 2.0:
+        if beta <= (grid.dim - 2) / 2.0:
             warnings.warn(
                 f"inverse_poly decay beta={beta} <= (N-2)/2: profile leaves the energy "
                 "space on the whole space (truncation regularizes it)",

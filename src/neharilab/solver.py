@@ -57,7 +57,7 @@ import numpy as np
 from scipy.linalg.blas import daxpy, dnrm2
 
 from . import fibering
-from .errors import NoConvergence, RayMissesNehari, UnsupportedDimension
+from .errors import NoConvergence, RayMissesNehari
 from .fibering import Branch, DoubleRoot, NoRoot, nehari_roots
 from .functionals import (
     Evaluation,
@@ -154,8 +154,6 @@ def weak_residual(u: GridFunction, lam: float, params: ProblemParams,
 
 
 def _defect(u, lam, params, include_nonlocal, source):
-    if u.grid.kind != "radial":
-        raise UnsupportedDimension("the Euler-Lagrange defect is implemented on radial grids")
     ws = workspace(u.grid, params)
     return ws.defect(ws.evaluate(u.values), lam, include_nonlocal, source)
 
@@ -273,8 +271,6 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
         if init is None:
             raise ValueError("need an initial profile or a grid")
         grid = init.grid
-    if grid.kind != "radial":
-        raise UnsupportedDimension("the solver runs on radial grids")
     ws = workspace(grid, params)
 
     ev = _initial_ray(ws, lam, branch, init, grid, params)

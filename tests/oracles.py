@@ -2,15 +2,18 @@
 
 Each oracle avoids the code path it checks: maximizers come from a log-grid
 scan plus golden-section refinement, integrals from adaptive quadrature,
-derivatives from central differences, the energy operator from a dense
-D^T W D product, the quadrature weights from a per-cell loop and the dense
-radial kernel from its closed form on broadcast (M, M) arrays, the direct
-engine's FFT convolution from the full (2m)^3 lag array and whole-box
-transforms or from fresh arrays transformed one axis at a time, and the
-lambda* lattice search from one profile at a time.  The Q_n / Q_e maximizer (maximize_on_ray, q_n_raw) and the
-random triple and exponent samplers live in neharilab.invariants, which runs
-the invariant battery on them; they are re-exported here.
+derivatives from central differences, B of a Gaussian from its closed form,
+the energy operator from a dense D^T W D product, the quadrature weights
+from a per-cell loop and the dense radial kernel from its closed form on
+broadcast (M, M) arrays, the direct engine's FFT convolution from the full
+(2m)^3 lag array and whole-box transforms or from fresh arrays transformed
+one axis at a time, and the lambda* lattice search from one profile at a
+time.  The Q_n / Q_e maximizer (maximize_on_ray, q_n_raw) and the random
+triple and exponent samplers live in neharilab.invariants, which runs the
+invariant battery on them; they are re-exported here.
 """
+
+import math
 
 import numpy as np
 
@@ -130,6 +133,16 @@ def direct_pair_sum_w_u(u_vals, grid, params):
     rho = (3.0 * h**3 / (4.0 * np.pi)) ** (1.0 / 3.0)
     out += gv * 4.0 * np.pi * rho ** (3.0 - mu) / (3.0 - mu)
     return (r_alpha * out.T).T
+
+
+def gaussian_B_closed_form(mu, p):
+    """B(u) of u = exp(-r^2) in N = 3 at alpha = 0 and b = 1, in closed form:
+    with s = (x + y)/2 and z = x - y, |x|^2 + |y|^2 = 2|s|^2 + |z|^2/2, so B
+    is a Gaussian integral in s times a Gamma integral in z,
+
+        B = (pi/p)^3 (2/p)^(-mu/2) Gamma((3 - mu)/2) / Gamma(3/2)."""
+    return ((math.pi / p) ** 3 * (2.0 / p) ** (-mu / 2.0)
+            * math.gamma((3.0 - mu) / 2.0) / math.gamma(1.5))
 
 
 def full_box_kernel_hat(grid, mu):

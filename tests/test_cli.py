@@ -84,6 +84,25 @@ def test_validate_rejects_grid_the_commands_reject(tmp_path, capsys, old, new, m
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("sigmas = 0.5,", "sigmas = -1.0,0.5,", "scale must be positive and finite, got -1.0"),
+    ("sigmas = 0.5,", "sigmas = nan,0.5,", "scale must be positive and finite, got nan"),
+    ("families = gaussian,", "families = gaussian,nosuch,", "unknown profile family 'nosuch'"),
+    ("families = gaussian,inverse_poly:1.5", "families = inverse_poly",
+     "inverse_poly profile needs beta"),
+], ids=["negative-sigma", "nan-sigma", "unknown-family", "inverse-poly-without-beta"])
+def test_validate_refuses_the_lattice_lambda_star_refuses(tmp_path, capsys, old, new, message):
+    path = tmp_path / "cfg.ini"
+    path.write_text(SMALL_CONFIG.replace(old, new))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"GridError: {message}" in captured.err
+    assert captured.out == ""
+    for command in ("lambda-star", "solve", "sweep"):
+        assert cli.main([command, "--config", str(path)]) == 1
+        assert f"GridError: {message}" in capsys.readouterr().err
+
+
 def test_missing_config_is_usage_error(capsys):
     assert cli.main(["validate", "--config", "/nonexistent.ini"]) == 2
 

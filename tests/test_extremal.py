@@ -116,7 +116,7 @@ def test_family_sweep_errors_and_warnings(params, grid, sweep):
         sweep([("gaussian", None), ("sobolev_bump", None)], [1.0, 1e-6], grid, params)
     with pytest.raises(GridError, match="scale must be positive"):
         sweep([("gaussian", None)], [1.0, 0.0], grid, params)
-    with pytest.raises(GridError, match="grid function values must be finite"):
+    with pytest.raises(GridError, match="scale must be positive and finite, got nan"):
         sweep([("gaussian", None)], [1.0, np.nan], grid, params)
     with pytest.warns(ProfileNotInX):
         val, _, trace = sweep([("inverse_poly", 0.4)], [0.5, 1.0], grid, params)

@@ -242,6 +242,12 @@ def test_broadcast_sampling_rows_equal_single_samples(grid):
 def test_profile_errors(grid):
     with pytest.raises(GridError, match="scale must be positive"):
         nl.sample_profile("gaussian", 0.0, grid)
+    # a NaN scale fails every comparison: it is refused by name, not as a
+    # bump with no node or as non-finite values
+    for family in ("gaussian", "sobolev_bump"):
+        for scale in (np.nan, np.inf, -np.inf):
+            with pytest.raises(GridError, match=f"scale must be positive and finite, got {scale}"):
+                nl.sample_profile(family, scale, grid)
     with pytest.raises(GridError, match="bump support contains no grid node"):
         nl.sample_profile("sobolev_bump", 1e-6, grid)
     with pytest.raises(GridError, match="needs beta"):
