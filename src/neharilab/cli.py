@@ -119,8 +119,6 @@ def load_config(path: str | None) -> RunConfig:
                 tol=s.getfloat("tol", cfg.solver.tol),
                 max_iters=s.getint("max_iters", cfg.solver.max_iters),
             )
-            if cfg.solver.tol <= 0:
-                raise ConfigError("solver tolerances must be positive")
         if ini.has_section("sweep"):
             s = ini["sweep"]
             cfg.sweep_points = s.getint("points", cfg.sweep_points)
@@ -140,6 +138,13 @@ def load_config(path: str | None) -> RunConfig:
             cfg.seed = ini["run"].getint("seed", cfg.seed)
     except ValueError as err:
         raise ConfigError(f"bad config value: {err}") from err
+    if not (math.isfinite(cfg.solver.tol) and cfg.solver.tol > 0.0):
+        raise ConfigError(f"[solver] tol must be finite and positive, got {cfg.solver.tol}")
+    # a cap of 0 is legal and takes no step
+    for key, cap in (("[solver] max_iters", cfg.solver.max_iters),
+                     ("[extremal] descent_iters", cfg.descent.max_iters)):
+        if cap < 0:
+            raise ConfigError(f"{key} must be >= 0, got {cap}")
     return cfg
 
 

@@ -107,14 +107,6 @@ class RayMissesNehari(NehariLabError, RuntimeError):
     """lambda >= Lambda_n(u): the ray through u carries no Nehari point."""
 
 
-class NoConvergence(NehariLabError, RuntimeError):
-    """Iteration cap reached above tolerance (raised only in strict mode)."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
-
-
 # --- sweep ----------------------------------------------------------------
 
 class NoSignChange(NehariLabError, RuntimeError):

@@ -19,15 +19,16 @@ one on the G-tangent space {v : u^T G v = 0},
 
     kappa (2G/E - g_E g_E^T/E^2) - (H_A/A - g_A g_A^T/A^2) - nu (H_B/B - g_B g_B^T/B^2),
 
-where g_E = 2Gu drops out.  A product is one kernel apply through
-FunctionalWorkspace.hessian, and its normal part along Gu is removed.
+where g_E = 2Gu drops out and g_A, g_B are FunctionalWorkspace.grad_A and
+grad_B, the gradients the solver's weak gradient J'_lambda is built from.  A
+product is one kernel apply through FunctionalWorkspace.hessian, and its
+normal part along Gu is removed.
 
 * Each step solves the tangent Newton system by truncated PCG, stopped as the
   solver's N- step is (Steihaug 1983).  The preconditioner is
-  P = 2 kappa G/E + diag(q(1-q) omega w a u_f^(q-2))/A, u_f = ws.floored(u),
-  factored once per step by FunctionalWorkspace.factor: the analogue of the
-  solver's G + singular shift.  P^-1 r is projected back onto the tangent
-  space.
+  P = 2 kappa G/E + FunctionalWorkspace.singular_diag(u, q(1-q)/A), factored
+  once per step by FunctionalWorkspace.factor: the analogue of the solver's
+  G + singular shift.  P^-1 r is projected back onto the tangent space.
 * On nonpositive curvature at the first CG step the step is that
   preconditioned gradient, with a step-length memory doubling up to STEP_MAX.
 * A step is accepted on Armijo decrease of f, with halving backtracking.  The
@@ -181,14 +182,10 @@ def family_sweep(families, sigmas, grid, params: ProblemParams):
 
 def _log_gradient(ws, ev, kappa: float, nu: float):
     """grad f, f = log Lambda_n = kappa log E - log A - nu log B + const, at
-    ev, with the A and B gradients g_A, g_B that the Hessian's rank terms need.
-    A's gradient floors u by ws.floored, as the solver does."""
-    g, p, q, u = ws.grid, ws.params.p, ws.params.q, ev.u
+    ev, with the A and B gradients g_A, g_B that the Hessian's rank terms need."""
     E, A, B = ev.triple.as_tuple()
-    quad = g.omega * g.weights
-    gA = quad * ws.a * q * ws.floored(u) ** (q - 1.0)
-    gB = quad * ws.b * 2.0 * p * np.abs(u) ** (p - 1.0) * ev.w_u
-    grad = ws.apply_G(u, 2.0 * kappa / E)
+    gA, gB = ws.grad_A(ev.u), ws.grad_B(ev)
+    grad = ws.apply_G(ev.u, 2.0 * kappa / E)
     grad = daxpy(gA, grad, a=-1.0 / A)
     return daxpy(gB, grad, a=-nu / B), gA, gB
 
@@ -233,10 +230,9 @@ def _newton_system(ws, ev, gA, gB, kappa: float, nu: float):
     so s (hessian - G) is -nu H_B / B, and one ws.apply_G adds the
     2 kappa G / E part.  Each product is one kernel apply.
     """
-    g, p, q = ws.grid, ws.params.p, ws.params.q
-    u = ev.u
+    p, q, u = ws.params.p, ws.params.q, ev.u
     E, A, B = ev.triple.as_tuple()
-    diag = g.omega * g.weights * ws.a * (q * (1.0 - q) / A) * ws.floored(u) ** (q - 2.0)
+    diag = ws.singular_diag(u, q * (1.0 - q) / A)
     solve_P = ws.factor(diag, 2.0 * kappa / E)
     s = 2.0 * p * nu / B
     diag /= s

@@ -14,9 +14,12 @@ workspace() raises UnsupportedDimension on a box, the direct engine's input.
 Other modules reach G's bands only through FunctionalWorkspace.apply_G and
 factor, which factors scale G + diag(shift) by LAPACK's banded Cholesky
 dpbtrf and solves by dpbtrs, both called directly (a matrix that is not SPD
-raises numpy's LinAlgError).  The singular term lambda a u^(q-1), not
-differentiable at u = 0, is everywhere evaluated at
-FunctionalWorkspace.floored(u).
+raises numpy's LinAlgError).  FunctionalWorkspace also holds the only
+formulas for the derivatives of (E, A, B): grad_A = q omega w a u_f^(q-1),
+grad_B = 2p omega w b u^(p-1) w_u and singular_diag = c omega w a u_f^(q-2),
+the singular term evaluated at the floored u_f = max(u, FLOOR_FACTOR max(u))
+since it is not differentiable at u = 0.  defect is the weak gradient
+J'_lambda(u) = Gu - (lambda/q) grad_A - grad_B/(2p).
 
 The nonlocal interaction
 
@@ -59,12 +62,12 @@ has two independent engines in N = 3:
   its peak (_box_fft_mb), the largest box under the cap, and
   build_cartesian_grid refuses a larger one.
 
-Both engines evaluate B through the nonlocal potential w_u, so the nonlocal
-term of the defect paired with u, int b |u|^p w_u, is B(u) exactly.
+Both engines evaluate B through the nonlocal potential w_u, so grad_B . u,
+2p int b |u|^p w_u, is 2p B(u) exactly.
 
 One evaluation per point: FunctionalWorkspace.evaluate computes w_u once and
-returns it with (E, A, B); the triple, the energy, the Euler-Lagrange defect
-and its weak residual are all read from that record.  evaluate takes a node
+returns it with (E, A, B); the triple, the energy, the weak gradient and its
+residual are all read from that record.  evaluate takes a node
 vector or a stack of them, one per row of a C-ordered (k, M) array, and
 then returns the triple's fields as length-k arrays: one
 w_u and one norm_sq call for the whole stack, through the same formulas.
@@ -305,26 +308,35 @@ class FunctionalWorkspace:
             return self._w_out * np.array([self.kernel()(row) for row in h])
         return self._w_out * self.kernel()(h)
 
-    def nonlocal_factor(self, u_vals) -> np.ndarray:
-        """b |u|^(p-2) u, the factor of w_u in J'(u)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fac = self.b * np.abs(u_vals) ** (self.params.p - 2.0) * u_vals
-        fac[u_vals == 0.0] = 0.0  # |u|^(p-2) u -> 0 as u -> 0 for p > 1
-        return fac
+    def grad_A(self, u_vals):
+        """A's gradient g_A = q omega w a u_f^(q-1), u_f = floored(u)."""
+        g, q = self.grid, self.params.q
+        return g.omega * g.weights * self.a * q * self.floored(u_vals) ** (q - 1.0)
+
+    def grad_B(self, ev: Evaluation):
+        """B's gradient g_B = 2p omega w b u^(p-1) w_u at ev (u >= 0)."""
+        g, p = self.grid, self.params.p
+        return g.omega * g.weights * self.b * (2.0 * p) * ev.u ** (p - 1.0) * ev.w_u
+
+    def singular_diag(self, u_vals, c):
+        """c omega w a u_f^(q-2): c = lambda (1-q) gives the singular term of
+        J_lambda's Hessian, c = q(1-q)/A that of -log A's."""
+        g, q = self.grid, self.params.q
+        return g.omega * g.weights * self.a * c * self.floored(u_vals) ** (q - 2.0)
 
     def hessian(self, ev: "Evaluation", diag):
         """The operator v -> H v, H the Hessian of J_lambda at ev (radial):
 
             H v = G v + diag v - 2 pi omega p c K(c v),  c = b u^(p-1) r^-a w.
 
-        On entry diag holds the singular part lambda (1-q) omega w a u^(q-2);
+        On entry diag holds the singular part, singular_diag(u, lambda (1-q));
         the nonlocal diagonal (p-1) omega w b u^(p-2) w_u is subtracted from it
         in place.  The operator writes into out when given.
         """
         g, p, u = self.grid, self.params.p, ev.u
         with np.errstate(divide="ignore", invalid="ignore"):
             nd = self.b * u ** (p - 2.0) * ev.w_u
-        nd[u == 0.0] = 0.0  # as in nonlocal_factor: no nonlocal term off the support
+        nd[u == 0.0] = 0.0  # no nonlocal term off the support (u^(p-2) is inf there for p < 2)
         diag -= (p - 1.0) * g.omega * g.weights * nd
         c = self.b * u ** (p - 1.0) * self._r_alpha * g.weights
         coef = -2.0 * np.pi * g.omega * p
@@ -362,41 +374,24 @@ class FunctionalWorkspace:
         """b |u|^p, the nonlocal term's density."""
         return self.b * np.abs(u_vals) ** self.params.p
 
-    def defect(self, ev: Evaluation, lam: float,
-               include_nonlocal: bool = True, source=None):
-        """Strong-form Euler-Lagrange defect d at ev and its weak residual.
-
-        d_i = (G u)_i/(omega w_i) - lambda a_i max(u_i, eps)^(q-1)
-              - b_i u_i^(p-1) (w_u)_i  [- source_i]
-
-        sum_i d_i phi_i omega w_i is J'_lambda(u)[phi] wherever the floor
-        eps = FLOOR_FACTOR * max(u) is inactive.
-
-        The residual is the quadrature-weighted norm of d over the largest of
-        the term norms, so 1e-4 means the defect is 1e-4 of the dominant
-        balance.
+    def defect(self, ev: Evaluation, lam: float):
+        """The weak gradient J'_lambda(u) = Gu - (lambda/q) g_A - g_B/(2p) at
+        ev (entry i is J'_lambda(u) along the i-th nodal basis vector where
+        the floor is inactive) and its residual: its norm sqrt(sum_i v_i^2 /
+        (omega w_i)), dual to the quadrature-weighted one, over the largest
+        such norm of its three terms, so 1e-4 means the gradient is 1e-4 of
+        the dominant balance.
         """
-        g, uv = self.grid, ev.u
-        quad = g.omega * g.weights
-        Gu = self.apply_G(uv)
-        d = Gu / quad
-        # each term's squared norm is one dot product against quad
-        squares = [float(d @ Gu)]
-        if lam != 0.0:
-            term = self.floored(uv)
-            term **= self.params.q - 1.0
-            term *= lam * self.a
-            squares.append(float(term @ (quad * term)))
-            d -= term
-        if include_nonlocal:
-            term = self.nonlocal_factor(uv) * ev.w_u
-            squares.append(float(term @ (quad * term)))
-            d -= term
-        if source is not None:
-            source = np.asarray(source, dtype=float)
-            squares.append(float(source @ (quad * source)))
-            d -= source
-        return d, math.sqrt(float(d @ (quad * d)) / max(squares))
+        quad = self.grid.omega * self.grid.weights
+        grad = self.apply_G(ev.u)
+        squares = [float(grad @ (grad / quad))]
+        c, term = lam / self.params.q, self.grad_A(ev.u)
+        squares.append(c * c * float(term @ (term / quad)))
+        grad = daxpy(term, grad, a=-c)
+        c, term = 0.5 / self.params.p, self.grad_B(ev)
+        squares.append(c * c * float(term @ (term / quad)))
+        grad = daxpy(term, grad, a=-c)
+        return grad, math.sqrt(float(grad @ (grad / quad)) / max(squares))
 
 
 _workspaces: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()

@@ -9,18 +9,14 @@ branch-reduced energy v -> J_lambda(t(v) v) by descent with reprojection:
           backtrack on the reduced energy.
 
 The envelope theorem makes the reduced gradient at an on-branch point equal
-the defect pairing phi -> sum_i d_i phi_i omega w_i.  The strong-form defect
-
-    d_i = (G u)_i / (omega w_i) - lambda a_i max(u_i, eps)^(q-1)
-          - b_i u_i^(p-1) (w_u)_i
-
-with eps = FLOOR_FACTOR max(u) (FunctionalWorkspace.floored), is both the
-step's source (the gradient is g = omega w d) and the convergence measure
-(its quadrature-weighted norm, relative to the size of its largest term).
-Both branches precondition with the SPD operator
-P = G + diag(omega w lambda a (1-q) u_f^(q-2)), u_f the floored u, which
-carries the stiffness of the elliptic part and of the singular term; it is
-factored by FunctionalWorkspace.factor.  The step x differs by branch:
+the weak gradient g = J'_lambda(u) = Gu - (lambda/q) g_A - g_B/(2p) of
+FunctionalWorkspace.defect, the one home of the formulas for g_A, g_B and
+the singular term's floor.  g is both the step's source and the convergence
+measure (its dual quadrature-weighted norm, relative to the size of its
+largest term).  Both branches precondition with the SPD operator
+P = G + FunctionalWorkspace.singular_diag(u, lambda (1-q)), which carries the
+stiffness of the elliptic part and of the singular term; it is factored by
+FunctionalWorkspace.factor.  The step x differs by branch:
 
 * N+: one preconditioned gradient step, x = P^-1 g.
 * N-: an inexact Newton step on the reduced energy (local minimax, Li &
@@ -57,7 +53,7 @@ import numpy as np
 from scipy.linalg.blas import daxpy, dnrm2
 
 from . import fibering
-from .errors import NoConvergence, RayMissesNehari
+from .errors import NotInPositiveCone, RayMissesNehari
 from .fibering import Branch, DoubleRoot, NoRoot, nehari_roots
 from .functionals import (
     Evaluation,
@@ -134,28 +130,27 @@ def _to_branch(params, ev, lam, branch):
     return Evaluation(u, w_u, triple)
 
 
-def strong_form_defect(u: GridFunction, lam: float, params: ProblemParams,
-                       include_nonlocal: bool = True, source=None) -> np.ndarray:
-    """Nodal Euler-Lagrange defect d with sum_i d_i phi_i omega w_i =
-    J'_lambda(u)[phi] (see FunctionalWorkspace.defect).  At an on-branch
-    point it is also the nodal gradient of the branch-reduced energy
-    (envelope theorem).
+def strong_form_defect(u: GridFunction, lam: float, params: ProblemParams) -> np.ndarray:
+    """Nodal Euler-Lagrange defect d = J'_lambda(u) / (omega w), so that
+    sum_i d_i phi_i omega w_i = J'_lambda(u)[phi] (see
+    FunctionalWorkspace.defect).  At an on-branch point it is also the nodal
+    gradient of the branch-reduced energy (envelope theorem).
     """
-    return _defect(u, lam, params, include_nonlocal, source)[0]
+    grad = _defect(u, lam, params)[0]
+    return grad / (u.grid.omega * u.grid.weights)
 
 
-def weak_residual(u: GridFunction, lam: float, params: ProblemParams,
-                  include_nonlocal: bool = True, source=None) -> float:
+def weak_residual(u: GridFunction, lam: float, params: ProblemParams) -> float:
     """Euler-Lagrange defect norm relative to its largest term (see
-    FunctionalWorkspace.defect).  ``include_nonlocal=False`` and ``source``
-    are test hooks for the linear problem -Delta u + V u = source.
-    """
-    return _defect(u, lam, params, include_nonlocal, source)[1]
+    FunctionalWorkspace.defect)."""
+    return _defect(u, lam, params)[1]
 
 
-def _defect(u, lam, params, include_nonlocal, source):
+def _defect(u, lam, params):
+    if not u.in_positive_cone:   # grad_B takes u^(p-1), defined for u >= 0
+        raise NotInPositiveCone("the weak gradient needs a nonnegative u, not identically zero")
     ws = workspace(u.grid, params)
-    return ws.defect(ws.evaluate(u.values), lam, include_nonlocal, source)
+    return ws.defect(ws.evaluate(u.values), lam)
 
 
 def _initial_ray(ws, lam, branch, init, grid, params):
@@ -177,24 +172,15 @@ def _initial_ray(ws, lam, branch, init, grid, params):
     )
 
 
-def _singular_shift(ws, u, lam):
-    """lambda (1-q) omega w a u_f^(q-2), u_f = ws.floored(u): the singular
-    term's Hessian diagonal, the shift of the preconditioner G + shift."""
-    g, q = ws.grid, ws.params.q
-    return g.omega * g.weights * lam * ws.a * (1.0 - q) * ws.floored(u) ** (q - 2.0)
-
-
 def _hessian_along_u(ws, ev, diag):
     """H u with no kernel apply, diag as ws.hessian(ev, diag) left it.
 
     c u = b u^p r^-a w is w_u's own kernel input, so K(c u) = w_u / (2 pi
-    r^-a) and H u = G u + diag u - p omega w b u^(p-1) w_u.
+    r^-a) and H u = G u + diag u - g_B / 2.
     """
-    g, p, u = ws.grid, ws.params.p, ev.u
-    hu = ws.apply_G(u)
-    hu += diag * u
-    hu -= p * g.omega * g.weights * ws.b * u ** (p - 1.0) * ev.w_u
-    return hu
+    hu = ws.apply_G(ev.u)
+    hu += diag * ev.u
+    return daxpy(ws.grad_B(ev), hu, a=-0.5)
 
 
 def _branch_hessian(ws, ev, diag):
@@ -256,13 +242,13 @@ def truncated_pcg(hess, precondition, r, res):
 
 def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
                        params: ProblemParams, grid=None,
-                       opts: SolverOptions | None = None,
-                       strict: bool = False) -> SolveResult:
+                       opts: SolverOptions | None = None) -> SolveResult:
     """Minimize J_lambda over the requested Nehari branch.
 
     Terminates at weak residual <= opts.tol (converged) or the iteration cap
-    (converged=False, full diagnostics in the result; raises NoConvergence
-    only when strict=True).
+    (converged=False, full diagnostics in the result).  Raises
+    RayMissesNehari when no sampled ray, or the final iterate's ray, carries
+    Nehari points for lambda.
     """
     if branch not in (Branch.NPLUS, Branch.NMINUS):
         raise ValueError(f"branch must be NPLUS or NMINUS, got {branch}")
@@ -278,19 +264,16 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
     history = [J]
     step = STEP_MAX
     for _ in range(opts.max_iters):
-        d, res = ws.defect(ev, lam)
+        grad, res = ws.defect(ev, lam)
         if res <= opts.tol:
             break
         u = ev.u
-        shift = _singular_shift(ws, u, lam)
+        shift = ws.singular_diag(u, lam * (1.0 - params.q))
         if branch == Branch.NPLUS:
-            grad = grid.omega * grid.weights * d
             z = ws.solve_shifted(shift, grad)
             slope = float(grad @ z)  # directional derivative along -z
         else:
-            # the gradient overwrites d: one vector less at the Krylov peak
-            d *= grid.omega * grid.weights
-            z, slope = _newton_krylov_step(ws, ev, shift, d, res)
+            z, slope = _newton_krylov_step(ws, ev, shift, grad, res)
         accepted = None
         s = step
         for _bt in range(BACKTRACK_MAX):
@@ -327,13 +310,10 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
     ufun = GridFunction(grid, ev.u)
     res = ws.defect(ev, lam)[1]
     converged = bool(res <= opts.tol)
-    try:
-        # every iterate is an absorbed projection, so the converged state's
-        # own projection time must sit at 1 up to the root tolerance
-        t_final = _project_values(params, ev, lam, branch)[0]
-    except RayMissesNehari:  # pragma: no cover
-        t_final = float("nan")
-    result = SolveResult(
+    # every iterate is an absorbed projection, so the converged state's own
+    # projection time must sit at 1 up to the root tolerance
+    t_final = _project_values(params, ev, lam, branch)[0]
+    return SolveResult(
         solution=ufun,
         branch=branch,
         lam=lam,
@@ -346,12 +326,6 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
         triple=ev.triple,
         energy_history=history,
     )
-    if strict and not converged:
-        raise NoConvergence(
-            f"residual {res:.3e} above tolerance {opts.tol:.1e} after {result.iterations} iterations",
-            result=result,
-        )
-    return result
 
 
 def solve_pair(lam: float, params: ProblemParams, grid,

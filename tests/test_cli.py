@@ -262,6 +262,35 @@ def test_validate_refuses_the_sweep_window_sweep_refuses(tmp_path, capsys):
     assert "bad sweep grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old,new,command,message", [
+    ("tol = 1e-4", "tol = inf", "sweep", "[solver] tol must be finite and positive, got inf"),
+    ("tol = 1e-4", "tol = nan", "solve", "[solver] tol must be finite and positive, got nan"),
+    ("max_iters = 300", "max_iters = -5", "solve", "[solver] max_iters must be >= 0, got -5"),
+    ("descent_iters = 120", "descent_iters = -1", "lambda-star",
+     "[extremal] descent_iters must be >= 0, got -1"),
+], ids=["tol-inf", "tol-nan", "max-iters-negative", "descent-iters-negative"])
+def test_out_of_range_solver_and_descent_settings_are_usage_errors(tmp_path, capsys, old, new,
+                                                                   command, message):
+    # each once ran and could exit 0 with a wrong answer
+    path = tmp_path / "cfg.ini"
+    path.write_text(SMALL_CONFIG.replace(old, new))
+    for cmd in ("validate", command):
+        assert cli.main([cmd, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"usage error: {message}" in captured.err
+        assert captured.out == ""
+
+
+def test_zero_iteration_caps_stay_legal(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text(SMALL_CONFIG.replace("max_iters = 300", "max_iters = 0")
+                    .replace("descent_iters = 120", "descent_iters = 0"))
+    cfg = cli.load_config(str(path))
+    assert cfg.solver.max_iters == 0 and cfg.descent.max_iters == 0
+    assert cli.main(["lambda-star", "--config", str(path)]) == 0
+    assert "descent steps: 0," in capsys.readouterr().out
+
+
 def test_removed_option_keys_are_ignored(small_config, tmp_path, capsys):
     # step0, floor_factor, reinit_budget and v_form each had one usable value;
     # a config that still sets them, even to values once refused, loads as

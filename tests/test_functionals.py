@@ -658,28 +658,28 @@ def test_nonlocal_selfconsistency_exact(params, gaussian):
 
 
 def test_D_uu_equals_B_exactly(params, smooth):
-    # the nonlocal term of the defect, paired with u, is B(u)
+    # the nonlocal term of the weak gradient, g_B/(2p), paired with u is B(u)
     ws = workspace(smooth.grid, params)
     ev = ws.evaluate(smooth.values)
-    D = ws.space_integral(ws.nonlocal_factor(ev.u) * ev.w_u * ev.u)
+    D = ws.grad_B(ev) @ ev.u / (2.0 * params.p)
     assert D == pytest.approx(ev.triple.B, rel=1e-13)
 
 
 # --- H -----------------------------------------------------------------------------
 
 def test_H_uu_equals_A(params, grid):
-    # the singular term of the defect paired with u is A(u): u^(q-1) u = u^q
-    # on the slowly decaying profile, which stays far above the 1e-10 floor.
-    # At lambda = 1e6 that term carries the pairing (E is 1e-5 of it), so the
-    # tolerance bounds H(u, u) - A(u) itself
+    # the singular term of the weak gradient paired with u is lambda A(u):
+    # u^(q-1) u = u^q on the slowly decaying profile, which stays far above
+    # the 1e-10 floor.  At lambda = 1e6 that term carries the pairing (E and
+    # B are 1e-5 of it), so the tolerance bounds H(u, u) - A(u) itself
     u = nl.sample_profile("inverse_poly", 1.0, grid, beta=1.0)
     assert np.min(u.values) > 1e-10 * np.max(u.values)
     ws = workspace(grid, params)
     ev = ws.evaluate(u.values)
     lam = 1e6
-    d = ws.defect(ev, lam, include_nonlocal=False)[0]
-    assert ws.space_integral(d * u.values) == pytest.approx(
-        ev.triple.E - lam * ev.triple.A, rel=1e-13
+    t = ev.triple
+    assert ws.defect(ev, lam)[0] @ u.values == pytest.approx(
+        t.E - lam * t.A - t.B, rel=1e-13
     )
 
 
@@ -735,14 +735,13 @@ def test_gaussian_reference_triple_pinned(params, grid, gaussian):
 
 def test_gradient_action_nehari_defect(params, grid):
     # floor inactive on the slowly decaying profile, so the singular term
-    # paired with u is A(u) exactly and sum_i d_i u_i omega w_i is the
-    # literal Nehari defect
+    # paired with u is A(u) exactly and J'(u) . u is the literal Nehari defect
     u = nl.sample_profile("inverse_poly", 1.0, grid, beta=1.0)
     assert np.min(u.values) > 1e-10 * np.max(u.values)
     ws = workspace(grid, params)
     ev = ws.evaluate(u.values)
     lam = 0.3
-    val = ws.space_integral(ws.defect(ev, lam)[0] * u.values)
+    val = ws.defect(ev, lam)[0] @ u.values
     t = ev.triple
     assert val == pytest.approx(t.E - lam * t.A - t.B, rel=1e-12)
 
@@ -753,7 +752,7 @@ def test_gradient_action_nehari_defect(params, grid):
     (2.0, {"alpha": 0.2}),
 ], ids=["newton-kernel", "dense-kernel", "log-kernel"])
 def test_gradient_action_finite_difference_oracle(grid, mu, overrides):
-    # the defect pairing against the central difference of J_lambda, along a
+    # the weak gradient against the central difference of J_lambda, along a
     # direction that keeps u positive and away from the singular floor
     prm = nl.validate(dataclasses.replace(nl.ProblemParams(), mu=mu, **overrides))
     ws = workspace(grid, prm)
@@ -764,5 +763,26 @@ def test_gradient_action_finite_difference_oracle(grid, mu, overrides):
     up = nl.GridFunction(grid, u.values * (1 + eps * psi))
     um = nl.GridFunction(grid, u.values * (1 - eps * psi))
     fd = (nl.energy(up, lam, prm) - nl.energy(um, lam, prm)) / (2 * eps)
-    d = ws.defect(ws.evaluate(u.values), lam)[0]
-    assert ws.space_integral(d * psi * u.values) == pytest.approx(fd, rel=1e-5)
+    grad = ws.defect(ws.evaluate(u.values), lam)[0]
+    assert grad @ (psi * u.values) == pytest.approx(fd, rel=1e-5)
+
+
+@pytest.mark.parametrize("mu,overrides", [
+    (1.0, {}),
+    (1.5, {"p": 3.5, "b_form": "constant"}),
+    (2.0, {"alpha": 0.2}),
+], ids=["newton-kernel", "dense-kernel", "log-kernel"])
+@pytest.mark.parametrize("name", ["A", "B"])
+def test_gradient_of_A_and_B_central_difference(grid, mu, overrides, name):
+    # grad_A and grad_B each against the central difference of A or B alone,
+    # along directions that keep u positive and away from the singular floor
+    prm = nl.validate(dataclasses.replace(nl.ProblemParams(), mu=mu, **overrides))
+    ws = workspace(grid, prm)
+    u = nl.sample_profile("inverse_poly", 1.0, grid, beta=1.0).values
+    ev = ws.evaluate(u)
+    grad = ws.grad_A(u) if name == "A" else ws.grad_B(ev)
+    eps = 1e-5
+    for psi in (1.0 + 0.3 * np.sin(grid.nodes), np.exp(-0.3 * grid.nodes)):
+        v = psi * u
+        plus, minus = (getattr(ws.evaluate(u + s * eps * v).triple, name) for s in (1, -1))
+        assert grad @ v == pytest.approx((plus - minus) / (2 * eps), rel=1e-8)
