@@ -104,7 +104,8 @@ class EmptyFamily(NehariLabError, ValueError):
 # --- solver ---------------------------------------------------------------
 
 class RayMissesNehari(NehariLabError, RuntimeError):
-    """lambda >= Lambda_n(u): the ray through u carries no Nehari point."""
+    """lambda > Lambda_n(u), or lambda within the tangency band of it: the
+    ray through u carries no Nehari point off the tangency."""
 
 
 # --- sweep ----------------------------------------------------------------

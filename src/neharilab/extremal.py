@@ -40,7 +40,8 @@ normal part along Gu is removed.
       dB = sum omega w (rho'-rho)(w_u'+w_u),
            rho'-rho = b u^p expm1(p log1p(delta/u)),
       f(u) - f(u') = -kappa log1p(dE/E) + log1p(dA/A) + nu log1p(dB/B),
-  with delta = u' - u; dB rests on K being symmetric.  So no accepted step
+  with delta = u' - u; dB rests on the kernel operator being symmetric, as
+  the one dsymv applies from the built triangle is.  So no accepted step
   raises f.
 * A step lowers no node below FLOOR times its value, so iterates stay strictly
   positive, as the minimizer is.  A clip to zero strands tail nodes at the

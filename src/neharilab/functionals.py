@@ -38,10 +38,9 @@ has two independent engines in N = 3:
   i, plus the diagonal cell (2r - d/3)/r^2 h_i: two running sums, O(M) time
   and memory.  Any other mu stores the dense M x M matrix (M <= 4096) and
   applies it by BLAS dsymv, which reads one triangle: half the memory traffic
-  of a general product.  This relies on the matrix being symmetric bit for
-  bit, which the build keeps: r + s, |r - s| and r s commute in IEEE
-  arithmetic, so entries (i, j) and (j, i) are the same operations on the
-  same operands.
+  of a general product.  The build fills one triangle, the one dsymv reads,
+  so it evaluates each pair (r, s) once; dsymv applies the symmetric matrix
+  that triangle defines.
 * direct: midpoint pair sum over a Cartesian box with lattice kernel
   h^3 (h|k|)^(-mu) at lag k, computed as one free-space FFT convolution on
   the zero-padded (2m)^3 box (Hockney & Eastwood 1988), O(m^3 log m).  The
@@ -104,8 +103,8 @@ if TYPE_CHECKING:   # grid imports this module for the box's size rule
     from .grid import GridFunction
 
 FLOOR_FACTOR = 1e-10  # the singular term's floor, relative to max(u)
-# the dense kernel is built in place: the M x M matrix (128 MB at the cap)
-# plus one _KERNEL_ROW_BLOCK x M block (2 MB); mu = 1 stores no matrix
+# the dense kernel's build fills the triangle dsymv reads and holds the M x M
+# matrix (128 MB at the cap) plus one _KERNEL_ROW_BLOCK x M scratch block (2 MB)
 _DENSE_KERNEL_MAX_M = 4096
 _KERNEL_ROW_BLOCK = 64
 _BOX_FFT_MAX_MB = 29  # the direct engine's peak, _box_fft_mb(m): m <= 76
@@ -211,10 +210,10 @@ class FunctionalWorkspace:
 
         Built once per workspace: at mu = 1 only the diagonal-cell vector is
         stored and the operator is two running sums; otherwise the dense
-        matrix is stored and applied by dsymv from its upper triangle.  K is
-        symmetric bit for bit (module docstring), so its transpose, the
-        F-ordered view that BLAS takes without a copy, is K itself; a build
-        that broke the symmetry would make the apply wrong, not slow.
+        matrix is stored and applied by dsymv.  dsymv takes the F-ordered
+        view K.T without a copy and reads its upper triangle, the lower
+        triangle of K (j <= i), which is the one the build fills; the rest of
+        K is never read.
         """
         if self._apply_K is None:
             g, mu = self.grid, self.params.mu
@@ -240,31 +239,36 @@ class FunctionalWorkspace:
                 f"{g.M**2 * 8 / 2**20:.0f} MB matrix plus one {_KERNEL_ROW_BLOCK}-row "
                 f"block of {_KERNEL_ROW_BLOCK * g.M * 8 / 2**20:.1f} MB; mu = 1 needs "
                 "no matrix and has no cap")
-        r, d = g.nodes, g.cell_widths
-        # built in place, one block of rows at a time, in the order of the
-        # closed forms: ((r+s)^e - |r-s|^e) / (r s e) and log((r+s)/|r-s|) / (r s)
-        K = np.add.outer(r, r)
-        buf = np.empty((min(_KERNEL_ROW_BLOCK, g.M), g.M))
+        r, d, M = g.nodes, g.cell_widths, g.M
+        # the lower triangle, in the order of the closed forms ((r+s)^e -
+        # |r-s|^e) / (r s e) and log((r+s)/|r-s|) / (r s): rows [i0, i1) take
+        # columns [0, i1) in two contiguous halves of one row block.  The
+        # diagonal blocks' upper halves get the mirrored values (r + s, |r - s|
+        # and r s commute); the rest stays zero.
+        K = np.zeros((M, M))
+        step = _KERNEL_ROW_BLOCK // 2
+        buf = np.empty((2, min(step, M) * M))
         log_kernel = abs(mu - 2.0) <= 1e-13
         e = 2.0 - mu
         with np.errstate(divide="ignore"):  # the diagonal, replaced below
-            for i0 in range(0, g.M, _KERNEL_ROW_BLOCK):
-                rows = K[i0:i0 + _KERNEL_ROW_BLOCK]
-                ri = r[i0:i0 + _KERNEL_ROW_BLOCK, None]
-                blk = buf[:len(rows)]
-                np.subtract(ri, r, out=blk)
-                np.abs(blk, out=blk)
+            for i0 in range(0, M, step):
+                i1 = min(i0 + step, M)
+                ri, s = r[i0:i1, None], r[:i1]
+                num, den = buf[:, :(i1 - i0) * i1].reshape(2, i1 - i0, i1)
+                np.add(ri, s, out=num)
+                np.subtract(ri, s, out=den)
+                np.abs(den, out=den)
                 if log_kernel:
-                    rows /= blk
-                    np.log(rows, out=rows)
-                    np.multiply(ri, r, out=blk)
+                    num /= den
+                    np.log(num, out=num)
+                    np.multiply(ri, s, out=den)
                 else:
-                    rows **= e
-                    blk **= e
-                    rows -= blk
-                    np.multiply(ri, r, out=blk)
-                    blk *= e
-                rows /= blk
+                    num **= e
+                    den **= e
+                    num -= den
+                    np.multiply(ri, s, out=den)
+                    den *= e
+                np.divide(num, den, out=K[i0:i1, :i1])
         if log_kernel:
             diag = (np.log(2.0 * r / d) + 1.5) / (r * r)
         else:

@@ -54,7 +54,7 @@ from scipy.linalg.blas import daxpy, dnrm2
 
 from . import fibering
 from .errors import NotInPositiveCone, RayMissesNehari
-from .fibering import Branch, DoubleRoot, NoRoot, nehari_roots
+from .fibering import DOUBLE_ROOT_BAND, Branch, DoubleRoot, NoRoot, nehari_roots
 from .functionals import (
     Evaluation,
     ReducedTriple,
@@ -101,8 +101,9 @@ def project_to_nehari(u: GridFunction, lam: float, branch: Branch,
                       params: ProblemParams) -> GridFunction:
     """Return t_branch(u) * u on the requested Nehari branch.
 
-    Raises RayMissesNehari when lambda >= Lambda_n(u) (no roots on this ray,
-    or only the tangency point).
+    Raises RayMissesNehari when lambda > Lambda_n(u) (no roots on this ray)
+    or lambda lies in the tangency band |lambda - Lambda_n(u)| <=
+    DOUBLE_ROOT_BAND Lambda_n(u) (only the tangency point).
     """
     ws = workspace(u.grid, params)
     t = _project_values(params, ws.evaluate(u.values), lam, branch)[0]
@@ -112,9 +113,13 @@ def project_to_nehari(u: GridFunction, lam: float, branch: Branch,
 def _project_values(params, ev, lam, branch):
     """Projection time t of the ray through ev and the triple at t * u."""
     roots = nehari_roots(ev.triple, lam, params.p, params.q)
-    if isinstance(roots, (NoRoot, DoubleRoot)):
+    if isinstance(roots, NoRoot):
+        raise RayMissesNehari(f"lambda = {lam} > Lambda_n(u) = {roots.lambda_n}")
+    if isinstance(roots, DoubleRoot):
         raise RayMissesNehari(
-            f"lambda = {lam} >= Lambda_n(u) = {float(fibering.lambda_n(ev.triple, params.p, params.q))}"
+            f"lambda = {lam} is within the tangency band {DOUBLE_ROOT_BAND:g} Lambda_n(u) "
+            f"of Lambda_n(u) = {float(fibering.lambda_n(ev.triple, params.p, params.q))}: "
+            "the ray touches the Nehari set only at its double root"
         )
     t = roots.t_plus if branch == Branch.NPLUS else roots.t_minus
     return t, fibering.scale_triple(ev.triple, t, params.p, params.q)

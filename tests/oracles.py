@@ -96,6 +96,20 @@ def broadcast_dense_kernel(grid, mu):
     return K
 
 
+def cancellation_free_kernel(grid, mu):
+    """The mu != 1, 2 radial kernel off the diagonal in a form free of the
+    cancellation of (r+s)^e - |r-s|^e as e -> 0:
+    |r-s|^e expm1(e log1p(2 min(r, s)/|r-s|)) / (e r s).  Diagonal: NaN."""
+    r = grid.nodes
+    rr, ss = r[:, None], r[None, :]
+    e = 2.0 - mu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.abs(rr - ss)
+        K = d**e * np.expm1(e * np.log1p(2.0 * np.minimum(rr, ss) / d)) / (e * rr * ss)
+    np.fill_diagonal(K, np.nan)
+    return K
+
+
 def dense_newton_kernel(grid):
     """The mu = 1 radial kernel as a dense matrix: Newton's 2/max(r, s) off
     the diagonal and the analytic diagonal cells (2r - d/3)/r^2."""

@@ -6,7 +6,7 @@ import pytest
 import neharilab as nl
 from neharilab import functionals, solver
 from neharilab.errors import NotInPositiveCone, RayMissesNehari
-from neharilab.fibering import Branch, phi_second
+from neharilab.fibering import DOUBLE_ROOT_BAND, Branch, phi_second
 from neharilab.functionals import workspace
 from neharilab.solver import (
     SolverOptions,
@@ -61,8 +61,18 @@ def test_projection_nehari_defect_vanishes(params, gaussian, lam):
 def test_projection_rejects_high_lambda(params, gaussian):
     t = nl.reduced_triple(gaussian, params)
     Ln = float(nl.lambda_n(t, params.p, params.q))
-    with pytest.raises(RayMissesNehari):
+    with pytest.raises(RayMissesNehari, match=r"lambda = \S+ > Lambda_n\(u\) = \S+$"):
         project_to_nehari(gaussian, 2.0 * Ln, Branch.NPLUS, params)
+
+
+def test_projection_names_the_tangency_band(params, gaussian):
+    # just below Lambda_n(u), inside the band: a double root, not "lambda >="
+    Ln = float(nl.lambda_n(nl.reduced_triple(gaussian, params), params.p, params.q))
+    lam = Ln * (1.0 - 0.5 * DOUBLE_ROOT_BAND)
+    assert lam < Ln
+    with pytest.raises(RayMissesNehari, match="tangency band 1e-12") as info:
+        project_to_nehari(gaussian, lam, Branch.NMINUS, params)
+    assert ">" not in str(info.value)
 
 
 # --- envelope gradient ---------------------------------------------------------------
