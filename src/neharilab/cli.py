@@ -138,6 +138,8 @@ def load_config(path: str | None) -> RunConfig:
             cfg.seed = ini["run"].getint("seed", cfg.seed)
     except ValueError as err:
         raise ConfigError(f"bad config value: {err}") from err
+    if not cfg.families:
+        raise ConfigError("[extremal] families must name at least one family")
     if not (math.isfinite(cfg.solver.tol) and cfg.solver.tol > 0.0):
         raise ConfigError(f"[solver] tol must be finite and positive, got {cfg.solver.tol}")
     # a cap of 0 is legal and takes no step
@@ -251,7 +253,9 @@ def cmd_lambda_star(args) -> int:
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     # precedence: --lambda flag, config [problem] lambda, --lambda-frac of
-    # lambda*; the one in effect is checked before the estimate runs
+    # lambda*; the one in effect is checked before the estimate runs, and an
+    # absolute lambda against the estimate before any solve: both branches
+    # exist only below lambda*
     if args.lam is not None:
         name, value = "--lambda", args.lam
     elif cfg.params.lam is not None:
@@ -260,8 +264,14 @@ def cmd_solve(args) -> int:
         name, value = "--lambda-frac", args.lam_frac
     if not (math.isfinite(value) and value > 0.0):
         raise ConfigError(f"{name} must be finite and positive, got {value}")
+    if name == "--lambda-frac" and value >= 1.0:
+        raise ConfigError(f"--lambda-frac must lie in (0, 1), got {value}: lambda = "
+                          "frac * lambda* must stay below the lambda* estimate")
     grid, prm, est = _estimate(cfg)
     lam = value * est.lambda_star if name == "--lambda-frac" else value
+    if lam >= est.lambda_star:
+        raise ConfigError(f"{name} gives lambda = {lam}, which must lie below the "
+                          f"lambda* estimate {_fmt(est.lambda_star)}")
     plus, minus = solve_pair(lam, prm, grid, init=est.minimizer, opts=cfg.solver)
     print(f"lambda = {_fmt(lam)} (lambda_star_est = {_fmt(est.lambda_star)})")
     for tag, res in (("N+", plus), ("N-", minus)):

@@ -64,19 +64,11 @@ has two independent engines in N = 3:
 Both engines evaluate B through the nonlocal potential w_u, so grad_B . u,
 2p int b |u|^p w_u, is 2p B(u) exactly.
 
-One evaluation per point: FunctionalWorkspace.evaluate computes w_u once and
-returns it with (E, A, B); the triple, the energy, the weak gradient and its
-residual are all read from that record.  evaluate takes a node
-vector or a stack of them, one per row of a C-ordered (k, M) array, and
-then returns the triple's fields as length-k arrays: one
-w_u and one norm_sq call for the whole stack, through the same formulas.
-The mu = 1 kernel's running sums run along the last axis; the dense kernel
-and G are applied row by row (dsymv, dsbmv), so each row's w_u and E keep
-the vector's bits.  A level-3 product does not pay on these thin stacks:
-dsymm took 1.0-1.5, 2.0 and 3.2 times as long as k dsymv calls at
-(M, k) = (256, 8), (512, 4) and (1024, 2) (OpenBLAS 0.3.31, one Xeon
-thread).  E is not expanded into band sums of u^2 and shifted products, a
-form that cancels and drifts 1e-12 relative at M = 1024.
+One evaluation per point: FunctionalWorkspace.evaluate computes w_u once for
+a node vector and returns it with (E, A, B); the triple, the energy, the weak
+gradient and its residual are all read from that record.  E is not expanded
+into band sums of u^2 and shifted products, a form that cancels and drifts
+1e-12 relative at M = 1024.
 """
 
 from __future__ import annotations
@@ -278,18 +270,14 @@ class FunctionalWorkspace:
 
     # -- integrals ------------------------------------------------------------
 
-    def space_integral(self, vals):
-        """Integral over R^N of a nodal integrand (angular factor included):
-        a float for a vector, one per row for a stack."""
+    def space_integral(self, vals) -> float:
+        """Integral over R^N of a nodal integrand (angular factor included)."""
         g = self.grid
-        s = g.omega * (vals @ g.weights)
-        return float(s) if vals.ndim == 1 else s
+        return float(g.omega * (vals @ g.weights))
 
-    def norm_sq(self, u_vals):
-        """u.Gu (BLAS dsbmv): a float for a vector, one per row for a stack."""
-        if u_vals.ndim == 1:
-            return float(u_vals @ self.apply_G(u_vals))
-        return np.array([u @ self.apply_G(u) for u in u_vals])
+    def norm_sq(self, u_vals) -> float:
+        """u.Gu (BLAS dsbmv)."""
+        return float(u_vals @ self.apply_G(u_vals))
 
     def apply_G(self, v, alpha=1.0, y=None, beta=0.0):
         """alpha G v + beta y (BLAS dsbmv), written into y when it is given."""
@@ -302,15 +290,11 @@ class FunctionalWorkspace:
     # -- nonlocal potential ----------------------------------------------------
 
     def w_u(self, u_vals, f=None) -> np.ndarray:
-        """w_u(x) = int b(y)|u(y)|^p / (|x|^a |x-y|^mu |y|^a) dy at the nodes,
-        row by row for a stack.  f is the density b|u|^p when the caller has
-        formed it."""
+        """w_u(x) = int b(y)|u(y)|^p / (|x|^a |x-y|^mu |y|^a) dy at the nodes.
+        f is the density b|u|^p when the caller has formed it."""
         if f is None:
             f = self._density(u_vals)
-        h = f * self._r_alpha * self.grid.weights
-        if h.ndim > 1 and self.params.mu != 1.0:   # dsymv takes one row at a time
-            return self._w_out * np.array([self.kernel()(row) for row in h])
-        return self._w_out * self.kernel()(h)
+        return self._w_out * self.kernel()(f * self._r_alpha * self.grid.weights)
 
     def grad_A(self, u_vals):
         """A's gradient g_A = q omega w a u_f^(q-1), u_f = floored(u)."""
@@ -364,8 +348,7 @@ class FunctionalWorkspace:
 
     def evaluate(self, u_vals) -> Evaluation:
         """w_u(u) and (E, A, B) = (u.Gu, int a|u|^q, int b|u|^p w_u), one w_u
-        and one density b|u|^p; for a stack of rows, one w_u and one norm_sq
-        for the whole stack."""
+        and one density b|u|^p."""
         f = self._density(u_vals)
         wu = self.w_u(u_vals, f)
         return Evaluation(u_vals, wu, ReducedTriple(
@@ -422,13 +405,12 @@ def workspace(grid, params: ProblemParams) -> FunctionalWorkspace:
 def _apply_newton(r, cells, h):
     """sum_j k_1(r_i, r_j) h_j: 2/r_i times the sum of h below i, plus the
     sum of 2 h_j/r_j above i, plus the diagonal cell.  Computed in place,
-    in the order of 2 (below / r + above) + cells h, in three buffers, along
-    the last axis, so a stack of rows is applied row by row."""
-    out = np.add.accumulate(h, axis=-1)
+    in the order of 2 (below / r + above) + cells h, in three buffers."""
+    out = np.add.accumulate(h)
     out -= h
     out /= r
     t = h / r
-    above = np.add.accumulate(t[..., ::-1], axis=-1)[..., ::-1]
+    above = np.add.accumulate(t[::-1])[::-1]
     above -= t
     out += above
     out *= 2.0

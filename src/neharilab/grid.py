@@ -222,40 +222,23 @@ def integrate(grid, values) -> float:
 
 # --- trial profiles ---------------------------------------------------------
 
-PROFILE_FAMILIES = ("gaussian", "sobolev_bump", "inverse_poly")
+PROFILE_FAMILIES = ("gaussian", "inverse_poly")
 
 
 def sample_profile(family: str, scale: float, grid, beta: float | None = None) -> GridFunction:
     """Sample a nonnegative trial profile u(|x|/scale) on the grid.
 
     gaussian:        u(r) = exp(-(r/scale)^2)
-    sobolev_bump:    u(r) = exp(1 - 1/(1 - (r/scale)^2)) for r < scale, else 0
     inverse_poly:    u(r) = (1 + (r/scale)^2)^(-beta), beta > (N-2)/2
+
+    The formula is applied in place to x = r/scale, in the order written.
     """
     _check_scale(scale)
-    return GridFunction(grid, _profile_values(family, grid.radii / scale, grid, beta))
-
-
-def _check_scale(scale) -> None:
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise GridError(f"scale must be positive and finite, got {scale}")
-
-
-def _profile_values(family: str, x, grid, beta=None):
-    """The sample_profile formulas at x = r/scale, written over x, which may
-    have any shape: a stack of rows, one scale each, is sampled in one
-    broadcast.  A bump row with no node inside its support is refused."""
+    x = grid.radii / scale
     if family == "gaussian":
         x **= 2
         np.negative(x, out=x)
         np.exp(x, out=x)
-    elif family == "sobolev_bump":
-        inside = x < 1.0
-        t = x[inside]
-        x.fill(0.0)
-        x[inside] = np.exp(1.0 - 1.0 / (1.0 - t**2))
-        if not (x > 0.0).any(axis=-1).all():
-            raise GridError("bump support contains no grid node; increase scale")
     elif family == "inverse_poly":
         if beta is None:
             raise GridError("inverse_poly profile needs beta")
@@ -264,14 +247,19 @@ def _profile_values(family: str, x, grid, beta=None):
                 f"inverse_poly decay beta={beta} <= (N-2)/2: profile leaves the energy "
                 "space on the whole space (truncation regularizes it)",
                 ProfileNotInX,
-                stacklevel=3,
+                stacklevel=2,
             )
         x **= 2
         x += 1.0
         x **= -beta
     else:
         raise GridError(f"unknown profile family {family!r} (supported: {PROFILE_FAMILIES})")
-    return x
+    return GridFunction(grid, x)
+
+
+def _check_scale(scale) -> None:
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise GridError(f"scale must be positive and finite, got {scale}")
 
 
 # --- snapshots ---------------------------------------------------------------

@@ -190,12 +190,32 @@ def test_solve_writes_snapshots(small_config, tmp_path, capsys):
     assert extra["residual"] <= 1e-4
 
 
-def test_solve_unreachable_lambda_is_domain_error(small_config, capsys):
-    # a lambda far above every sampled ray surfaces RayMissesNehari -> exit 1
-    code = cli.main(["solve", "--config", small_config, "--lambda", "1e9"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "RayMissesNehari" in err
+@pytest.mark.parametrize("lam", ["1e9", "lambda_star"])
+def test_solve_lambda_at_or_above_the_estimate_is_usage_error(small_config, capsys,
+                                                              monkeypatch, lam):
+    # both branches exist only below lambda*: an absolute lambda at or above
+    # the estimate is refused after the estimate, before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a branch solve ran above the lambda* estimate")
+
+    monkeypatch.setattr(cli, "solve_pair", no_solve)
+    est = cli._estimate(cli.load_config(small_config))[2].lambda_star
+    flag = repr(est) if lam == "lambda_star" else lam
+    assert cli.main(["solve", "--config", small_config, "--lambda", flag]) == 2
+    captured = capsys.readouterr()
+    assert (f"usage error: --lambda gives lambda = {float(flag)}, which must lie below "
+            f"the lambda* estimate {cli._fmt(est)}") in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("frac", ["1", "1.5"])
+def test_solve_lambda_frac_from_one_on_is_refused_before_the_estimate(small_config, capsys,
+                                                                      no_estimate, frac):
+    assert cli.main(["solve", "--config", small_config, "--lambda-frac", frac]) == 2
+    captured = capsys.readouterr()
+    assert f"usage error: --lambda-frac must lie in (0, 1), got {float(frac)}" in captured.err
+    assert "below the lambda* estimate" in captured.err
+    assert captured.out == ""
 
 
 def test_lambda_star_r_sweep_report(small_config, capsys):
@@ -316,6 +336,18 @@ def test_solve_bad_lambda_flags_are_usage_errors(small_config, capsys, no_estima
     captured = capsys.readouterr()
     assert f"usage error: {flags[0]} must be finite and positive" in captured.err
     assert captured.out == ""
+
+
+def test_config_families_naming_no_family_is_usage_error(tmp_path, capsys, no_estimate):
+    # "families = ," parses to no family; an empty value keeps the default
+    path = tmp_path / "cfg.ini"
+    path.write_text(SMALL_CONFIG.replace("families = gaussian,inverse_poly:1.5",
+                                         "families = ,"))
+    for command in ("validate", "lambda-star"):
+        assert cli.main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "usage error: [extremal] families must name at least one family" in captured.err
+        assert captured.out == ""
 
 
 def test_nonfinite_config_lambda_is_rejected_by_name(tmp_path, capsys, no_estimate):

@@ -18,6 +18,7 @@ from neharilab.extremal import (
 )
 from neharilab.fibering import lambda_e, lambda_n, scale_triple
 from neharilab.functionals import workspace
+from neharilab.params import B_FORMS, critical_exponents, gamma3_window, gamma4_floor
 from neharilab.solver import truncated_pcg
 
 from oracles import loop_family_sweep
@@ -64,9 +65,8 @@ def _assert_sweeps_agree(got, want):
 @pytest.mark.parametrize("mu, M", [(1.0, 16), (1.0, 128), (1.0, 1024), (1.0, 4096),
                                    (1.5, 256)])
 def test_family_sweep_matches_the_per_profile_loop(mu, M):
-    # M = 16 holds the whole lattice in one block, 128 two families per
-    # block, 1024 two profiles, 4096 one (the plain vector path); mu = 1.5
-    # takes its blocks through the dense kernel, row by row
+    # the sweep keeps only the (E, A, B) floats and takes Lambda_n of them in
+    # one lambda_n call; mu = 1.5 goes through the dense kernel
     prm = dataclasses.replace(nl.ProblemParams(), mu=mu)
     g = nl.build_radial_grid(20.0, M, 2.0)
     args = (DEFAULT_FAMILIES, DEFAULT_SIGMAS, g, prm)
@@ -74,33 +74,32 @@ def test_family_sweep_matches_the_per_profile_loop(mu, M):
 
 
 def test_family_sweep_skips_rows_outside_the_cone(params, grid, monkeypatch):
-    # every sampled stack gets a negative node in its first row: that is the
-    # first scale of each family (M = 128 puts two whole families in a block)
-    sample = extremal._profile_values
+    # the first scale of each family gets a negative node
+    sample = extremal.sample_profile
 
-    def first_row_negative(family, x, grid, beta=None):
-        x = sample(family, x, grid, beta)
-        x[0, 5] = -1e-3
-        return x
+    def first_scale_negative(family, scale, grid, beta=None):
+        u = sample(family, scale, grid, beta=beta)
+        if scale == DEFAULT_SIGMAS[0]:
+            u.values[5] = -1e-3
+        return u
 
-    monkeypatch.setattr(extremal, "_profile_values", first_row_negative)
+    monkeypatch.setattr(extremal, "sample_profile", first_scale_negative)
     got = family_sweep(DEFAULT_FAMILIES, DEFAULT_SIGMAS, grid, params)
     assert len(got[2]) == len(DEFAULT_FAMILIES) * (len(DEFAULT_SIGMAS) - 1)
     _assert_sweeps_agree(got, loop_family_sweep(DEFAULT_FAMILIES, DEFAULT_SIGMAS[1:],
                                                 grid, params))
 
-    def all_zero(family, x, grid, beta=None):
-        x.fill(0.0)
-        return x
+    def all_zero(family, scale, grid, beta=None):
+        return nl.GridFunction(grid, np.zeros(grid.size))
 
-    monkeypatch.setattr(extremal, "_profile_values", all_zero)
+    monkeypatch.setattr(extremal, "sample_profile", all_zero)
     with pytest.raises(EmptyFamily, match="positive cone"):
         family_sweep(DEFAULT_FAMILIES, DEFAULT_SIGMAS, grid, params)
 
 
 @pytest.mark.parametrize("sweep", [family_sweep, loop_family_sweep])
 def test_family_sweep_refuses_a_cartesian_grid(params, sweep):
-    # m = 8 would put several profiles in one block; the energy norm is radial
+    # the energy norm is radial
     cg = nl.build_cartesian_grid(3.0, 8)
     with pytest.raises(UnsupportedDimension, match="radial grids"):
         sweep(DEFAULT_FAMILIES, DEFAULT_SIGMAS, cg, params)
@@ -112,8 +111,8 @@ def test_family_sweep_refuses_a_cartesian_grid(params, sweep):
 def test_family_sweep_errors_and_warnings(params, grid, sweep):
     with pytest.raises(EmptyFamily):
         sweep([], [1.0], grid, params)
-    with pytest.raises(GridError, match="bump support contains no grid node"):
-        sweep([("gaussian", None), ("sobolev_bump", None)], [1.0, 1e-6], grid, params)
+    with pytest.raises(GridError, match="unknown profile family 'sobolev_bump'"):
+        sweep([("gaussian", None), ("sobolev_bump", None)], [1.0], grid, params)
     with pytest.raises(GridError, match="scale must be positive"):
         sweep([("gaussian", None)], [1.0, 0.0], grid, params)
     with pytest.raises(GridError, match="scale must be positive and finite, got nan"):
@@ -136,7 +135,8 @@ def _extra_peak(fn, *args):
 
 @pytest.mark.parametrize("M", [256, 1024, 4096])
 def test_family_sweep_memory_is_bounded_by_the_loop(params, M):
-    # the stacked blocks hold at most _SWEEP_BLOCK doubles per array
+    # the sweep keeps three floats per profile and no profile but the one
+    # it evaluates
     g = nl.build_radial_grid(20.0, M, 2.0)
     args = (DEFAULT_FAMILIES, DEFAULT_SIGMAS, g, params)
     assert _extra_peak(family_sweep, *args) <= _extra_peak(loop_family_sweep, *args) + 128 * 1024
@@ -158,6 +158,32 @@ def test_refine_descent_multi_start_consistency(params, grid):
         val, _, _, _ = refine_descent(start, params)
         vals.append(val)
     assert abs(vals[0] - vals[1]) <= 0.01 * min(vals)
+
+
+def _admissible_params(rng):
+    # each parameter from the inner 90% of its window, given the ones before
+    # it; mu = 1 (the O(M) kernel) about a third of the time, b of either form
+    def inner(lo, hi):
+        return float(lo + (hi - lo) * rng.uniform(0.05, 0.95))
+
+    mu = 1.0 if rng.uniform() < 0.3 else inner(0.0, 3.0)
+    alpha = inner(0.0, (3.0 - mu) / 2.0)
+    q = inner(0.0, 1.0)
+    p = inner(*critical_exponents(3, alpha, mu))
+    g4 = gamma4_floor(3, alpha, mu, p, q)
+    return nl.ProblemParams(alpha=alpha, mu=mu, p=p, q=q, gamma3=inner(*gamma3_window(3, q)),
+                            gamma4=inner(g4, g4 + 2.0), b_form=str(rng.choice(B_FORMS)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_default_lattice_keeps_lambda_star_of_the_wider_one(seed):
+    # inverse_poly with beta = 1.0 never won the lattice on sampled admissible
+    # sets, so it was dropped: putting it back leaves lambda* bit for bit
+    prm = nl.validate(_admissible_params(np.random.default_rng([2025, seed])))
+    g = nl.build_radial_grid(20.0, 64, 2.0)
+    wider = DEFAULT_FAMILIES + (("inverse_poly", 1.0),)
+    assert estimate_lambda_star(prm, g).lambda_star == \
+        estimate_lambda_star(prm, g, families=wider).lambda_star
 
 
 def test_estimate_upper_bound_property(params, grid, estimate):

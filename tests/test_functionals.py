@@ -134,14 +134,6 @@ def test_kernel_apply_is_built_once(params, grid):
     assert ws.kernel() is ws.kernel()
 
 
-def _lattice_stack(grid):
-    # rows of three families at several scales, C-ordered as family_sweep's blocks
-    return np.array([nl.sample_profile(fam, sigma, grid, beta=beta).values
-                     for fam, beta in (("gaussian", None), ("sobolev_bump", None),
-                                       ("inverse_poly", 1.5))
-                     for sigma in (0.5, 1.4, 4.0)])
-
-
 def _count_w_u_and_norm_sq(monkeypatch):
     calls = {"w_u": 0, "norm_sq": 0}
     for name in calls:
@@ -162,33 +154,6 @@ def test_evaluate_calls_w_u_and_norm_sq_once(params, grid, gaussian, monkeypatch
     ev = workspace(grid, params).evaluate(gaussian.values)
     assert calls == {"w_u": 1, "norm_sq": 1}
     assert ev.triple.B > 0.0
-
-
-def test_stacked_evaluate_calls_w_u_and_norm_sq_once(params, grid, monkeypatch):
-    # a whole stack of rows is one w_u and one norm_sq layer, as one vector is
-    calls = _count_w_u_and_norm_sq(monkeypatch)
-    ev = workspace(grid, params).evaluate(_lattice_stack(grid))
-    assert calls == {"w_u": 1, "norm_sq": 1}
-    assert np.all(ev.triple.B > 0.0)
-
-
-@pytest.mark.parametrize("M", [64, 256, 1024])
-@pytest.mark.parametrize("mu", [1.0, 1.5, 2.0, 2.5])
-def test_stacked_evaluate_matches_row_by_row(mu, M):
-    # mu = 1 runs the running sums along the last axis, the others dsymv per row
-    # (mu = 2 the log kernel); E is dsbmv per row, so it keeps the vector's bits
-    g = nl.build_radial_grid(20.0, M, 2.0)
-    ws = workspace(g, dataclasses.replace(nl.ProblemParams(), mu=mu, alpha=0.2))
-    U = _lattice_stack(g)
-    ev = ws.evaluate(U)
-    assert ev.w_u.shape == U.shape
-    for i, row in enumerate(U):
-        one = ws.evaluate(row)
-        for got, want in zip(ev.triple.as_tuple(), one.triple.as_tuple()):
-            assert got[i] == pytest.approx(want, rel=1e-14, abs=0.0)
-        assert np.max(np.abs(ev.w_u[i] - one.w_u)) <= 1e-14 * np.max(one.w_u)
-        # w_u and E keep the vector's bits; A and B sum the stack by one dgemv
-        assert ev.triple.E[i] == one.triple.E and np.array_equal(ev.w_u[i], one.w_u)
 
 
 def test_workspace_cache_does_not_keep_grid_alive(params):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import neharilab as nl
-from neharilab import grid as grid_module
 from neharilab.errors import (
     DegenerateGrid,
     GridError,
@@ -211,7 +210,7 @@ def test_profile_scaling_composition(grid):
     # sample(sigma=2) on the full grid must equal sample(sigma=1) there
     half = nl.build_radial_grid(grid.R / 2.0, grid.M, grid.grading)
     assert half.nodes == pytest.approx(grid.nodes / 2.0, rel=1e-15)
-    for family, beta in (("gaussian", None), ("inverse_poly", 1.5), ("sobolev_bump", None)):
+    for family, beta in (("gaussian", None), ("inverse_poly", 1.5)):
         u2 = nl.sample_profile(family, 2.0, grid, beta=beta)
         base = nl.sample_profile(family, 1.0, half, beta=beta)
         assert u2.values == pytest.approx(base.values, rel=1e-13, abs=1e-300)
@@ -221,35 +220,22 @@ def test_profiles_are_their_closed_forms_bit_for_bit(grid):
     # the formulas as written in the sample_profile docstring, scale by scale
     for sigma in (0.35, 1.0, 4.0):
         r = grid.nodes / sigma
-        bump = np.zeros_like(r)
-        bump[r < 1.0] = np.exp(1.0 - 1.0 / (1.0 - r[r < 1.0] ** 2))
         for family, beta, expected in (("gaussian", None, np.exp(-(r**2))),
-                                       ("sobolev_bump", None, bump),
                                        ("inverse_poly", 1.0, (1.0 + r**2) ** (-1.0)),
                                        ("inverse_poly", 1.5, (1.0 + r**2) ** (-1.5))):
             u = nl.sample_profile(family, sigma, grid, beta=beta)
             assert np.array_equal(u.values, expected), (family, beta, sigma)
 
 
-def test_broadcast_sampling_rows_equal_single_samples(grid):
-    sigmas = np.array([0.35, 0.5, 0.7, 1.0, 1.4, 2.0, 2.8, 4.0])
-    for family, beta in (("gaussian", None), ("sobolev_bump", None), ("inverse_poly", 1.5)):
-        rows = grid_module._profile_values(family, grid.nodes / sigmas[:, None], grid, beta)
-        for row, sigma in zip(rows, sigmas):
-            assert np.array_equal(row, nl.sample_profile(family, sigma, grid, beta=beta).values)
-
-
 def test_profile_errors(grid):
     with pytest.raises(GridError, match="scale must be positive"):
         nl.sample_profile("gaussian", 0.0, grid)
-    # a NaN scale fails every comparison: it is refused by name, not as a
-    # bump with no node or as non-finite values
-    for family in ("gaussian", "sobolev_bump"):
+    # a NaN scale fails every comparison: it is refused by name, not as
+    # non-finite values
+    for family, beta in (("gaussian", None), ("inverse_poly", 1.5)):
         for scale in (np.nan, np.inf, -np.inf):
             with pytest.raises(GridError, match=f"scale must be positive and finite, got {scale}"):
-                nl.sample_profile(family, scale, grid)
-    with pytest.raises(GridError, match="bump support contains no grid node"):
-        nl.sample_profile("sobolev_bump", 1e-6, grid)
+                nl.sample_profile(family, scale, grid, beta=beta)
     with pytest.raises(GridError, match="needs beta"):
         nl.sample_profile("inverse_poly", 1.0, grid)
     with pytest.raises(GridError, match="unknown profile family"):
@@ -262,7 +248,7 @@ def test_slow_decay_profile_warns(grid):
 
 
 def test_positive_cone_membership(grid):
-    u = nl.sample_profile("sobolev_bump", 2.0, grid)
+    u = nl.sample_profile("inverse_poly", 2.0, grid, beta=1.5)
     assert u.in_positive_cone
     zero = nl.GridFunction(grid, np.zeros(grid.M))
     assert not zero.in_positive_cone
