@@ -1,16 +1,19 @@
 """Command-line frontend.
 
 Subcommands: validate | fibering | lambda-star | solve | sweep | cross-check
-| invariants.  Configuration is a sectioned key/value (INI) file; flags
-override file values.  Exit codes: 0 success, 1 domain error (validation
-failure, no convergence, failed invariant, engine disagreement), 2 usage
-error.  All numeric output is deterministic given config + seed.
+| invariants.  Configuration is a sectioned key/value (INI) file read through
+one table, `_KEYS`: each value is parsed and checked by its row, a refusal
+names `[section] key`, and keys not in the table are ignored.  Flags override
+file values.  Exit codes: 0 success, 1 domain error (validation failure, no
+convergence, failed invariant, engine disagreement), 2 usage error.  All
+numeric output is deterministic given config + seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import math
 import os
 import sys
@@ -64,90 +67,88 @@ class RunConfig:
         return build_radial_grid(self.R, self.M, self.grading, self.params.N)
 
 
-def _parse_families(text: str):
-    fams = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if ":" in item:
-            name, beta = item.split(":", 1)
-            fams.append((name.strip(), float(beta)))
-        else:
-            fams.append((item, None))
-    return tuple(fams)
+def _families(text: str):
+    """'gaussian,inverse_poly:1.5' -> (("gaussian", None), ("inverse_poly", 1.5))."""
+    items = (item.partition(":") for item in map(str.strip, text.split(",")) if item)
+    return tuple((name.strip(), float(beta) if colon else None) for name, colon, beta in items)
+
+
+def _boolean(text: str):
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError("not a boolean") from None
+
+
+def _unless_empty(parse):
+    """An empty value leaves the key unset."""
+    return lambda text: parse(text) if text else None
+
+
+_AT_LEAST_ZERO = ("must be >= 0, got {}", lambda n: n >= 0)   # a cap of 0 takes no step
+
+# one row per key: section, key, the RunConfig part it sets (None: RunConfig
+# itself), the field, its parser and optionally a check (rule, predicate) whose
+# rule takes the value at {}
+_KEYS = (
+    ("problem", "n", "params", "N", int, ("must be 3, got {}", lambda n: n == 3)),
+    ("problem", "alpha", "params", "alpha", float),
+    ("problem", "mu", "params", "mu", float),
+    ("problem", "p", "params", "p", float),
+    ("problem", "q", "params", "q", float),
+    ("problem", "gamma3", "params", "gamma3", float),
+    ("problem", "gamma4", "params", "gamma4", float),
+    ("problem", "b_form", "params", "b_form", str),
+    ("problem", "lambda", "params", "lam", _unless_empty(float)),
+    ("problem", "choquard", "params", "choquard", _boolean),
+    ("grid", "r", None, "R", float),
+    ("grid", "m", None, "M", int),
+    ("grid", "grading", None, "grading", float),
+    ("grid", "l", None, "box_L", float),
+    ("grid", "m_axis", None, "box_m", int),
+    ("solver", "tol", "solver", "tol", float,
+     ("must be finite and positive, got {}", lambda t: math.isfinite(t) and t > 0.0)),
+    ("solver", "max_iters", "solver", "max_iters", int, _AT_LEAST_ZERO),
+    ("sweep", "points", None, "sweep_points", int),
+    ("sweep", "frac_min", None, "sweep_frac_min", float),
+    ("sweep", "frac_max", None, "sweep_frac_max", float),
+    ("sweep", "spacing", None, "sweep_spacing", str),
+    ("extremal", "families", None, "families", _unless_empty(_families),
+     ("must name at least one family", bool)),
+    ("extremal", "sigmas", None, "sigmas", _unless_empty(lambda t: tuple(map(float, t.split(","))))),
+    ("extremal", "descent_iters", "descent", "max_iters", int, _AT_LEAST_ZERO),
+    ("output", "dir", None, "output_dir", str),
+    ("run", "seed", None, "seed", int, _AT_LEAST_ZERO),
+)
 
 
 def load_config(path: str | None) -> RunConfig:
-    """Read the INI config; missing file fields keep their defaults."""
-    cfg = RunConfig()
+    """Read the INI config through _KEYS; missing keys keep their defaults."""
     if path is None:
-        return cfg
+        return RunConfig()
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    ini = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    ini = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         ini.read(path)
     except configparser.Error as err:
         raise ConfigError(f"malformed config: {err}") from err
-
-    try:
-        if ini.has_section("problem"):
-            s = ini["problem"]
-            cfg.params = ProblemParams(
-                N=s.getint("n", cfg.params.N),
-                alpha=s.getfloat("alpha", cfg.params.alpha),
-                mu=s.getfloat("mu", cfg.params.mu),
-                p=s.getfloat("p", cfg.params.p),
-                q=s.getfloat("q", cfg.params.q),
-                gamma3=s.getfloat("gamma3", cfg.params.gamma3),
-                gamma4=s.getfloat("gamma4", cfg.params.gamma4),
-                b_form=s.get("b_form", cfg.params.b_form),
-                lam=s.getfloat("lambda") if s.get("lambda", "") not in ("", None) else None,
-                choquard=s.getboolean("choquard", False),
-            )
-        if ini.has_section("grid"):
-            s = ini["grid"]
-            cfg.R = s.getfloat("r", cfg.R)
-            cfg.M = s.getint("m", cfg.M)
-            cfg.grading = s.getfloat("grading", cfg.grading)
-            cfg.box_L = s.getfloat("l", cfg.box_L)
-            cfg.box_m = s.getint("m_axis", cfg.box_m)
-        if ini.has_section("solver"):
-            s = ini["solver"]
-            cfg.solver = SolverOptions(
-                tol=s.getfloat("tol", cfg.solver.tol),
-                max_iters=s.getint("max_iters", cfg.solver.max_iters),
-            )
-        if ini.has_section("sweep"):
-            s = ini["sweep"]
-            cfg.sweep_points = s.getint("points", cfg.sweep_points)
-            cfg.sweep_frac_min = s.getfloat("frac_min", cfg.sweep_frac_min)
-            cfg.sweep_frac_max = s.getfloat("frac_max", cfg.sweep_frac_max)
-            cfg.sweep_spacing = s.get("spacing", cfg.sweep_spacing)
-        if ini.has_section("extremal"):
-            s = ini["extremal"]
-            if s.get("families"):
-                cfg.families = _parse_families(s.get("families"))
-            if s.get("sigmas"):
-                cfg.sigmas = tuple(float(x) for x in s.get("sigmas").split(","))
-            cfg.descent = DescentOptions(max_iters=s.getint("descent_iters", cfg.descent.max_iters))
-        if ini.has_section("output"):
-            cfg.output_dir = ini["output"].get("dir", cfg.output_dir)
-        if ini.has_section("run"):
-            cfg.seed = ini["run"].getint("seed", cfg.seed)
-    except ValueError as err:
-        raise ConfigError(f"bad config value: {err}") from err
-    if not cfg.families:
-        raise ConfigError("[extremal] families must name at least one family")
-    if not (math.isfinite(cfg.solver.tol) and cfg.solver.tol > 0.0):
-        raise ConfigError(f"[solver] tol must be finite and positive, got {cfg.solver.tol}")
-    # a cap of 0 is legal and takes no step
-    for key, cap in (("[solver] max_iters", cfg.solver.max_iters),
-                     ("[extremal] descent_iters", cfg.descent.max_iters)):
-        if cap < 0:
-            raise ConfigError(f"{key} must be >= 0, got {cap}")
-    return cfg
+    parts = {None: {}}
+    for section, key, part, name, parse, *check in _KEYS:
+        text = ini.get(section, key, fallback=None)
+        try:
+            value = None if text is None else parse(text)
+        except ValueError as err:
+            raise ConfigError(f"[{section}] {key} cannot be parsed from {text!r}: {err}") from None
+        if value is None:      # a missing key, or an empty one that parses to unset
+            continue
+        for rule, ok in check:
+            if not ok(value):
+                raise ConfigError(f"[{section}] {key} {rule.format(value)}")
+        parts.setdefault(part, {})[name] = value
+    cfg = RunConfig(**parts.pop(None))
+    return dataclasses.replace(cfg, **{part: dataclasses.replace(getattr(cfg, part), **values)
+                                       for part, values in parts.items()})
 
 
 # --------------------------------------------------------------------------
@@ -336,8 +337,6 @@ def cmd_sweep(args) -> int:
 def cmd_cross_check(args) -> int:
     cfg = load_config(args.config)
     prm = validate(cfg.params)
-    if prm.N != 3:
-        raise ConfigError("cross-check requires N = 3")
     for flag, value in (("--sigma", args.sigma), ("--tolerance", args.tolerance)):
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigError(f"{flag} must be finite and positive, got {value}")

@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 import re
 import sys
@@ -348,6 +349,176 @@ def test_config_families_naming_no_family_is_usage_error(tmp_path, capsys, no_es
         captured = capsys.readouterr()
         assert "usage error: [extremal] families must name at least one family" in captured.err
         assert captured.out == ""
+
+
+def _config_with(tmp_path, section, key, value):
+    """SMALL_CONFIG with [section] key set to value."""
+    ini = configparser.ConfigParser(interpolation=None)
+    ini.read_string(SMALL_CONFIG)
+    if not ini.has_section(section):
+        ini.add_section(section)
+    ini.set(section, key, value)
+    path = tmp_path / "cfg.ini"
+    with open(path, "w") as fh:
+        ini.write(fh)
+    return str(path)
+
+
+# a value each parsed key cannot parse, and for each checked key a value its
+# check refuses, with the refusal
+UNPARSABLE = [
+    ("problem", "n", "3.0"), ("problem", "alpha", "abc"), ("problem", "mu", "1,0"),
+    ("problem", "p", ""), ("problem", "q", "half"), ("problem", "gamma3", "1.3.1"),
+    ("problem", "gamma4", "x"), ("problem", "lambda", "abc"), ("problem", "choquard", "maybe"),
+    ("grid", "r", "abc"), ("grid", "m", "abc"), ("grid", "m", "5%"), ("grid", "grading", ""),
+    ("grid", "l", "abc"), ("grid", "m_axis", "24.5"), ("solver", "tol", "abc"),
+    ("solver", "max_iters", "1e3"), ("sweep", "points", "many"), ("sweep", "frac_min", "abc"),
+    ("sweep", "frac_max", "abc"), ("extremal", "families", "inverse_poly:x"),
+    ("extremal", "sigmas", ","), ("extremal", "sigmas", "1,,2"),
+    ("extremal", "descent_iters", "abc"), ("run", "seed", "abc"),
+]
+OUT_OF_RANGE = [
+    ("problem", "n", "4", "[problem] n must be 3, got 4"),
+    ("solver", "tol", "0", "[solver] tol must be finite and positive, got 0.0"),
+    ("solver", "tol", "-inf", "[solver] tol must be finite and positive, got -inf"),
+    ("solver", "max_iters", "-5", "[solver] max_iters must be >= 0, got -5"),
+    ("extremal", "families", ",", "[extremal] families must name at least one family"),
+    ("extremal", "descent_iters", "-1", "[extremal] descent_iters must be >= 0, got -1"),
+    ("run", "seed", "-1", "[run] seed must be >= 0, got -1"),
+]
+
+
+def test_table_cases_cover_every_parsed_or_checked_key():
+    # a row a test does not reach shows here, not in a run
+    parsed = {row[:2] for row in cli._KEYS if row[4] is not str}
+    checked = {row[:2] for row in cli._KEYS if len(row) > 5}
+    assert parsed | checked == {case[:2] for case in UNPARSABLE}
+    assert checked == {case[:2] for case in OUT_OF_RANGE}
+
+
+CASES = [case + (None,) for case in UNPARSABLE] + OUT_OF_RANGE
+
+
+@pytest.mark.parametrize("section,key,value,message", CASES,
+                         ids=[f"{s}.{k}={v}" for s, k, v, _ in CASES])
+def test_bad_config_value_is_usage_error_naming_its_key(tmp_path, capsys, section, key, value,
+                                                        message):
+    path = _config_with(tmp_path, section, key, value)
+    assert cli.main(["validate", "--config", path]) == 2
+    captured = capsys.readouterr()
+    if message is None:
+        assert f"usage error: [{section}] {key} cannot be parsed from {value!r}: " in captured.err
+    else:
+        assert captured.err == f"usage error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["validate", "invariants"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    # numpy refuses a negative seed: invariants once ended in its traceback
+    assert cli.main([command, "--config", _config_with(tmp_path, "run", "seed", "-1")]) == 2
+    assert "usage error: [run] seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "invariants", "lambda-star", "solve", "sweep",
+                                     "cross-check"])
+def test_dimension_other_than_3_is_refused_by_every_command(tmp_path, capsys, command):
+    # gamma3 = 1.7 and gamma4 = 1.0 lie inside N = 4's windows: the paper's
+    # hypotheses hold, the radial kernel does not
+    path = tmp_path / "n4.ini"
+    path.write_text(SMALL_CONFIG.replace("n = 3", "n = 4").replace("gamma3 = 1.3", "gamma3 = 1.7"))
+    assert cli.main([command, "--config", str(path)]) == 2
+    assert "usage error: [problem] n must be 3, got 4" in capsys.readouterr().err
+
+
+def _fields(cfg):
+    """RunConfig's fields by name, each part's fields in place of the part."""
+    out = {}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            out.update({f"{f.name}.{g.name}": getattr(value, g.name)
+                        for g in dataclasses.fields(value)})
+        else:
+            out[f.name] = value
+    return out
+
+
+def test_each_key_sets_its_field(tmp_path):
+    # every key away from its default (n has one legal value) and from every
+    # other key's value, so a row that points at the wrong field, or two rows
+    # that swap theirs, show
+    path = tmp_path / "every-key.ini"
+    path.write_text("""\
+[problem]
+n = 3
+alpha = 0.2
+mu = 1.1
+p = 2.1
+q = 0.4
+gamma3 = 1.25
+gamma4 = 1.2
+b_form = constant
+lambda = 0.3
+choquard = yes
+
+[grid]
+r = 15.0
+m = 96
+grading = 1.5
+l = 2.5
+m_axis = 20
+
+[solver]
+tol = 2e-5
+max_iters = 123
+
+[sweep]
+points = 7
+frac_min = 0.22
+frac_max = 0.8
+spacing = linear
+
+[extremal]
+families = gaussian
+sigmas = 0.45,1.05
+descent_iters = 45
+
+[output]
+dir = results
+
+[run]
+seed = 99
+""")
+    ini = configparser.ConfigParser()
+    ini.read(path)
+    assert {(s, k) for s in ini.sections() for k in ini[s]} == {row[:2] for row in cli._KEYS}
+    expected = cli.RunConfig(
+        params=params.ProblemParams(N=3, alpha=0.2, mu=1.1, p=2.1, q=0.4, gamma3=1.25,
+                                    gamma4=1.2, b_form="constant", lam=0.3, choquard=True),
+        R=15.0, M=96, grading=1.5, box_L=2.5, box_m=20,
+        solver=cli.SolverOptions(tol=2e-5, max_iters=123),
+        sweep_points=7, sweep_frac_min=0.22, sweep_frac_max=0.8, sweep_spacing="linear",
+        families=(("gaussian", None),), sigmas=(0.45, 1.05),
+        descent=cli.DescentOptions(max_iters=45), output_dir="results", seed=99,
+    )
+    want, default = _fields(expected), _fields(cli.RunConfig())
+    assert [name for name in want if want[name] == default[name]] == ["params.N"]
+    assert _fields(cli.load_config(str(path))) == want
+
+
+def test_empty_lambda_families_and_sigmas_stay_unset(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text(SMALL_CONFIG.replace("families = gaussian,inverse_poly:1.5", "families =")
+                    .replace("sigmas = 0.5,0.7,1.0,1.4,2.0", "sigmas =")
+                    .replace("gamma4 = 1.0", "gamma4 = 1.0\nlambda ="))
+    cfg, default = cli.load_config(str(path)), cli.RunConfig()
+    assert (cfg.params.lam, cfg.families, cfg.sigmas) == (None, default.families, default.sigmas)
+
+
+def test_default_config_file_loads_as_the_built_in_defaults():
+    config = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
+    assert cli.load_config(str(config)) == cli.RunConfig()
 
 
 def test_nonfinite_config_lambda_is_rejected_by_name(tmp_path, capsys, no_estimate):
