@@ -1,12 +1,13 @@
 """Command-line frontend.
 
-Subcommands: validate | fibering | lambda-star | solve | sweep | cross-check
-| invariants.  Configuration is a sectioned key/value (INI) file read through
-one table, `_KEYS`: each value is parsed and checked by its row, a refusal
-names `[section] key`, and keys not in the table are ignored.  Flags override
-file values.  Exit codes: 0 success, 1 domain error (validation failure, no
-convergence, failed invariant, engine disagreement), 2 usage error.  All
-numeric output is deterministic given config + seed.
+Subcommands: validate | fibering | lambda-star | solve | sweep | invariants.
+Configuration is a sectioned key/value (INI) file read through one table,
+`_KEYS`: each value is parsed and checked by its row, a refusal names
+`[section] key`, and keys not in the table are ignored.  Flags override file
+values.  An output path's directory is created if it is missing.  Exit
+codes: 0 success, 1 domain error (validation failure, no convergence, failed
+invariant), 2 usage error.  All numeric output is deterministic given
+config + seed.
 """
 
 from __future__ import annotations
@@ -28,13 +29,8 @@ from .extremal import (
     estimate_lambda_star,
     r_sensitivity,
 )
-from .functionals import (
-    ReducedTriple,
-    reduced_triple,
-    steinweiss_B_direct,
-    steinweiss_B_radial,
-)
-from .grid import build_cartesian_grid, build_radial_grid, sample_profile, save_snapshot
+from .functionals import ReducedTriple, reduced_triple
+from .grid import build_radial_grid, sample_profile, save_snapshot
 from .invariants import run_invariants
 from .params import ProblemParams, critical_exponents, fibering_constants, gamma3_window, validate
 from .solver import SolverOptions, solution_distance, solve_pair
@@ -50,6 +46,8 @@ class RunConfig:
     R: float = 20.0
     M: int = 256
     grading: float = 2.0
+    # the direct engine's box, half-width per unit profile scale and points per
+    # axis: read only by perfbench's crosscheck stage, set by no key
     box_L: float = 3.0
     box_m: int = 24
     solver: SolverOptions = field(default_factory=SolverOptions)
@@ -104,8 +102,6 @@ _KEYS = (
     ("grid", "r", None, "R", float),
     ("grid", "m", None, "M", int),
     ("grid", "grading", None, "grading", float),
-    ("grid", "l", None, "box_L", float),
-    ("grid", "m_axis", None, "box_m", int),
     ("solver", "tol", "solver", "tol", float,
      ("must be finite and positive, got {}", lambda t: math.isfinite(t) and t > 0.0)),
     ("solver", "max_iters", "solver", "max_iters", int, _AT_LEAST_ZERO),
@@ -159,6 +155,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _in_dir(path: str) -> str:
+    """Create the directory of the file path if it is missing; return path."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return path
+
+
 def _sweep_fractions(cfg: RunConfig):
     """The sweep's lambda / lambda* grid; a window or point count that
     default_lambda_grid refuses is a usage error."""
@@ -173,10 +175,9 @@ def _sweep_fractions(cfg: RunConfig):
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     prm = validate(cfg.params)
-    # the grids every other command builds and the lambda* lattice sampled on
-    # the radial one: a bad one fails here by name
+    # the grid every other command builds and the lambda* lattice sampled on
+    # it: a bad one fails here by name
     grid = cfg.build_grid()
-    build_cartesian_grid(cfg.box_L, cfg.box_m)
     for family, beta in cfg.families:
         for sigma in cfg.sigmas:
             sample_profile(family, sigma, grid, beta=beta)
@@ -242,10 +243,10 @@ def cmd_lambda_star(args) -> int:
             print(f"R = {_fmt(R)}: lambda_star = {_fmt(val)}{delta}")
             prev = val
     if args.trace_csv:
-        est.write_trace_csv(args.trace_csv)
+        est.write_trace_csv(_in_dir(args.trace_csv))
         print(f"trace written: {args.trace_csv}")
     if args.snapshot:
-        save_snapshot(args.snapshot, est.minimizer, params=prm,
+        save_snapshot(_in_dir(args.snapshot), est.minimizer, params=prm,
                       extra={"lambda_star": est.lambda_star})
         print(f"minimizer snapshot written: {args.snapshot}")
     return 0
@@ -283,9 +284,8 @@ def cmd_solve(args) -> int:
         )
     print(f"distance = {_fmt(solution_distance(plus, minus, prm))}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         for tag, res in (("plus", plus), ("minus", minus)):
-            path = os.path.join(args.out, f"solution_{tag}.json")
+            path = _in_dir(os.path.join(args.out, f"solution_{tag}.json"))
             save_snapshot(path, res.solution, params=prm, extra={
                 "lambda": res.lam,
                 "branch": res.branch.value,
@@ -310,8 +310,7 @@ def cmd_sweep(args) -> int:
     lams = est.lambda_star * fracs
     ref = reduced_triple(est.minimizer, prm)
     result = sweep_mod.run_sweep(lams, prm, grid, ref, init=est.minimizer, opts=cfg.solver)
-    out = args.out or os.path.join(cfg.output_dir, "sweep.csv")
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+    out = _in_dir(args.out or os.path.join(cfg.output_dir, "sweep.csv"))
     sweep_mod.write_rows(result.rows, out)
     n_conv = len(result.converged_rows())
     print(f"rows: {len(result.rows)}, converged: {n_conv}")
@@ -334,34 +333,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_cross_check(args) -> int:
-    cfg = load_config(args.config)
-    prm = validate(cfg.params)
-    for flag, value in (("--sigma", args.sigma), ("--tolerance", args.tolerance)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigError(f"{flag} must be finite and positive, got {value}")
-    sigma = args.sigma
-    # box sized to the profile: cfg.box_L is the half-width per unit scale;
-    # built first, so a box past the direct engine's cap fails before any work
-    L = args.box_l if args.box_l is not None else cfg.box_L * sigma
-    m = args.box_m if args.box_m is not None else cfg.box_m
-    cgrid = build_cartesian_grid(L, m)
-    rgrid = cfg.build_grid()
-    u_rad = sample_profile("gaussian", sigma, rgrid)
-    B_rad = steinweiss_B_radial(u_rad, prm)
-    u_cart = sample_profile("gaussian", sigma, cgrid)
-    B_dir = steinweiss_B_direct(u_cart, prm)
-    gap = abs(B_rad - B_dir) / B_rad
-    print(f"B radial  (M={rgrid.M}) = {_fmt(B_rad)}")
-    print(f"B direct  (m={m}, L={_fmt(L)}) = {_fmt(B_dir)}")
-    print(f"relative gap = {_fmt(gap)}")
-    if gap > args.tolerance:
-        print(f"error: engine gap above tolerance {_fmt(args.tolerance)}")
-        return 1
-    return 0
-
-
 def cmd_invariants(args) -> int:
+    if args.seed is not None and args.seed < 0:   # [run] seed's rule, for the flag
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     cfg = load_config(args.config)
     prm = validate(cfg.params)
     grid = build_radial_grid(cfg.R, max(cfg.M, 64), cfg.grading, prm.N)
@@ -421,14 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--frac-max", type=float, default=None)
     pw.add_argument("--spacing", default=None)
     pw.set_defaults(func=cmd_sweep)
-
-    pc = sub.add_parser("cross-check", help="radial vs direct nonlocal engine")
-    pc.add_argument("--config", default=None)
-    pc.add_argument("--sigma", type=float, default=1.0)
-    pc.add_argument("--box-l", type=float, default=None)
-    pc.add_argument("--box-m", type=int, default=None)
-    pc.add_argument("--tolerance", type=float, default=0.02)
-    pc.set_defaults(func=cmd_cross_check)
 
     pi = sub.add_parser("invariants", help="run the invariant battery")
     pi.add_argument("--config", default=None)

@@ -25,7 +25,10 @@ The nonlocal interaction
 
     B(u) = int int b(y)|u(y)|^p b(x)|u(x)|^p / (|x|^a |x-y|^mu |y|^a) dx dy
 
-has two independent engines in N = 3:
+has two independent engines in N = 3.  The radial one serves every
+command.  The direct one serves no command, only the benchmark's crosscheck
+stage (perfbench) and its own tests; the tests check the radial engine
+against exact values of B, not against the direct one:
 
 * radial: the angular integral collapses to the closed-form kernel
       k_mu(r, s) = ((r+s)^(2-mu) - |r-s|^(2-mu)) / (r s (2-mu))      (mu != 2)

@@ -18,9 +18,8 @@ turns nonpositive and the build raises GridError saying so.
 Cartesian grids are cell-centered cubes in N = 3 used by the direct (FFT
 convolution) nonlocal engine; with an even number of points per axis the
 origin is never a node.  The builder refuses a box past that engine's
-memory cap, so a command fails on it before any other work.  A box stores
-its axis of m cell centers only; its (m^3, 3) points and its radii are
-formed when read.
+memory cap by name, before any engine work.  A box stores its axis of m
+cell centers only; its (m^3, 3) points and its radii are formed when read.
 """
 
 from __future__ import annotations

@@ -2,20 +2,22 @@
 
 Each oracle avoids the code path it checks: maximizers come from a log-grid
 scan plus golden-section refinement, integrals from adaptive quadrature,
-derivatives from central differences, B of a Gaussian from its closed form,
-the energy operator from a dense D^T W D product, the quadrature weights
-from a per-cell loop and the dense radial kernel from its closed form on
-broadcast (M, M) arrays, the direct engine's FFT convolution from the full
-(2m)^3 lag array and whole-box transforms or from fresh arrays transformed
-one axis at a time, and the lambda* lattice search from one profile at a
-time.  The Q_n / Q_e maximizer (maximize_on_ray, q_n_raw) and the random
-triple and exponent samplers live in neharilab.invariants, which runs the
-invariant battery on them; they are re-exported here.
+derivatives from central differences, B of a Gaussian from its closed form
+(alpha = 0) or its Fourier form (any alpha), the energy operator from a
+dense D^T W D product, the quadrature weights from a per-cell loop and the
+dense radial kernel from its closed form on broadcast (M, M) arrays, the
+direct engine's FFT convolution from the full (2m)^3 lag array and
+whole-box transforms or from fresh arrays transformed one axis at a time,
+and the lambda* lattice search from one profile at a time.  The Q_n / Q_e
+maximizer (maximize_on_ray, q_n_raw) and the random triple and exponent
+samplers live in neharilab.invariants, which runs the invariant battery on
+them; they are re-exported here.
 """
 
 import math
 
 import numpy as np
+from scipy import integrate, special
 
 from neharilab.errors import EmptyFamily
 from neharilab.extremal import SweepEntry
@@ -157,6 +159,31 @@ def gaussian_B_closed_form(mu, p):
         B = (pi/p)^3 (2/p)^(-mu/2) Gamma((3 - mu)/2) / Gamma(3/2)."""
     return ((math.pi / p) ** 3 * (2.0 / p) ** (-mu / 2.0)
             * math.gamma((3.0 - mu) / 2.0) / math.gamma(1.5))
+
+
+def gaussian_B_fourier(mu, p, alpha):
+    """B(u) of u = exp(-r^2) in N = 3 at b = 1 and any alpha, from Fourier
+    space: B pairs g = r^-alpha u^p with itself through the Riesz kernel
+    |x|^-mu, whose transform is c_mu |k|^(mu-3), so
+
+        B = c_mu (2 pi)^-3 4 pi int_0^inf g^(k)^2 k^(mu-1) dk,
+        g^(k) = 2 pi Gamma(a) p^-a 1F1(a; 3/2; -k^2/(4p)),  a = (3 - alpha)/2,
+        c_mu = pi^(3/2) 2^(3-mu) Gamma((3-mu)/2) / Gamma(mu/2),
+
+    g^ the 3-D transform of r^-alpha exp(-p r^2), the integral by adaptive
+    quadrature."""
+    a = 0.5 * (3.0 - alpha)
+    g0 = 2.0 * math.pi * math.gamma(a) * p ** -a
+    c_mu = (math.pi ** 1.5 * 2.0 ** (3.0 - mu) * math.gamma(0.5 * (3.0 - mu))
+            / math.gamma(0.5 * mu))
+
+    def integrand(k):
+        g = g0 * special.hyp1f1(a, 1.5, -k * k / (4.0 * p))
+        return g * g * k ** (mu - 1.0)
+
+    # epsrel 1e-13 warns at mu = 0.5, where k^(mu-1) is singular at 0
+    val, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-12)
+    return c_mu * (2.0 * math.pi) ** -3 * 4.0 * math.pi * val
 
 
 def full_box_kernel_hat(grid, mu):

@@ -70,12 +70,7 @@ def test_validate_rejects_bad_config(bad_config, capsys):
 @pytest.mark.parametrize("old,new,message", [
     ("grading = 2.0", "grading = 4.0",
      "GridError: the exact-mass head rule of the radial quadrature"),
-    ("grading = 2.0", "grading = 2.0\nm_axis = 25",
-     "GridError: m must be even so no node sits at the origin, got 25"),
-    ("grading = 2.0", "grading = 2.0\nm_axis = 78",
-     "GridTooLarge: the direct engine's zero-padded FFT is limited to 29 MB (m <= 76), "
-     "got m = 78"),
-], ids=["grading", "odd-m-axis", "m-axis-past-cap"])
+], ids=["grading"])
 def test_validate_rejects_grid_the_commands_reject(tmp_path, capsys, old, new, message):
     path = tmp_path / "cfg.ini"
     path.write_text(SMALL_CONFIG.replace(old, new))
@@ -112,6 +107,14 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         cli.main(["frobnicate"])
     assert err.value.code == 2
+
+
+def test_cross_check_is_not_a_command(capsys):
+    # the radial engine is checked against exact references in the tests
+    with pytest.raises(SystemExit) as err:
+        cli.main(["cross-check"])
+    assert err.value.code == 2
+    assert "invalid choice: 'cross-check'" in capsys.readouterr().err
 
 
 def test_fibering_reference_output(capsys):
@@ -166,6 +169,23 @@ def test_lambda_star_with_artifacts(small_config, tmp_path, capsys):
     assert lam_sub == pytest.approx(lam_star * 2.0**0.75 / 4.0, rel=1e-10)
     steps, kkt = re.search(r"^descent steps: (\d+), kkt residual = (\S+)$", out, re.M).groups()
     assert int(steps) <= 20 and float(kkt) <= 1e-8
+
+
+@pytest.mark.parametrize("command,flags,written", [
+    ("lambda-star", ["--snapshot", "{0}/a/min.json", "--trace-csv", "{0}/b/trace.csv"],
+     ["a/min.json", "b/trace.csv"]),
+    ("solve", ["--out", "{0}/a/run"], ["a/run/solution_plus.json", "a/run/solution_minus.json"]),
+    ("sweep", ["--points", "3", "--out", "{0}/a/s.csv"], ["a/s.csv"]),
+], ids=["lambda-star", "solve", "sweep"])
+def test_output_paths_in_missing_directories_are_created(small_config, tmp_path, capsys,
+                                                         command, flags, written):
+    # lambda-star once wrote its artifacts only after the whole estimate and
+    # ended in a FileNotFoundError when their directory was missing
+    root = tmp_path / "missing"
+    argv = [command, "--config", small_config] + [flag.format(root) for flag in flags]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert all((root / path).is_file() for path in written)
 
 
 def test_lambda_star_ignores_grid_kind_key(tmp_path, capsys):
@@ -313,11 +333,12 @@ def test_zero_iteration_caps_stay_legal(tmp_path, capsys):
 
 
 def test_removed_option_keys_are_ignored(small_config, tmp_path, capsys):
-    # step0, floor_factor, reinit_budget and v_form each had one usable value;
-    # a config that still sets them, even to values once refused, loads as
-    # the config without them
+    # step0, floor_factor, reinit_budget and v_form each had one usable value,
+    # and l and m_axis set the box of a retired command; a config that still
+    # sets them, even to values once refused, loads as the config without them
     path = tmp_path / "removed-keys.ini"
     path.write_text(SMALL_CONFIG
+                    .replace("grading = 2.0", "grading = 2.0\nl = nan\nm_axis = 78")
                     .replace("max_iters = 300", "max_iters = 300\nstep0 = 0\n"
                              "floor_factor = -1\nreinit_budget = 0")
                     .replace("gamma4 = 1.0", "gamma4 = 1.0\nv_form = other"))
@@ -371,7 +392,7 @@ UNPARSABLE = [
     ("problem", "p", ""), ("problem", "q", "half"), ("problem", "gamma3", "1.3.1"),
     ("problem", "gamma4", "x"), ("problem", "lambda", "abc"), ("problem", "choquard", "maybe"),
     ("grid", "r", "abc"), ("grid", "m", "abc"), ("grid", "m", "5%"), ("grid", "grading", ""),
-    ("grid", "l", "abc"), ("grid", "m_axis", "24.5"), ("solver", "tol", "abc"),
+    ("solver", "tol", "abc"),
     ("solver", "max_iters", "1e3"), ("sweep", "points", "many"), ("sweep", "frac_min", "abc"),
     ("sweep", "frac_max", "abc"), ("extremal", "families", "inverse_poly:x"),
     ("extremal", "sigmas", ","), ("extremal", "sigmas", "1,,2"),
@@ -420,8 +441,15 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     assert "usage error: [run] seed must be >= 0, got -1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["validate", "invariants", "lambda-star", "solve", "sweep",
-                                     "cross-check"])
+def test_negative_seed_flag_is_usage_error(small_config, capsys):
+    # the flag overrides [run] seed and is held to its rule
+    assert cli.main(["invariants", "--config", small_config, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: --seed must be >= 0, got -1\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["validate", "invariants", "lambda-star", "solve", "sweep"])
 def test_dimension_other_than_3_is_refused_by_every_command(tmp_path, capsys, command):
     # gamma3 = 1.7 and gamma4 = 1.0 lie inside N = 4's windows: the paper's
     # hypotheses hold, the radial kernel does not
@@ -445,9 +473,9 @@ def _fields(cfg):
 
 
 def test_each_key_sets_its_field(tmp_path):
-    # every key away from its default (n has one legal value) and from every
-    # other key's value, so a row that points at the wrong field, or two rows
-    # that swap theirs, show
+    # every key away from its default (n has one legal value; no key sets the
+    # box) and from every other key's value, so a row that points at the wrong
+    # field, or two rows that swap theirs, show
     path = tmp_path / "every-key.ini"
     path.write_text("""\
 [problem]
@@ -466,8 +494,6 @@ choquard = yes
 r = 15.0
 m = 96
 grading = 1.5
-l = 2.5
-m_axis = 20
 
 [solver]
 tol = 2e-5
@@ -496,14 +522,14 @@ seed = 99
     expected = cli.RunConfig(
         params=params.ProblemParams(N=3, alpha=0.2, mu=1.1, p=2.1, q=0.4, gamma3=1.25,
                                     gamma4=1.2, b_form="constant", lam=0.3, choquard=True),
-        R=15.0, M=96, grading=1.5, box_L=2.5, box_m=20,
+        R=15.0, M=96, grading=1.5,
         solver=cli.SolverOptions(tol=2e-5, max_iters=123),
         sweep_points=7, sweep_frac_min=0.22, sweep_frac_max=0.8, sweep_spacing="linear",
         families=(("gaussian", None),), sigmas=(0.45, 1.05),
         descent=cli.DescentOptions(max_iters=45), output_dir="results", seed=99,
     )
     want, default = _fields(expected), _fields(cli.RunConfig())
-    assert [name for name in want if want[name] == default[name]] == ["params.N"]
+    assert [name for name in want if want[name] == default[name]] == ["params.N", "box_L", "box_m"]
     assert _fields(cli.load_config(str(path))) == want
 
 
@@ -535,97 +561,21 @@ def test_nonfinite_config_lambda_is_rejected_by_name(tmp_path, capsys, no_estima
 def test_nonfinite_radius_in_config_is_named_grid_error(tmp_path, capsys):
     path = tmp_path / "cfg.ini"
     path.write_text(SMALL_CONFIG.replace("r = 14.0", "r = inf"))
-    assert cli.main(["cross-check", "--config", str(path)]) == 1
+    assert cli.main(["validate", "--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert "GridError: R must be finite and positive, got inf" in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("argv, box", [
-    (["validate"], "nan"),
-    (["cross-check"], "inf"),
-    (["cross-check", "--box-l", "inf"], "3.0"),
-])
-def test_nonfinite_box_halfwidth_is_named_grid_error(tmp_path, capsys, argv, box):
-    path = tmp_path / "cfg.ini"
-    path.write_text(SMALL_CONFIG.replace("grading = 2.0", f"grading = 2.0\nl = {box}"))
-    assert cli.main(argv[:1] + ["--config", str(path)] + argv[1:]) == 1
-    captured = capsys.readouterr()
-    assert "GridError: L must be finite and positive, got" in captured.err
     assert captured.out == ""
 
 
 def test_grading_beyond_the_head_rule_in_config_is_named_grid_error(tmp_path, capsys):
     path = tmp_path / "cfg.ini"
     path.write_text(SMALL_CONFIG.replace("grading = 2.0", "grading = 4.0"))
-    assert cli.main(["cross-check", "--config", str(path)]) == 1
+    assert cli.main(["lambda-star", "--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert ("GridError: the exact-mass head rule of the radial quadrature (its first 4 "
             "cells) cannot take N = 3 with grading = 4.0") in captured.err
     assert "internal" not in captured.err
     assert captured.out == ""
-
-
-def test_cross_check_within_tolerance(small_config, capsys):
-    code = cli.main(["cross-check", "--config", small_config, "--box-m", "16",
-                     "--tolerance", "0.05"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "relative gap" in out
-
-
-def test_cross_check_default_config_passes(capsys):
-    # the default box (m = 24) resolves the engine gap below the default
-    # tolerance; m = 16 gives 0.025
-    config = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
-    assert cli.main(["cross-check", "--config", str(config)]) == 0
-    assert "above tolerance" not in capsys.readouterr().out
-
-
-@pytest.fixture()
-def no_engines(monkeypatch):
-    """Make the B engines raise: a check that must come first shows by
-    returning before either runs."""
-    def engine(*args):
-        raise AssertionError("an engine ran")
-    monkeypatch.setattr(cli, "steinweiss_B_radial", engine)
-    monkeypatch.setattr(cli, "steinweiss_B_direct", engine)
-
-
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_cross_check_refuses_a_box_past_the_cap_before_the_radial_engine(
-        tmp_path, capsys, no_engines, source):
-    path = tmp_path / "cfg.ini"
-    config = SMALL_CONFIG if source == "flag" else SMALL_CONFIG.replace(
-        "grading = 2.0", "grading = 2.0\nm_axis = 78")
-    path.write_text(config)
-    argv = ["cross-check", "--config", str(path)] + (["--box-m", "78"] if source == "flag" else [])
-    assert cli.main(argv) == 1
-    captured = capsys.readouterr()
-    assert "GridTooLarge" in captured.err and "got m = 78, which needs 29.5 MB" in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("flag", ["--tolerance", "--sigma"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.1"])
-def test_cross_check_tolerance_and_sigma_must_be_finite_and_positive(
-        small_config, capsys, no_engines, flag, value):
-    # a NaN tolerance would pass any gap (gap > nan is false), and so would inf;
-    # a bad sigma would surface as a box half-width the user never set
-    assert cli.main(["cross-check", "--config", small_config, "--box-m", "8",
-                     f"{flag}={value}"]) == 2
-    captured = capsys.readouterr()
-    assert f"usage error: {flag} must be finite and positive" in captured.err
-    assert captured.out == ""
-
-
-def test_cross_check_flags_disagreement(small_config, capsys):
-    # a deliberately impossible tolerance makes the gap check fail (exit 1)
-    code = cli.main(["cross-check", "--config", small_config, "--box-m", "8",
-                     "--tolerance", "1e-6"])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "above tolerance" in out
 
 
 def test_invariants_pass(small_config, capsys):

@@ -24,6 +24,7 @@ from oracles import (
     full_box_kernel_hat,
     full_box_w_u,
     gaussian_B_closed_form,
+    gaussian_B_fourier,
     hfft_box_kernel_octant,
     unfold_octant,
 )
@@ -344,30 +345,89 @@ def test_in_place_spectrum_is_the_axis_by_axis_convolution_bit_for_bit(m, mu):
     assert np.array_equal(functionals._box_w_u(u, cg, prm)[0], axis_w_u(u, cg, prm, hat))
 
 
-def _observed_orders(engine, grids, mu):
-    """log2 of the ratios of successive relative errors of B(e^(-r^2)) at
-    alpha = 0, b = 1, p = 2 against the closed form, grids halving h."""
-    prm = nl.ProblemParams(alpha=0.0, choquard=True, b_form="constant", mu=mu, p=2.0)
-    exact = gaussian_B_closed_form(mu, prm.p)
-    errors = [abs(engine(nl.sample_profile("gaussian", 1.0, g), prm) - exact) / exact
-              for g in grids]
-    return [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+def _relative_errors(engine, grids, mu, alpha=0.0):
+    """Relative errors of B(e^(-r^2)) at b = 1, p = 2 against its closed form
+    at alpha = 0 and its Fourier form otherwise, one per grid."""
+    prm = nl.ProblemParams(alpha=alpha, choquard=True, b_form="constant", mu=mu, p=2.0)
+    exact = (gaussian_B_closed_form(mu, prm.p) if alpha == 0.0
+             else gaussian_B_fourier(mu, prm.p, alpha))
+    return [(engine(nl.sample_profile("gaussian", 1.0, g), prm) - exact) / exact for g in grids]
+
+
+def _observed_orders(engine, grids, mu, alpha=0.0):
+    """log2 of the ratios of successive relative errors, grids halving h."""
+    errors = _relative_errors(engine, grids, mu, alpha)
+    return [math.log2(abs(a / b)) for a, b in zip(errors, errors[1:])]
+
+
+def _radial_ladder(*nodes):
+    return [nl.build_radial_grid(20.0, M, 2.0) for M in nodes]
 
 
 def test_gaussian_B_closed_form_value():
     assert gaussian_B_closed_form(1.0, 2.0) == pytest.approx(4.3733546, rel=1e-7)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.5])
+@pytest.mark.parametrize("mu", [0.5, 1.0, 1.5, 2.0, 2.5])
+def test_gaussian_B_fourier_form_is_the_closed_form_at_alpha_0(mu, p):
+    # measured: within 7.1e-14 (mu = 0.5), 4.5e-16 elsewhere
+    assert gaussian_B_fourier(mu, p, 0.0) == pytest.approx(gaussian_B_closed_form(mu, p),
+                                                           rel=1e-12, abs=0.0)
+
+
 _POINT_KERNEL_ORDER = pytest.mark.xfail(
     strict=True, reason="both engines sample the kernel at points and converge at "
     "order 3 - mu (ROADMAP items 3 and 7)")
+_RADIAL_MU = [0.5, 1.0] + [pytest.param(mu, marks=_POINT_KERNEL_ORDER) for mu in (1.5, 2.0, 2.5)]
 
 
-@pytest.mark.parametrize("mu", [1.0, pytest.param(1.5, marks=_POINT_KERNEL_ORDER)])
+def _positive_alpha(mu):
+    """alpha = 0.25, or 0.2 at mu = 2.5, where 2 alpha + mu < 3 needs alpha < 0.25."""
+    return 0.2 if mu == 2.5 else 0.25
+
+
+@pytest.mark.parametrize("mu", _RADIAL_MU)
 def test_B_radial_converges_at_order_two_to_the_closed_form(mu):
-    # measured at mu = 1: 2.02, 2.01, 2.00, error -1.79e-6 at M = 2048
-    grids = [nl.build_radial_grid(20.0, M, 2.0) for M in (256, 512, 1024, 2048)]
+    # measured at M = 256 ... 2048: 2.62, 2.55, 2.52 at mu = 0.5; 2.02, 2.01,
+    # 2.00 at mu = 1; 3 - mu above (1.50, 1.00, 0.50)
+    grids = _radial_ladder(256, 512, 1024, 2048)
     assert min(_observed_orders(nl.steinweiss_B_radial, grids, mu)) >= 1.9
+
+
+@pytest.mark.parametrize("mu", _RADIAL_MU)
+def test_B_radial_converges_at_order_two_to_the_fourier_form(mu):
+    # r^-alpha on both sides of the kernel; measured at M = 256 ... 2048:
+    # 2.65, 2.56, 2.52 at mu = 0.5; 2.03, 2.01, 2.00 at mu = 1; 3 - mu above
+    grids = _radial_ladder(256, 512, 1024, 2048)
+    assert min(_observed_orders(nl.steinweiss_B_radial, grids, mu, _positive_alpha(mu))) >= 1.9
+
+
+# the largest |relative error| of B at M = 2048 measured at alpha = 0 and at
+# _positive_alpha(mu), rounded up: -8.65e-8, -1.85e-6, -3.63e-5, -6.20e-4 and
+# -7.93e-3, the point kernel's O(h^(3 - mu)) error from mu = 1.5 on
+_FINEST_ERROR = {0.5: 9e-8, 1.0: 1.9e-6, 1.5: 3.7e-5, 2.0: 6.3e-4, 2.5: 8.0e-3}
+
+
+@pytest.mark.parametrize("positive", [False, True], ids=["alpha-0", "alpha-positive"])
+@pytest.mark.parametrize("mu", sorted(_FINEST_ERROR))
+def test_B_radial_value_at_the_finest_grid(mu, positive):
+    alpha = _positive_alpha(mu) if positive else 0.0
+    [error] = _relative_errors(nl.steinweiss_B_radial, _radial_ladder(2048), mu, alpha)
+    assert abs(error) <= _FINEST_ERROR[mu]
+
+
+@pytest.mark.parametrize("mu", [1.0, 1.5, 2.0, 2.5])
+def test_B_radial_weight_b_is_a_rescaled_profile(mu):
+    # b enters B only through the density b|u|^p on both sides of the kernel,
+    # so B_b(u) = B_1(b^(1/p) u) (measured: ratio - 1 = 0.0 at each mu); the
+    # Fourier form has b = 1 and cannot see b
+    prm = nl.ProblemParams(alpha=_positive_alpha(mu), mu=mu, p=2.6, b_form="inverse_poly")
+    grid = nl.build_radial_grid(20.0, 256, 2.0)
+    u = nl.sample_profile("gaussian", 1.0, grid)
+    scaled = nl.GridFunction(grid, prm.b_values(grid.nodes) ** (1.0 / prm.p) * u.values)
+    B_1 = nl.steinweiss_B_radial(scaled, dataclasses.replace(prm, b_form="constant"))
+    assert nl.steinweiss_B_radial(u, prm) == pytest.approx(B_1, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("mu", [1.0, pytest.param(1.5, marks=_POINT_KERNEL_ORDER)])
