@@ -4,8 +4,11 @@ Subcommands: validate | fibering | lambda-star | solve | sweep | invariants.
 Configuration is a sectioned key/value (INI) file read through one table,
 `_KEYS`: each value is parsed and checked by its row, a refusal names
 `[section] key`, and keys not in the table are ignored.  Flags override file
-values.  An output path's directory is created if it is missing.  Exit
-codes: 0 success, 1 domain error (validation failure, no convergence, failed
+values.  Output paths and --r-sweep radii are checked before the lambda*
+estimate runs: an output file's missing directory is created, and a path that
+is a directory or lies under a file, or a radius that is not finite and
+positive, is a usage error naming its flag (or `[output] dir`).  Exit codes:
+0 success, 1 domain error (validation failure, no convergence, failed
 invariant), 2 usage error.  All numeric output is deterministic given
 config + seed.
 """
@@ -155,10 +158,30 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _in_dir(path: str) -> str:
-    """Create the directory of the file path if it is missing; return path."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+def _output_file(name: str, path: str) -> str:
+    """Make path ready to take a file before any work runs: create its missing
+    directories, and refuse, naming the flag or key `name`, a path that is a
+    directory, lies under a file or whose directory cannot be made."""
+    if os.path.isdir(path):
+        raise ConfigError(f"{name}: {path} is a directory, not a file")
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"{name}: {path} lies under a file, not a directory") from None
+    except OSError as err:
+        raise ConfigError(f"{name}: cannot make the directory of {path}: {err.strerror}") from None
     return path
+
+
+def _radii(text: str) -> list[float]:
+    try:
+        radii = [float(x) for x in text.split(",")]
+    except ValueError as err:
+        raise ConfigError(f"--r-sweep expects comma-separated radii: {err}") from None
+    for R in radii:
+        if not (math.isfinite(R) and R > 0.0):
+            raise ConfigError(f"--r-sweep radii must be finite and positive, got {R}")
+    return radii
 
 
 def _sweep_fractions(cfg: RunConfig):
@@ -223,6 +246,11 @@ def _estimate(cfg: RunConfig):
 
 def cmd_lambda_star(args) -> int:
     cfg = load_config(args.config)
+    # every flag is checked before the estimate runs
+    radii = _radii(args.r_sweep) if args.r_sweep else None
+    for flag, path in (("--trace-csv", args.trace_csv), ("--snapshot", args.snapshot)):
+        if path:
+            _output_file(flag, path)
     grid, prm, est = _estimate(cfg)
     print(f"lambda_star = {_fmt(est.lambda_star)}")
     print(f"lambda_sub  = {_fmt(est.lambda_sub)}")
@@ -230,11 +258,7 @@ def cmd_lambda_star(args) -> int:
     print(f"sweep winner: {best.family} sigma={_fmt(best.sigma)} value={_fmt(best.value)}")
     print(f"descent steps: {len(est.descent_values) - 1}, "
           f"kkt residual = {format(est.kkt_residual, '.3e')}")
-    if args.r_sweep:
-        try:
-            radii = [float(x) for x in args.r_sweep.split(",")]
-        except ValueError as err:
-            raise ConfigError(f"--r-sweep expects comma-separated radii: {err}") from err
+    if radii:
         rows = r_sensitivity(prm, radii, cfg.M, cfg.grading,
                              families=cfg.families, sigmas=cfg.sigmas, opts=cfg.descent)
         prev = None
@@ -243,10 +267,10 @@ def cmd_lambda_star(args) -> int:
             print(f"R = {_fmt(R)}: lambda_star = {_fmt(val)}{delta}")
             prev = val
     if args.trace_csv:
-        est.write_trace_csv(_in_dir(args.trace_csv))
+        est.write_trace_csv(args.trace_csv)
         print(f"trace written: {args.trace_csv}")
     if args.snapshot:
-        save_snapshot(_in_dir(args.snapshot), est.minimizer, params=prm,
+        save_snapshot(args.snapshot, est.minimizer, params=prm,
                       extra={"lambda_star": est.lambda_star})
         print(f"minimizer snapshot written: {args.snapshot}")
     return 0
@@ -269,6 +293,8 @@ def cmd_solve(args) -> int:
     if name == "--lambda-frac" and value >= 1.0:
         raise ConfigError(f"--lambda-frac must lie in (0, 1), got {value}: lambda = "
                           "frac * lambda* must stay below the lambda* estimate")
+    outs = {tag: _output_file("--out", os.path.join(args.out, f"solution_{tag}.json"))
+            for tag in ("plus", "minus")} if args.out else {}
     grid, prm, est = _estimate(cfg)
     lam = value * est.lambda_star if name == "--lambda-frac" else value
     if lam >= est.lambda_star:
@@ -283,10 +309,9 @@ def cmd_solve(args) -> int:
             f"floored_mass = {_fmt(res.floored_mass)}"
         )
     print(f"distance = {_fmt(solution_distance(plus, minus, prm))}")
-    if args.out:
+    if outs:
         for tag, res in (("plus", plus), ("minus", minus)):
-            path = _in_dir(os.path.join(args.out, f"solution_{tag}.json"))
-            save_snapshot(path, res.solution, params=prm, extra={
+            save_snapshot(outs[tag], res.solution, params=prm, extra={
                 "lambda": res.lam,
                 "branch": res.branch.value,
                 "energy": res.energy,
@@ -305,12 +330,14 @@ def cmd_sweep(args) -> int:
     for key in ("points", "frac_min", "frac_max", "spacing"):
         if getattr(args, key) is not None:
             setattr(cfg, f"sweep_{key}", getattr(args, key))
-    fracs = _sweep_fractions(cfg)   # a bad flag fails before the estimate runs
+    # a bad flag or output path fails before the estimate runs
+    fracs = _sweep_fractions(cfg)
+    out = (_output_file("--out", args.out) if args.out
+           else _output_file("[output] dir", os.path.join(cfg.output_dir, "sweep.csv")))
     grid, prm, est = _estimate(cfg)
     lams = est.lambda_star * fracs
     ref = reduced_triple(est.minimizer, prm)
     result = sweep_mod.run_sweep(lams, prm, grid, ref, init=est.minimizer, opts=cfg.solver)
-    out = _in_dir(args.out or os.path.join(cfg.output_dir, "sweep.csv"))
     sweep_mod.write_rows(result.rows, out)
     n_conv = len(result.converged_rows())
     print(f"rows: {len(result.rows)}, converged: {n_conv}")

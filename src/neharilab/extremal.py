@@ -245,8 +245,8 @@ def refine_descent(start: GridFunction, params: ProblemParams,
         raise NotInPositiveCone("descent needs a nonnegative start that is not identically zero")
     ws = workspace(start.grid, params)
     p, q = params.p, params.q
-    kappa = (2 * p - q) / (2 * p - 2)
-    nu = (2 - q) / (2 * p - 2)
+    C = fibering_constants(p, q)
+    kappa, nu = C.kappa, C.nu
     ev = ws.evaluate(start.values / np.sqrt(ws.norm_sq(start.values)))
     val = float(lambda_n(ev.triple, p, q))
     history = [val]

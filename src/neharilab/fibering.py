@@ -18,14 +18,14 @@ lambda < Lambda_n the equation Q_n(t) = lambda has exactly two roots
 the ray's projections onto the two Nehari branches.  With tau = t/t_n and
 rho = lambda/Lambda_n the equation is scale-free:
 
-    Q_n(t_n tau) = Lambda_n h(tau),   h(tau) = k1 tau^(2-q) - k2 tau^(2p-q),
-    k1 = (2p-q)/(2p-2),  k2 = (2-q)/(2p-2),  k1 - k2 = h(1) = 1,
+    Q_n(t_n tau) = Lambda_n h(tau),   h(tau) = kappa tau^(2-q) - nu tau^(2p-q),
+    kappa = (2p-q)/(2p-2),  nu = (2-q)/(2p-2),  kappa - nu = h(1) = 1,
     h''(1) = -(2-q)(2p-q),
 
 and each root has a closed-form bracket,
 
-    tau_plus  in [(rho/k1)^(1/(2-q)), rho^(1/(2-q))],
-    tau_minus in [max(1, ((k1-rho)/k2)^(1/(2p-2))), (k1/k2)^(1/(2p-2))],
+    tau_plus  in [(rho/kappa)^(1/(2-q)), rho^(1/(2-q))],
+    tau_minus in [max(1, ((kappa-rho)/nu)^(1/(2p-2))), (kappa/nu)^(1/(2p-2))],
 
 on which nehari_roots runs float Newton with a bisection fallback from
 1 -+ sqrt(2(1-rho)/((2-q)(2p-q))).  All other functions accept numpy arrays
@@ -164,12 +164,10 @@ def lambda_n(triple: ReducedTriple, p: float, q: float):
     _check_A(triple)
     _check_B(triple)
     C = fibering_constants(p, q)
-    kappa = (2 * p - q) / (2 * p - 2)
-    nu = (2 - q) / (2 * p - 2)
     return C.c_pq * np.exp(
-        kappa * np.log(np.asarray(triple.E))
+        C.kappa * np.log(np.asarray(triple.E))
         - np.log(np.asarray(triple.A))
-        - nu * np.log(np.asarray(triple.B))
+        - C.nu * np.log(np.asarray(triple.B))
     )
 
 
@@ -209,19 +207,18 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _solve_h(rho, lo, hi, tau, rising, p, q):
+def _solve_h(rho, lo, hi, tau, rising, p, q, nu):
     """tau in (lo, hi) with h(tau) = rho (h rising there for N+, falling for N-).
 
     Float Newton with bisection fallback on h = tau^(2-q) (1 - e),
-    e = k2 (tau^(2p-2) - 1) by expm1, which forms no difference of the large
-    k1, k2 as p -> 1; h' = -(2p-q) tau^(1-q) e.  Stops at h's rounding level.
+    e = nu (tau^(2p-2) - 1) by expm1, which forms no difference of the large
+    kappa, nu as p -> 1; h' = -(2p-q) tau^(1-q) e.  Stops at h's rounding level.
     """
-    k2 = (2 - q) / (2 * p - 2)
     if not lo < tau < hi:
         tau = 0.5 * (lo + hi)
     for _ in range(_NEWTON_MAX):
         a = tau ** (2 - q)
-        e = k2 * math.expm1((2 * p - 2) * math.log(tau))
+        e = nu * math.expm1((2 * p - 2) * math.log(tau))
         g = a * (1.0 - e) - rho
         if abs(g) <= 4.0 * _EPS * a * (1.0 + abs(e)):
             return tau
@@ -253,9 +250,9 @@ def nehari_roots(triple: ReducedTriple, lam: float, p: float, q: float) -> Roots
     _check_A(triple)
     _check_B(triple)
     E, A, B = float(triple.E), float(triple.A), float(triple.B)
-    Ln = fibering_constants(p, q).c_pq * _exp(
-        (2 * p - q) / (2 * p - 2) * math.log(E) - math.log(A)
-        - (2 - q) / (2 * p - 2) * math.log(B))
+    C = fibering_constants(p, q)
+    kappa, nu = C.kappa, C.nu
+    Ln = C.c_pq * _exp(kappa * math.log(E) - math.log(A) - nu * math.log(B))
     tn = _exp((math.log((2 - q) * E) - math.log((2 * p - q) * B)) / (2 * p - 2))
     if not (0.0 < tn < math.inf and 0.0 < Ln < math.inf):
         raise RootBracketFailure(f"t_n = {tn!r}, Lambda_n = {Ln!r} are not positive floats")
@@ -265,13 +262,11 @@ def nehari_roots(triple: ReducedTriple, lam: float, p: float, q: float) -> Roots
         return NoRoot(t_n=tn, lambda_n=Ln)
 
     rho = float(lam) / Ln
-    k1 = (2 * p - q) / (2 * p - 2)
-    k2 = (2 - q) / (2 * p - 2)
     dtau = math.sqrt(2.0 * (1.0 - rho) / ((2 - q) * (2 * p - q)))
-    t_plus = tn * _solve_h(rho, (rho / k1) ** (1 / (2 - q)), rho ** (1 / (2 - q)),
-                           1.0 - dtau, True, p, q)
-    t_minus = tn * _solve_h(rho, max(1.0, ((k1 - rho) / k2) ** (1 / (2 * p - 2))),
-                            (k1 / k2) ** (1 / (2 * p - 2)), 1.0 + dtau, False, p, q)
+    t_plus = tn * _solve_h(rho, (rho / kappa) ** (1 / (2 - q)), rho ** (1 / (2 - q)),
+                           1.0 - dtau, True, p, q, nu)
+    t_minus = tn * _solve_h(rho, max(1.0, ((kappa - rho) / nu) ** (1 / (2 * p - 2))),
+                            (kappa / nu) ** (1 / (2 * p - 2)), 1.0 + dtau, False, p, q, nu)
 
     tol = ROOT_RTOL * Ln
     try:

@@ -75,11 +75,15 @@ class FiberingConstants:
     c_pq       = ((2-q)/(2p-q))^((2-q)/(2p-2)) * (2p-2)/(2p-q)
     c_tilde_pq = q * p^((2-q)/(2p-2)) * ((p-1)/(2p-q)) * ((2-q)/(2p-q))^((2-q)/(2p-2))
     ratio      = c_tilde_pq / c_pq = q * p^((2-q)/(2p-2)) / 2, always in (0, 1)
+    kappa      = (2p-q)/(2p-2),  nu = (2-q)/(2p-2): the exponents of E and B in
+                 Lambda_n = c_pq E^kappa / (A B^nu); kappa - nu = 1
     """
 
     c_pq: float
     c_tilde_pq: float
     ratio: float
+    kappa: float
+    nu: float
 
 
 def critical_exponents(N: int, alpha: float, mu: float) -> tuple[float, float]:
@@ -105,10 +109,11 @@ def fibering_constants(p: float, q: float) -> FiberingConstants:
     """Evaluate the closed-form constants; requires 0 < q < 1 < p."""
     if not (0.0 < q < 1.0 < p):
         raise ParameterValidationError([f"fibering constants need 0 < q < 1 < p, got p={p}, q={q}"])
-    e = (2.0 - q) / (2.0 * p - 2.0)
-    c = ((2.0 - q) / (2.0 * p - q)) ** e * (2.0 * p - 2.0) / (2.0 * p - q)
-    ct = q * p**e * ((p - 1.0) / (2.0 * p - q)) * ((2.0 - q) / (2.0 * p - q)) ** e
-    return FiberingConstants(c_pq=c, c_tilde_pq=ct, ratio=ct / c)
+    kappa = (2.0 * p - q) / (2.0 * p - 2.0)
+    nu = (2.0 - q) / (2.0 * p - 2.0)
+    c = ((2.0 - q) / (2.0 * p - q)) ** nu * (2.0 * p - 2.0) / (2.0 * p - q)
+    ct = q * p**nu * ((p - 1.0) / (2.0 * p - q)) * ((2.0 - q) / (2.0 * p - q)) ** nu
+    return FiberingConstants(c_pq=c, c_tilde_pq=ct, ratio=ct / c, kappa=kappa, nu=nu)
 
 
 def validate(params: ProblemParams) -> ProblemParams:

@@ -1,12 +1,19 @@
-"""Parameter sweeps over lambda.
+"""Parameter sweeps over lambda: one ladder, one record.
 
-run_sweep solves both branches at each lambda of a grid and records, per
-row, the Nehari roots t_plus/t_minus of one fixed reference ray, computed by
-the exact fibering algebra and so free of solver noise.
-sign_change_locator finds where the bound-state energy changes sign, to be
-compared with lambda_* = ratio * lambda*; endpoint_probe solves on a ladder
-approaching lambda*.  The identities these rows are read against (roots
-monotone in lambda, dJ/dlambda = -t^q A/q) are checked in invariants.
+Two ladders of lambda inside (0, lambda*) read the branches off.  run_sweep
+solves both branches on a grid across the sweep window, and
+sign_change_locator finds where the bound-state energy changes sign there, to
+be compared with lambda_* = ratio * lambda*.  endpoint_probe solves at
+lambda_k = (1 - 2^-k) lambda*, approaching lambda*.  Both run one loop and
+return one record, a SweepResult: one SweepRow per lambda, with column views
+(lambdas, energy_plus, ...) over the rows.  A lambda at which every sampled
+ray misses the Nehari set gives a NaN, unconverged row, not an error.
+
+A sweep row also holds the Nehari roots t_plus/t_minus of one fixed reference
+ray, computed by the exact fibering algebra and so free of solver noise; the
+endpoint probe has no reference ray and leaves them NaN.  The identities the
+rows are read against (roots monotone in lambda, dJ/dlambda = -t^q A/q) are
+checked in invariants.
 
 Both ladders trace the branches u+(lambda) and u-(lambda) by natural-parameter
 continuation (Allgower & Georg 1990): each branch's solve starts from a
@@ -17,7 +24,8 @@ and every row until one converges, starts from the caller's profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,9 +35,6 @@ from .functionals import ReducedTriple
 from .grid import GridFunction
 from .params import ProblemParams, fibering_constants
 from .solver import SolverOptions, solve_pair
-
-CSV_HEADER = ("lambda,energy_plus,energy_minus,t_plus,t_minus,norm_minus,"
-              "residual_plus,residual_minus,converged_plus,converged_minus")
 
 
 @dataclass
@@ -46,13 +51,38 @@ class SweepRow:
     converged_minus: bool
 
 
+CSV_HEADER = ",".join("lambda" if f.name == "lam" else f.name for f in fields(SweepRow))
+
+
+def _column(read):
+    return property(lambda self: [read(r) for r in self.rows])
+
+
+def _increments(values):
+    return [abs(b - a) for a, b in zip(values, values[1:])]
+
+
 @dataclass
 class SweepResult:
     rows: list[SweepRow]
-    reference_triple: ReducedTriple = field(repr=False, default=None)
+
+    # read-only columns over the rows
+    lambdas = _column(lambda r: r.lam)
+    energy_plus = _column(lambda r: r.energy_plus)
+    energy_minus = _column(lambda r: r.energy_minus)
+    norms_minus = _column(lambda r: r.norm_minus)
+    converged = _column(lambda r: r.converged_plus and r.converged_minus)
+    increments_plus = property(lambda self: _increments(self.energy_plus))
+    increments_minus = property(lambda self: _increments(self.energy_minus))
 
     def converged_rows(self) -> list[SweepRow]:
         return [r for r in self.rows if r.converged_plus and r.converged_minus]
+
+    @property
+    def no_collapse(self) -> bool:
+        """The converged rows' bound-state norms stay above half their median."""
+        norms = [r.norm_minus for r in self.converged_rows()]
+        return bool(norms) and min(norms) >= 0.5 * float(np.median(norms))
 
 
 def default_lambda_grid(lambda_star: float, points: int = 9,
@@ -110,23 +140,30 @@ def _predict(bases, lam, grid):
                  for a, b in zip(u0, u1))
 
 
-def _continue(lams, params, grid, init, opts):
-    """Yield (lambda, (plus, minus)) per lambda of an increasing ladder, or
-    (lambda, None) where every sampled ray misses the Nehari set.  Only rows
-    that converge on both branches feed the predictor."""
-    bases = []
+# both branches of a row where every sampled ray misses the Nehari set
+_MISSED = SimpleNamespace(energy=np.nan, norm=np.nan, weak_residual=np.nan, converged=False)
+
+
+def _rows(lams, params, grid, init, opts, reference_triple=None) -> SweepResult:
+    """One SweepRow per lambda of an increasing ladder, each solve continued
+    from the converged rows below it (module docstring).  Only rows that
+    converge on both branches feed the predictor."""
+    rows, bases = [], []
     for lam in lams:
         start = _predict(bases, lam, grid) if bases else init
         try:
             # through this module's binding, so one call per row can be traced
-            pair = solve_pair(lam, params, grid, init=start, opts=opts)
+            plus, minus = solve_pair(lam, params, grid, init=start, opts=opts)
         except RayMissesNehari:
-            yield lam, None
-            continue
-        plus, minus = pair
+            plus = minus = _MISSED
         if plus.converged and minus.converged:
             bases = bases[-1:] + [(lam, plus.solution, minus.solution)]
-        yield lam, pair
+        tp, tm = ((np.nan, np.nan) if reference_triple is None
+                  else fixed_profile_roots(reference_triple, lam, params))
+        rows.append(SweepRow(lam, plus.energy, minus.energy, tp, tm, minus.norm,
+                             plus.weak_residual, minus.weak_residual,
+                             plus.converged, minus.converged))
+    return SweepResult(rows)
 
 
 def run_sweep(lambda_grid, params: ProblemParams, grid,
@@ -138,51 +175,20 @@ def run_sweep(lambda_grid, params: ProblemParams, grid,
     lams = np.asarray(lambda_grid, dtype=float)
     if np.any(np.diff(lams) <= 0.0):
         raise ValueError("lambda grid must be strictly increasing")
-    rows = []
-    for lam, pair in _continue(lams.tolist(), params, grid, init, opts):
-        tp, tm = fixed_profile_roots(reference_triple, lam, params)
-        if pair is None:
-            rows.append(SweepRow(
-                lam=lam, energy_plus=np.nan, energy_minus=np.nan,
-                t_plus=tp, t_minus=tm, norm_minus=np.nan,
-                residual_plus=np.nan, residual_minus=np.nan,
-                converged_plus=False, converged_minus=False,
-            ))
-            continue
-        plus, minus = pair
-        rows.append(SweepRow(
-            lam=lam,
-            energy_plus=plus.energy,
-            energy_minus=minus.energy,
-            t_plus=tp,
-            t_minus=tm,
-            norm_minus=minus.norm,
-            residual_plus=plus.weak_residual,
-            residual_minus=minus.weak_residual,
-            converged_plus=plus.converged,
-            converged_minus=minus.converged,
-        ))
-    return SweepResult(rows=rows, reference_triple=reference_triple)
+    return _rows(lams.tolist(), params, grid, init, opts, reference_triple)
+
+
+def _cell(value) -> str:
+    return ("1" if value else "0") if isinstance(value, bool) else format(value, ".17g")
 
 
 def write_rows(rows, path) -> None:
-    """Deterministic CSV: fixed header, 17 significant digits, '.' decimals."""
+    """Deterministic CSV: CSV_HEADER, then each row's fields in order, floats
+    to 17 significant digits with '.' decimals, flags as 1/0."""
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in rows:
-            fields = [
-                format(r.lam, ".17g"),
-                format(r.energy_plus, ".17g"),
-                format(r.energy_minus, ".17g"),
-                format(r.t_plus, ".17g"),
-                format(r.t_minus, ".17g"),
-                format(r.norm_minus, ".17g"),
-                format(r.residual_plus, ".17g"),
-                format(r.residual_minus, ".17g"),
-                "1" if r.converged_plus else "0",
-                "1" if r.converged_minus else "0",
-            ]
-            fh.write(",".join(fields) + "\n")
+            fh.write(",".join(_cell(getattr(r, f.name)) for f in fields(SweepRow)) + "\n")
 
 
 # --- sign-change location ---------------------------------------------------------
@@ -227,52 +233,11 @@ def sign_change_locator(rows, lambda_star_est: float, params: ProblemParams) -> 
 
 # --- endpoint probe ----------------------------------------------------------------
 
-@dataclass
-class EndpointReport:
-    lambdas: list[float]
-    energy_plus: list[float]
-    energy_minus: list[float]
-    norms_minus: list[float]
-    converged: list[bool]
-    increments_plus: list[float]
-    increments_minus: list[float]
-
-    @property
-    def no_collapse(self) -> bool:
-        norms = [n for n, c in zip(self.norms_minus, self.converged) if c]
-        if not norms:
-            return False
-        return min(norms) >= 0.5 * float(np.median(norms))
-
-
 def endpoint_probe(params: ProblemParams, grid, lambda_star_est: float,
-                   K: int = 6, init=None, opts: SolverOptions | None = None) -> EndpointReport:
+                   K: int = 6, init=None, opts: SolverOptions | None = None) -> SweepResult:
     """Solve at lambda_k = (1 - 2^-k) lambda* for k = 1..K, continued from
-    the converged rows below (module docstring; init starts k = 1), and
-    report the Cauchy-style energy increments and the bound-state norm
-    trajectory."""
+    the converged rows below (module docstring; init starts k = 1).  The
+    result's increments_plus/minus are the Cauchy-style energy increments,
+    its norms_minus the bound-state norm trajectory."""
     lams = [(1.0 - 2.0 ** (-k)) * lambda_star_est for k in range(1, K + 1)]
-    ep, em, norms, conv = [], [], [], []
-    for _, pair in _continue(lams, params, grid, init, opts):
-        if pair is None:
-            ep.append(np.nan)
-            em.append(np.nan)
-            norms.append(np.nan)
-            conv.append(False)
-            continue
-        plus, minus = pair
-        ep.append(plus.energy)
-        em.append(minus.energy)
-        norms.append(minus.norm)
-        conv.append(plus.converged and minus.converged)
-    inc_p = [abs(b - a) for a, b in zip(ep, ep[1:])]
-    inc_m = [abs(b - a) for a, b in zip(em, em[1:])]
-    return EndpointReport(
-        lambdas=lams,
-        energy_plus=ep,
-        energy_minus=em,
-        norms_minus=norms,
-        converged=conv,
-        increments_plus=inc_p,
-        increments_minus=inc_m,
-    )
+    return _rows(lams, params, grid, init, opts)

@@ -188,6 +188,51 @@ def test_output_paths_in_missing_directories_are_created(small_config, tmp_path,
     assert all((root / path).is_file() for path in written)
 
 
+@pytest.mark.parametrize("command,flags,name", [
+    ("lambda-star", ["--snapshot", "{dir}"], "--snapshot"),
+    ("lambda-star", ["--trace-csv", "{dir}"], "--trace-csv"),
+    ("sweep", ["--out", "{dir}"], "--out"),
+    ("lambda-star", ["--snapshot", "{file}/x.json"], "--snapshot"),
+    ("lambda-star", ["--trace-csv", "{file}/a/trace.csv"], "--trace-csv"),
+    ("solve", ["--out", "{file}"], "--out"),
+    ("solve", ["--out", "{file}/run"], "--out"),
+    ("sweep", ["--out", "{file}/s.csv"], "--out"),
+    ("sweep", ["--config", "{output_file}"], "[output] dir"),
+    ("sweep", ["--config", "{output_dir}"], "[output] dir"),
+], ids=["snapshot-dir", "trace-csv-dir", "sweep-out-dir", "snapshot-under-file",
+        "trace-csv-under-file", "solve-out-file", "solve-out-under-file",
+        "sweep-out-under-file", "output-dir-key-file", "sweep-csv-dir"])
+def test_output_paths_that_cannot_take_a_file_are_refused_before_the_estimate(
+        small_config, tmp_path, capsys, no_estimate, command, flags, name):
+    # these once ended in IsADirectoryError or FileExistsError, most of them
+    # after the whole estimate
+    (tmp_path / "d").mkdir()
+    (tmp_path / "f").write_text("")
+    (tmp_path / "d" / "sweep.csv").mkdir()
+    paths = {"dir": tmp_path / "d", "file": tmp_path / "f"}
+    for key, value in (("output_file", "f"), ("output_dir", "d")):
+        paths[key] = tmp_path / f"{key}.ini"
+        paths[key].write_text(SMALL_CONFIG + f"\n[output]\ndir = {tmp_path / value}\n")
+    # a second --config overrides the first
+    argv = [command, "--config", small_config] + [flag.format(**paths) for flag in flags]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"usage error: {name}: " in captured.err
+    assert captured.out == ""
+    assert (tmp_path / "f").read_text() == ""
+
+
+@pytest.mark.parametrize("radii", ["abc", "12,-1", "12,0", "12,nan", "inf", "12,,16"])
+def test_bad_r_sweep_is_usage_error_before_the_estimate(small_config, capsys, no_estimate,
+                                                        radii):
+    # once parsed after the estimate: "abc" printed the lambda* lines first,
+    # and "12,-1" ran two estimates before failing in the grid build
+    assert cli.main(["lambda-star", "--config", small_config, "--r-sweep", radii]) == 2
+    captured = capsys.readouterr()
+    assert "usage error: --r-sweep " in captured.err
+    assert captured.out == ""
+
+
 def test_lambda_star_ignores_grid_kind_key(tmp_path, capsys):
     # the energy norm is radial only, so the config has no grid kind to choose
     path = tmp_path / "cfg.ini"

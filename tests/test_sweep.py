@@ -6,7 +6,7 @@ import pytest
 import neharilab as nl
 from neharilab import solver
 from neharilab import sweep as sw
-from neharilab.errors import NoSignChange
+from neharilab.errors import NoSignChange, RayMissesNehari
 from neharilab.fibering import lambda_n
 
 
@@ -262,6 +262,16 @@ def test_endpoint_no_collapse(endpoint):
     assert min(norms) >= 0.5 * float(np.median(norms))
 
 
+def test_endpoint_probe_is_the_sweep_ladder(params, grid, estimate, reference, endpoint):
+    # one loop builds both ladders: on the probe's lambdas a sweep gives the
+    # same columns bit for bit, and adds the reference ray's roots
+    swept = sw.run_sweep(endpoint.lambdas, params, grid, reference, init=estimate.minimizer)
+    for column in ("lambdas", "energy_plus", "energy_minus", "norms_minus", "converged"):
+        assert getattr(swept, column) == getattr(endpoint, column), column
+    assert all(np.isnan(r.t_plus) and np.isnan(r.t_minus) for r in endpoint.rows)
+    assert not any(np.isnan(r.t_plus) or np.isnan(r.t_minus) for r in swept.rows)
+
+
 # --- CSV -------------------------------------------------------------------------------
 
 def test_csv_format_and_determinism(tmp_path, sweep_result):
@@ -276,3 +286,27 @@ def test_csv_format_and_determinism(tmp_path, sweep_result):
     assert len(first) == 10
     assert first[8] in ("0", "1") and first[9] in ("0", "1")
     assert float(first[0]) == pytest.approx(sweep_result.rows[0].lam, rel=1e-16)
+
+
+def test_csv_golden_lines(tmp_path, monkeypatch):
+    # bytes written before the columns were read off SweepRow's fields: the
+    # first row of the default sweep, and a row where every sampled ray
+    # misses the Nehari set, with the roots of the ray (E, A, B) = (1, 1, 1)
+    def missed(*args, **kwargs):
+        raise RayMissesNehari("every sampled ray misses the Nehari set")
+
+    monkeypatch.setattr(sw, "solve_pair", missed)
+    rows = [sw.SweepRow(0.1740231493899153, -1.097578117863544, 4.960208536109617,
+                        0.7429717885424433, 5.6357680867618685, 5.364881913878429,
+                        5.4882997201571766e-05, 9.2667028170314e-06, True, True)]
+    ray = nl.ReducedTriple(E=1.0, A=1.0, B=1.0)
+    rows += sw.run_sweep([0.25], nl.ProblemParams(), None, ray).rows
+    path = tmp_path / "rows.csv"
+    sw.write_rows(rows, path)
+    assert path.read_bytes() == (
+        b"lambda,energy_plus,energy_minus,t_plus,t_minus,norm_minus,"
+        b"residual_plus,residual_minus,converged_plus,converged_minus\n"
+        b"0.17402314938991531,-1.097578117863544,4.9602085361096169,0.74297178854244328,"
+        b"5.6357680867618685,5.3648819138784294,5.4882997201571766e-05,"
+        b"9.2667028170314005e-06,1,1\n"
+        b"0.25,nan,nan,0.46792375489693599,0.81097730589415762,nan,nan,nan,0,0\n")
