@@ -24,11 +24,9 @@ from .functionals import (
 from .fibering import (
     Branch,
     DoubleRoot,
-    FiberingReport,
     NoRoot,
     TwoRoots,
     classify,
-    fibering_report,
     lambda_e,
     lambda_n,
     nehari_roots,
@@ -39,7 +37,6 @@ from .extremal import (
     ExtremalEstimate,
     estimate_lambda_star,
     family_sweep,
-    r_sensitivity,
     refine_descent,
 )
 from .solver import (

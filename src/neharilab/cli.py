@@ -1,15 +1,20 @@
 """Command-line frontend.
 
 Subcommands: validate | fibering | lambda-star | solve | sweep | invariants.
+Each command puts its report together from library calls: `fibering` calls
+the fibering functions one by one, and `lambda-star --r-sweep` runs the
+estimate on the config with each listed radius.
 Configuration is a sectioned key/value (INI) file read through one table,
 `_KEYS`: each value is parsed and checked by its row, a refusal names
-`[section] key`, and keys not in the table are ignored.  Flags override file
+`[section] key`, and keys not in the table are ignored.  `[problem] lambda`
+is a run value, RunConfig.lam, read by solve only.  Flags override file
 values.  Output paths and --r-sweep radii are checked before the lambda*
 estimate runs: an output file's missing directory is created, and a path that
 is a directory or lies under a file, or a radius that is not finite and
-positive, is a usage error naming its flag (or `[output] dir`).  Exit codes:
-0 success, 1 domain error (validation failure, no convergence, failed
-invariant), 2 usage error.  All numeric output is deterministic given
+positive, is a usage error naming its flag (or `[output] dir`); each radius's
+grid is built once, so one the grid builder refuses fails by its GridError.
+Exit codes: 0 success, 1 domain error (validation failure, no convergence,
+failed invariant), 2 usage error.  All numeric output is deterministic given
 config + seed.
 """
 
@@ -25,13 +30,7 @@ from dataclasses import dataclass, field
 
 from . import fibering, sweep as sweep_mod
 from .errors import ConfigError, NehariLabError, NoSignChange
-from .extremal import (
-    DEFAULT_FAMILIES,
-    DEFAULT_SIGMAS,
-    DescentOptions,
-    estimate_lambda_star,
-    r_sensitivity,
-)
+from .extremal import DEFAULT_FAMILIES, DEFAULT_SIGMAS, DescentOptions, estimate_lambda_star
 from .functionals import ReducedTriple, reduced_triple
 from .grid import build_radial_grid, sample_profile, save_snapshot
 from .invariants import run_invariants
@@ -46,6 +45,7 @@ from .solver import SolverOptions, solution_distance, solve_pair
 @dataclass
 class RunConfig:
     params: ProblemParams = field(default_factory=ProblemParams)
+    lam: float | None = None     # [problem] lambda: read by solve only
     R: float = 20.0
     M: int = 256
     grading: float = 2.0
@@ -87,6 +87,7 @@ def _unless_empty(parse):
 
 
 _AT_LEAST_ZERO = ("must be >= 0, got {}", lambda n: n >= 0)   # a cap of 0 takes no step
+_FINITE_POSITIVE = ("must be finite and positive, got {}", lambda x: math.isfinite(x) and x > 0.0)
 
 # one row per key: section, key, the RunConfig part it sets (None: RunConfig
 # itself), the field, its parser and optionally a check (rule, predicate) whose
@@ -100,13 +101,12 @@ _KEYS = (
     ("problem", "gamma3", "params", "gamma3", float),
     ("problem", "gamma4", "params", "gamma4", float),
     ("problem", "b_form", "params", "b_form", str),
-    ("problem", "lambda", "params", "lam", _unless_empty(float)),
+    ("problem", "lambda", None, "lam", _unless_empty(float), _FINITE_POSITIVE),
     ("problem", "choquard", "params", "choquard", _boolean),
     ("grid", "r", None, "R", float),
     ("grid", "m", None, "M", int),
     ("grid", "grading", None, "grading", float),
-    ("solver", "tol", "solver", "tol", float,
-     ("must be finite and positive, got {}", lambda t: math.isfinite(t) and t > 0.0)),
+    ("solver", "tol", "solver", "tol", float, _FINITE_POSITIVE),
     ("solver", "max_iters", "solver", "max_iters", int, _AT_LEAST_ZERO),
     ("sweep", "points", None, "sweep_points", int),
     ("sweep", "frac_min", None, "sweep_frac_min", float),
@@ -219,20 +219,23 @@ def cmd_fibering(args) -> int:
         E, A, B = (float(x) for x in args.triple.split(","))
     except ValueError as err:
         raise ConfigError(f"--triple expects E,A,B, got {args.triple!r}") from err
-    rep = fibering.fibering_report(ReducedTriple(E=E, A=A, B=B), args.p, args.q, args.lam)
-    print(f"t_n = {_fmt(rep.t_n)}")
-    print(f"t_e = {_fmt(rep.t_e)}")
-    print(f"Lambda_n = {_fmt(rep.lambda_n)}")
-    print(f"Lambda_e = {_fmt(rep.lambda_e)}")
-    roots = rep.roots
-    if roots is not None:
+    triple, p, q, lam = ReducedTriple(E=E, A=A, B=B), args.p, args.q, args.lam
+    # every line is computed before any is printed, and (p, q) is checked first
+    fibering_constants(p, q)
+    lines = [f"t_n = {_fmt(fibering.t_max_n(triple, p, q))}",
+             f"t_e = {_fmt(fibering.t_max_e(triple, p, q))}",
+             f"Lambda_n = {_fmt(fibering.lambda_n(triple, p, q))}",
+             f"Lambda_e = {_fmt(fibering.lambda_e(triple, p, q))}"]
+    if lam is not None:
+        roots = fibering.nehari_roots(triple, lam, p, q)
         if isinstance(roots, fibering.TwoRoots):
-            print(f"roots: t_plus = {_fmt(roots.t_plus)}, t_minus = {_fmt(roots.t_minus)}")
+            lines.append(f"roots: t_plus = {_fmt(roots.t_plus)}, t_minus = {_fmt(roots.t_minus)}")
         elif isinstance(roots, fibering.DoubleRoot):
-            print(f"roots: double root at t_n = {_fmt(roots.t_n)}")
+            lines.append(f"roots: double root at t_n = {_fmt(roots.t_n)}")
         else:
-            print("roots: none (lambda above Lambda_n)")
-        print(f"branch of t=1: {rep.branch.value}")
+            lines.append("roots: none (lambda above Lambda_n)")
+        lines.append(f"branch of t=1: {fibering.classify(triple, lam, p, q).value}")
+    print("\n".join(lines))
     return 0
 
 
@@ -246,8 +249,11 @@ def _estimate(cfg: RunConfig):
 
 def cmd_lambda_star(args) -> int:
     cfg = load_config(args.config)
-    # every flag is checked before the estimate runs
-    radii = _radii(args.r_sweep) if args.r_sweep else None
+    # every flag is checked before the estimate runs; each --r-sweep grid is
+    # built once to check it, and dropped: a grid keeps its workspace alive
+    r_cfgs = [dataclasses.replace(cfg, R=R) for R in _radii(args.r_sweep)] if args.r_sweep else []
+    for r_cfg in r_cfgs:
+        r_cfg.build_grid()
     for flag, path in (("--trace-csv", args.trace_csv), ("--snapshot", args.snapshot)):
         if path:
             _output_file(flag, path)
@@ -258,14 +264,14 @@ def cmd_lambda_star(args) -> int:
     print(f"sweep winner: {best.family} sigma={_fmt(best.sigma)} value={_fmt(best.value)}")
     print(f"descent steps: {len(est.descent_values) - 1}, "
           f"kkt residual = {format(est.kkt_residual, '.3e')}")
-    if radii:
-        rows = r_sensitivity(prm, radii, cfg.M, cfg.grading,
-                             families=cfg.families, sigmas=cfg.sigmas, opts=cfg.descent)
-        prev = None
-        for R, val in rows:
-            delta = "" if prev is None else f"  delta = {_fmt(abs(val - prev))}"
-            print(f"R = {_fmt(R)}: lambda_star = {_fmt(val)}{delta}")
-            prev = val
+    # the truncation error on [0, R] is reported empirically, by the deltas
+    # between radii; only the value outlives each estimate
+    prev = None
+    for r_cfg in r_cfgs:
+        val = _estimate(r_cfg)[2].lambda_star
+        delta = "" if prev is None else f"  delta = {_fmt(abs(val - prev))}"
+        print(f"R = {_fmt(r_cfg.R)}: lambda_star = {_fmt(val)}{delta}")
+        prev = val
     if args.trace_csv:
         est.write_trace_csv(args.trace_csv)
         print(f"trace written: {args.trace_csv}")
@@ -284,8 +290,8 @@ def cmd_solve(args) -> int:
     # exist only below lambda*
     if args.lam is not None:
         name, value = "--lambda", args.lam
-    elif cfg.params.lam is not None:
-        name, value = "config lambda", cfg.params.lam
+    elif cfg.lam is not None:
+        name, value = "[problem] lambda", cfg.lam
     else:
         name, value = "--lambda-frac", args.lam_frac
     if not (math.isfinite(value) and value > 0.0):

@@ -304,23 +304,3 @@ def estimate_lambda_star(params: ProblemParams, grid,
         descent_values=history,
         kkt_residual=kkt,
     )
-
-
-def r_sensitivity(params: ProblemParams, R_values, M: int, grading: float = 2.0,
-                  families=DEFAULT_FAMILIES, sigmas=DEFAULT_SIGMAS,
-                  opts: DescentOptions | None = None):
-    """lambda* estimates across truncation radii.
-
-    The whole-space problem is truncated to [0, R]; with the decaying weight
-    families the tail contributions vanish only polynomially, so the
-    truncation error is reported empirically (shrinking deltas) rather than
-    claimed small.  Returns [(R, lambda_star), ...] in the given order.
-    """
-    from .grid import build_radial_grid
-
-    out = []
-    for R in R_values:
-        grid = build_radial_grid(float(R), M, grading, params.N)
-        est = estimate_lambda_star(params, grid, families=families, sigmas=sigmas, opts=opts)
-        out.append((float(R), est.lambda_star))
-    return out

@@ -29,7 +29,9 @@ and each root has a closed-form bracket,
 
 on which nehari_roots runs float Newton with a bisection fallback from
 1 -+ sqrt(2(1-rho)/((2-q)(2p-q))).  All other functions accept numpy arrays
-in the triple fields and in t.
+in the triple fields and in t.  The module has no report type: the
+`fibering` command calls t_max_n, t_max_e, lambda_n, lambda_e and, given
+lambda, nehari_roots and classify itself.
 """
 
 from __future__ import annotations
@@ -303,33 +305,3 @@ def classify(triple: ReducedTriple, lam: float, p: float, q: float,
     if abs(d2) <= rtol * scale:
         return Branch.NZERO
     return Branch.NPLUS if d2 > 0.0 else Branch.NMINUS
-
-
-# --- one-stop report ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FiberingReport:
-    t_n: float
-    t_e: float
-    lambda_n: float
-    lambda_e: float
-    roots: RootsResult | None
-    branch: Branch | None
-
-
-def fibering_report(triple: ReducedTriple, p: float, q: float,
-                    lam: float | None = None) -> FiberingReport:
-    """Fibering structure of one triple; roots/branch only when lam is given.
-
-    (p, q) is validated first, so a bad pair raises before anything is computed.
-    """
-    ratio = fibering_constants(p, q).ratio
-    tn = float(t_max_n(triple, p, q))
-    te = float(t_max_e(triple, p, q))
-    Ln = float(lambda_n(triple, p, q))
-    Le = ratio * Ln
-    roots = branch = None
-    if lam is not None:
-        roots = nehari_roots(triple, lam, p, q)
-        branch = classify(triple, lam, p, q)
-    return FiberingReport(t_n=tn, t_e=te, lambda_n=Ln, lambda_e=Le, roots=roots, branch=branch)

@@ -387,21 +387,17 @@ class FunctionalWorkspace:
 _workspaces: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _params_key(params: ProblemParams):
-    return (params.alpha, params.mu, params.p, params.q, params.gamma3,
-            params.gamma4, params.b_form)
-
-
 def workspace(grid, params: ProblemParams) -> FunctionalWorkspace:
-    """Fetch (or build) the cached operator workspace for (grid, params)."""
+    """Fetch (or build) the cached operator workspace for (grid, params).
+
+    The cache holds the grid weakly and keys each grid's entries on the frozen
+    params itself, which hash and compare by value."""
     if grid.kind != "radial":
         raise UnsupportedDimension(f"the workspace is implemented on radial grids, got {grid.kind}")
     per_grid = _workspaces.setdefault(grid, {})
-    key = _params_key(params)
-    ws = per_grid.get(key)
+    ws = per_grid.get(params)
     if ws is None:
-        ws = FunctionalWorkspace(grid, params)
-        per_grid[key] = ws
+        ws = per_grid[params] = FunctionalWorkspace(grid, params)
     return ws
 
 

@@ -129,8 +129,8 @@ class GridFunction:
 
 
 def build_radial_grid(R: float, M: int, grading: float = 2.0, dim: int = 3) -> RadialGrid:
-    """Build the graded radial grid; M >= 16, R finite and positive, grading
-    finite and >= 1."""
+    """Build the graded radial grid; M >= 16, R finite and positive with
+    R^(N+2) finite, grading finite and >= 1."""
     if M < 16:
         raise DegenerateGrid(f"M must be >= 16, got {M}")
     if not (np.isfinite(R) and R > 0.0):
@@ -141,6 +141,11 @@ def build_radial_grid(R: float, M: int, grading: float = 2.0, dim: int = 3) -> R
         raise UnsupportedDimension(f"dim must be >= 3, got {dim}")
 
     N = dim
+    try:    # the largest cell moment's power of R: every moment must be finite
+        float(R) ** (N + 2)
+    except OverflowError:
+        raise GridError(f"R = {R} is too large: the cell moments r^(k+N), k <= 2, of the "
+                        f"radial quadrature overflow at N = {N}") from None
     i = np.arange(M)
     r = R * ((i + 0.5) / M) ** grading
     edges = R * (np.arange(M + 1) / M) ** grading
@@ -296,19 +301,30 @@ def save_snapshot(path, u: GridFunction, params=None, extra=None) -> None:
 
 
 def load_snapshot(path):
-    """Read a snapshot; returns (GridFunction, params_dict, extra_dict)."""
+    """Read a snapshot; returns (GridFunction, params_dict, extra_dict).
+
+    A file that is not ASCII JSON, not a snapshot object, or lacks a key
+    the grid or the values need raises SnapshotError naming the JSON error,
+    the format or the key."""
     with open(path, encoding="ascii") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != SNAPSHOT_FORMAT:
-        raise SnapshotError(f"unknown snapshot format {doc.get('format')!r}")
-    gb = doc["grid"]
-    if gb["kind"] == "radial":
-        grid = build_radial_grid(gb["R"], gb["M"], gb["grading"], gb.get("dim", 3))
-    elif gb["kind"] == "cartesian":
-        grid = build_cartesian_grid(gb["L"], gb["m"])
-    else:
-        raise SnapshotError(f"unknown grid kind {gb['kind']!r}")
-    values = np.asarray(doc["values"], dtype=float)
-    if _values_checksum(values) != doc["checksum"]:
+        try:
+            doc = json.load(fh)
+        except ValueError as err:   # JSONDecodeError, UnicodeDecodeError
+            raise SnapshotError(f"snapshot {path} is not ASCII JSON: {err}") from None
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != SNAPSHOT_FORMAT:
+        raise SnapshotError(f"unknown snapshot format {fmt!r}")
+    try:
+        gb = doc["grid"]
+        if gb["kind"] == "radial":
+            grid = build_radial_grid(gb["R"], gb["M"], gb["grading"], gb.get("dim", 3))
+        elif gb["kind"] == "cartesian":
+            grid = build_cartesian_grid(gb["L"], gb["m"])
+        else:
+            raise SnapshotError(f"unknown grid kind {gb['kind']!r}")
+        values, checksum = np.asarray(doc["values"], dtype=float), doc["checksum"]
+    except KeyError as err:
+        raise SnapshotError(f"snapshot {path} lacks the key {err}") from None
+    if _values_checksum(values) != checksum:
         raise SnapshotError("snapshot checksum mismatch")
     return GridFunction(grid, values), doc.get("params"), doc.get("extra", {})

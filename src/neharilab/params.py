@@ -41,7 +41,10 @@ B_FORMS = ("inverse_poly", "constant")
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Validated-on-demand configuration of the singular nonlocal problem."""
+    """Validated-on-demand configuration of the singular nonlocal problem.
+
+    Frozen, so it hashes and compares by value: functionals.workspace keys
+    its cache on it."""
 
     N: int = 3
     alpha: float = 0.25
@@ -51,7 +54,6 @@ class ProblemParams:
     gamma3: float = 1.3
     gamma4: float = 1.0
     b_form: str = "inverse_poly"
-    lam: float | None = None
     choquard: bool = False       # explicit opt-in for alpha = 0 (pure Choquard kernel)
 
     # potential families, evaluated on radius arrays
@@ -157,8 +159,6 @@ def validate(params: ProblemParams) -> ProblemParams:
 
     if params.b_form not in B_FORMS:
         decay.append(f"unsupported b_form {params.b_form!r} (supported: {B_FORMS})")
-    if params.lam is not None and not (math.isfinite(params.lam) and params.lam >= 0.0):
-        singular.append(f"lambda must be finite and >= 0, got {params.lam}")
 
     violations = weight + singular + window + decay
     if not violations:

@@ -117,20 +117,33 @@ def test_cross_check_is_not_a_command(capsys):
     assert "invalid choice: 'cross-check'" in capsys.readouterr().err
 
 
+# `fibering --triple 1,1,1 --p 2 --q 0.5` byte for byte: t_n = sqrt(3/7),
+# t_e = sqrt(2) t_n, Lambda_e = 2^(3/4)/4 Lambda_n; with --lambda, below,
+# at (the double-root band) and above Lambda_n
+FIBERING_HEAD = """\
+t_n = 0.654653670708
+t_e = 0.925820099773
+Lambda_n = 0.302676959271
+Lambda_e = 0.127259985015
+"""
+FIBERING_ROOTS = {
+    "0.15": "roots: t_plus = 0.300726846311, t_minus = 0.909417215086\n",
+    "0.302676959271": "roots: double root at t_n = 0.654653670708\n",
+    "0.5": "roots: none (lambda above Lambda_n)\n",
+}
+
+
 def test_fibering_reference_output(capsys):
     assert cli.main(["fibering", "--triple", "1,1,1", "--p", "2", "--q", "0.5"]) == 0
-    out = capsys.readouterr().out
-    assert "t_n = 0.654653670708" in out
-    assert "Lambda_n = 0.302676959271" in out
-    assert "Lambda_e = 0.127259985015" in out
+    assert capsys.readouterr().out == FIBERING_HEAD
 
 
 def test_fibering_with_lambda_prints_roots(capsys):
-    assert cli.main(["fibering", "--triple", "1,1,1", "--p", "2", "--q", "0.5",
-                     "--lambda", "0.15"]) == 0
-    out = capsys.readouterr().out
-    assert "t_plus" in out and "t_minus" in out
-    assert "branch of t=1: NotOnNehari" in out
+    for lam, roots in FIBERING_ROOTS.items():
+        assert cli.main(["fibering", "--triple", "1,1,1", "--p", "2", "--q", "0.5",
+                         "--lambda", lam]) == 0
+        assert capsys.readouterr().out == (FIBERING_HEAD + roots
+                                           + "branch of t=1: NotOnNehari\n")
 
 
 def test_fibering_malformed_triple_usage_error(capsys):
@@ -284,12 +297,32 @@ def test_solve_lambda_frac_from_one_on_is_refused_before_the_estimate(small_conf
     assert captured.out == ""
 
 
-def test_lambda_star_r_sweep_report(small_config, capsys):
-    code = cli.main(["lambda-star", "--config", small_config, "--r-sweep", "12,16"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.count("R = ") == 2
-    assert "delta = " in out
+def test_lambda_star_r_sweep_report(small_config, tmp_path, capsys):
+    # each radius reports what lambda-star reports on the config with that
+    # radius, and the truncation effect shrinks with R
+    assert cli.main(["lambda-star", "--config", small_config, "--r-sweep", "12,16,20"]) == 0
+    rows = re.findall(r"^R = (\S+): lambda_star = (\S+)(?:  delta = (\S+))?$",
+                      capsys.readouterr().out, re.M)
+    assert [(R, delta == "") for R, _, delta in rows] == [("12", True), ("16", False),
+                                                           ("20", False)]
+    for R, value, _ in rows:
+        path = tmp_path / f"r{R}.ini"
+        path.write_text(SMALL_CONFIG.replace("r = 14.0", f"r = {R}.0"))
+        assert cli.main(["lambda-star", "--config", str(path)]) == 0
+        assert f"lambda_star = {value}\n" in capsys.readouterr().out
+    deltas = [float(delta) for _, _, delta in rows[1:]]
+    assert deltas[1] < deltas[0]
+
+
+def test_r_sweep_radius_the_grid_builder_refuses_fails_before_the_estimate(
+        small_config, capsys, no_estimate):
+    # 1e300 is finite and positive, but its cell moments overflow: once found
+    # after the main estimate, behind numpy overflow warnings, as a head-rule
+    # error blaming the grading
+    assert cli.main(["lambda-star", "--config", small_config, "--r-sweep", "12,1e300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: GridError: R = 1e+300 is too large")
+    assert "lambda_star =" not in captured.out
 
 
 def test_sweep_csv_deterministic(small_config, tmp_path, capsys):
@@ -445,6 +478,9 @@ UNPARSABLE = [
 ]
 OUT_OF_RANGE = [
     ("problem", "n", "4", "[problem] n must be 3, got 4"),
+    ("problem", "lambda", "0", "[problem] lambda must be finite and positive, got 0.0"),
+    ("problem", "lambda", "-1", "[problem] lambda must be finite and positive, got -1.0"),
+    ("problem", "lambda", "inf", "[problem] lambda must be finite and positive, got inf"),
     ("solver", "tol", "0", "[solver] tol must be finite and positive, got 0.0"),
     ("solver", "tol", "-inf", "[solver] tol must be finite and positive, got -inf"),
     ("solver", "max_iters", "-5", "[solver] max_iters must be >= 0, got -5"),
@@ -566,8 +602,8 @@ seed = 99
     assert {(s, k) for s in ini.sections() for k in ini[s]} == {row[:2] for row in cli._KEYS}
     expected = cli.RunConfig(
         params=params.ProblemParams(N=3, alpha=0.2, mu=1.1, p=2.1, q=0.4, gamma3=1.25,
-                                    gamma4=1.2, b_form="constant", lam=0.3, choquard=True),
-        R=15.0, M=96, grading=1.5,
+                                    gamma4=1.2, b_form="constant", choquard=True),
+        lam=0.3, R=15.0, M=96, grading=1.5,
         solver=cli.SolverOptions(tol=2e-5, max_iters=123),
         sweep_points=7, sweep_frac_min=0.22, sweep_frac_max=0.8, sweep_spacing="linear",
         families=(("gaussian", None),), sigmas=(0.45, 1.05),
@@ -584,7 +620,7 @@ def test_empty_lambda_families_and_sigmas_stay_unset(tmp_path):
                     .replace("sigmas = 0.5,0.7,1.0,1.4,2.0", "sigmas =")
                     .replace("gamma4 = 1.0", "gamma4 = 1.0\nlambda ="))
     cfg, default = cli.load_config(str(path)), cli.RunConfig()
-    assert (cfg.params.lam, cfg.families, cfg.sigmas) == (None, default.families, default.sigmas)
+    assert (cfg.lam, cfg.families, cfg.sigmas) == (None, default.families, default.sigmas)
 
 
 def test_default_config_file_loads_as_the_built_in_defaults():
@@ -595,12 +631,11 @@ def test_default_config_file_loads_as_the_built_in_defaults():
 def test_nonfinite_config_lambda_is_rejected_by_name(tmp_path, capsys, no_estimate):
     path = tmp_path / "cfg.ini"
     path.write_text(SMALL_CONFIG.replace("gamma4 = 1.0", "gamma4 = 1.0\nlambda = inf"))
-    assert cli.main(["validate", "--config", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert "lambda must be finite and >= 0, got inf" in captured.err
-    assert captured.out == ""
-    assert cli.main(["solve", "--config", str(path)]) == 2
-    assert "config lambda must be finite and positive, got inf" in capsys.readouterr().err
+    for command in ("validate", "solve"):
+        assert cli.main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: [problem] lambda must be finite and positive, got inf\n"
+        assert captured.out == ""
 
 
 def test_nonfinite_radius_in_config_is_named_grid_error(tmp_path, capsys):

@@ -388,16 +388,6 @@ def test_refinement_below_rounding_never_raises_the_value(params, grid, estimate
     assert np.sqrt(g @ ws.solve_G(g)) == pytest.approx(kkt, rel=1e-6, abs=1e-14)
 
 
-def test_truncation_radius_sensitivity_report(params):
-    from neharilab.extremal import r_sensitivity
-
-    rows = r_sensitivity(params, (12.0, 16.0, 20.0), M=96,
-                         opts=DescentOptions(max_iters=100))
-    assert [R for R, _ in rows] == [12.0, 16.0, 20.0]
-    deltas = [abs(b[1] - a[1]) for a, b in zip(rows, rows[1:])]
-    assert deltas[1] < deltas[0]  # truncation effect shrinks with R
-
-
 def test_grid_refinement_shrinking_delta(params):
     opts = DescentOptions(max_iters=120)
     vals = []

@@ -365,12 +365,3 @@ def test_rn_slope_sign_matches_numeric_derivative(rng):
         if abs(fd) > 1e-8:
             assert np.sign(fd) == np.sign(form)
 
-
-# --- report ---------------------------------------------------------------------------------
-
-def test_fibering_report_bundles_everything():
-    rep = fib.fibering_report(UNIT, P, Q, lam=0.15)
-    assert rep.t_n == pytest.approx(np.sqrt(3.0 / 7.0), rel=1e-13)
-    assert rep.lambda_e == pytest.approx(rep.lambda_n * 2.0**0.75 / 4.0, rel=1e-13)
-    assert isinstance(rep.roots, fib.TwoRoots)
-    assert rep.branch is fib.Branch.NOT_ON_NEHARI

@@ -168,6 +168,14 @@ def test_workspace_cache_does_not_keep_grid_alive(params):
     assert len(functionals._workspaces) == entries - 1
 
 
+def test_workspace_cache_keys_on_the_problem_by_value(params):
+    g = nl.build_radial_grid(10.0, 32, 2.0)
+    ws = workspace(g, params)
+    assert workspace(g, dataclasses.replace(params)) is ws
+    assert workspace(g, dataclasses.replace(params, mu=1.5)) is not ws
+    assert len(functionals._workspaces[g]) == 2
+
+
 # --- A(u) ----------------------------------------------------------------------
 
 def test_weight_a_homogeneity_exact(grid, params, gaussian):

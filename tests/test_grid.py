@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -91,6 +92,23 @@ def test_nonfinite_grid_inputs_rejected_by_name(R, grading, name):
         warnings.simplefilter("error")   # refused before any arithmetic
         with pytest.raises(GridError, match=f"^{name} must be finite"):
             nl.build_radial_grid(R, 256, grading)
+
+
+@pytest.mark.parametrize("R", [1e62, 1e300])
+def test_radius_whose_cell_moments_overflow_is_named(R):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # refused before numpy overflows
+        with pytest.raises(GridError, match=f"^R = {re.escape(str(R))} is too large"):
+            nl.build_radial_grid(R, 256)
+
+
+@pytest.mark.parametrize("R", [1e-9, 1e61])
+def test_extreme_radius_with_finite_cell_moments_builds(R):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = nl.build_radial_grid(R, 256)
+    assert (g.weights > 0.0).all()
+    assert g.weights.sum() == pytest.approx(R**3 / 3.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("L", [float("nan"), float("inf"), -float("inf"), 0.0])
@@ -282,4 +300,30 @@ def test_snapshot_checksum_detects_corruption(tmp_path, grid):
     doc["values"][3] = doc["values"][3] + 1.0
     path.write_text(json.dumps(doc))
     with pytest.raises(SnapshotError):
+        nl.load_snapshot(path)
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("truncated", "is not ASCII JSON: "),
+    ("array", "unknown snapshot format None"),
+    (("grid",), "lacks the key 'grid'"),
+    (("grid", "M"), "lacks the key 'M'"),
+    (("values",), "lacks the key 'values'"),
+    (("checksum",), "lacks the key 'checksum'"),
+], ids=["truncated", "array", "grid", "grid.M", "values", "checksum"])
+def test_malformed_snapshot_is_named_snapshot_error(tmp_path, grid, damage, message):
+    # a damaged file or a key deleted from a good one
+    path = tmp_path / "snap.json"
+    nl.save_snapshot(path, nl.GridFunction(grid, np.linspace(0.0, 1.0, grid.M)))
+    if isinstance(damage, str):
+        path.write_text({"truncated": path.read_text()[:100], "array": "[1, 2]\n"}[damage])
+    else:
+        doc = json.loads(path.read_text())
+        *outer, key = damage
+        block = doc
+        for name in outer:
+            block = block[name]
+        del block[key]
+        path.write_text(json.dumps(doc))
+    with pytest.raises(SnapshotError, match=re.escape(message)):
         nl.load_snapshot(path)

@@ -59,10 +59,6 @@ def test_singular_exponent_window():
         nl.validate(nl.ProblemParams(q=1.0))
     with pytest.raises(SingularExponentViolation):
         nl.validate(nl.ProblemParams(q=0.0))
-    for lam in (float("inf"), float("nan"), -1.0):
-        with pytest.raises(SingularExponentViolation, match="lambda must be finite and >= 0"):
-            nl.validate(nl.ProblemParams(lam=lam))
-    nl.validate(nl.ProblemParams(lam=0.0))
 
 
 def test_gamma3_window_value():
