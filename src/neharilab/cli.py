@@ -7,7 +7,8 @@ estimate on the config with each listed radius.
 Configuration is a sectioned key/value (INI) file read through one table,
 `_KEYS`: each value is parsed and checked by its row, a refusal names
 `[section] key`, and keys not in the table are ignored.  `[problem] lambda`
-is a run value, RunConfig.lam, read by solve only.  Flags override file
+is a run value, RunConfig.lam, read by solve only.  The lambda* start lattice
+is fixed: no key sets it and no command reports on it.  Flags override file
 values.  Output paths and --r-sweep radii are checked before the lambda*
 estimate runs: an output file's missing directory is created, and a path that
 is a directory or lies under a file, or a radius that is not finite and
@@ -32,7 +33,7 @@ from . import fibering, sweep as sweep_mod
 from .errors import ConfigError, NehariLabError, NoSignChange
 from .extremal import DEFAULT_FAMILIES, DEFAULT_SIGMAS, DescentOptions, estimate_lambda_star
 from .functionals import ReducedTriple, reduced_triple
-from .grid import build_radial_grid, sample_profile, save_snapshot
+from .grid import build_radial_grid, save_snapshot
 from .invariants import run_invariants
 from .params import ProblemParams, critical_exponents, fibering_constants, gamma3_window, validate
 from .solver import SolverOptions, solution_distance, solve_pair
@@ -58,6 +59,7 @@ class RunConfig:
     sweep_frac_min: float = 0.15
     sweep_frac_max: float = 0.85
     sweep_spacing: str = "auto"
+    # the lambda* start lattice, set by no key: _estimate and perfbench pass it
     families: tuple = DEFAULT_FAMILIES
     sigmas: tuple = DEFAULT_SIGMAS
     descent: DescentOptions = field(default_factory=DescentOptions)
@@ -68,22 +70,11 @@ class RunConfig:
         return build_radial_grid(self.R, self.M, self.grading, self.params.N)
 
 
-def _families(text: str):
-    """'gaussian,inverse_poly:1.5' -> (("gaussian", None), ("inverse_poly", 1.5))."""
-    items = (item.partition(":") for item in map(str.strip, text.split(",")) if item)
-    return tuple((name.strip(), float(beta) if colon else None) for name, colon, beta in items)
-
-
 def _boolean(text: str):
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
     except KeyError:
         raise ValueError("not a boolean") from None
-
-
-def _unless_empty(parse):
-    """An empty value leaves the key unset."""
-    return lambda text: parse(text) if text else None
 
 
 _AT_LEAST_ZERO = ("must be >= 0, got {}", lambda n: n >= 0)   # a cap of 0 takes no step
@@ -101,7 +92,9 @@ _KEYS = (
     ("problem", "gamma3", "params", "gamma3", float),
     ("problem", "gamma4", "params", "gamma4", float),
     ("problem", "b_form", "params", "b_form", str),
-    ("problem", "lambda", None, "lam", _unless_empty(float), _FINITE_POSITIVE),
+    # an empty lambda parses to None, which leaves it unset
+    ("problem", "lambda", None, "lam", lambda text: float(text) if text else None,
+     _FINITE_POSITIVE),
     ("problem", "choquard", "params", "choquard", _boolean),
     ("grid", "r", None, "R", float),
     ("grid", "m", None, "M", int),
@@ -112,9 +105,6 @@ _KEYS = (
     ("sweep", "frac_min", None, "sweep_frac_min", float),
     ("sweep", "frac_max", None, "sweep_frac_max", float),
     ("sweep", "spacing", None, "sweep_spacing", str),
-    ("extremal", "families", None, "families", _unless_empty(_families),
-     ("must name at least one family", bool)),
-    ("extremal", "sigmas", None, "sigmas", _unless_empty(lambda t: tuple(map(float, t.split(","))))),
     ("extremal", "descent_iters", "descent", "max_iters", int, _AT_LEAST_ZERO),
     ("output", "dir", None, "output_dir", str),
     ("run", "seed", None, "seed", int, _AT_LEAST_ZERO),
@@ -198,12 +188,7 @@ def _sweep_fractions(cfg: RunConfig):
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     prm = validate(cfg.params)
-    # the grid every other command builds and the lambda* lattice sampled on
-    # it: a bad one fails here by name
-    grid = cfg.build_grid()
-    for family, beta in cfg.families:
-        for sigma in cfg.sigmas:
-            sample_profile(family, sigma, grid, beta=beta)
+    cfg.build_grid()   # the grid every other command builds: a bad one fails here by name
     _sweep_fractions(cfg)
     lo, hi = critical_exponents(prm.N, prm.alpha, prm.mu)
     g3 = gamma3_window(prm.N, prm.q)
@@ -254,14 +239,11 @@ def cmd_lambda_star(args) -> int:
     r_cfgs = [dataclasses.replace(cfg, R=R) for R in _radii(args.r_sweep)] if args.r_sweep else []
     for r_cfg in r_cfgs:
         r_cfg.build_grid()
-    for flag, path in (("--trace-csv", args.trace_csv), ("--snapshot", args.snapshot)):
-        if path:
-            _output_file(flag, path)
+    if args.snapshot:
+        _output_file("--snapshot", args.snapshot)
     grid, prm, est = _estimate(cfg)
     print(f"lambda_star = {_fmt(est.lambda_star)}")
     print(f"lambda_sub  = {_fmt(est.lambda_sub)}")
-    best = min(est.sweep_trace, key=lambda e: e.value)
-    print(f"sweep winner: {best.family} sigma={_fmt(best.sigma)} value={_fmt(best.value)}")
     print(f"descent steps: {len(est.descent_values) - 1}, "
           f"kkt residual = {format(est.kkt_residual, '.3e')}")
     # the truncation error on [0, R] is reported empirically, by the deltas
@@ -272,9 +254,6 @@ def cmd_lambda_star(args) -> int:
         delta = "" if prev is None else f"  delta = {_fmt(abs(val - prev))}"
         print(f"R = {_fmt(r_cfg.R)}: lambda_star = {_fmt(val)}{delta}")
         prev = val
-    if args.trace_csv:
-        est.write_trace_csv(args.trace_csv)
-        print(f"trace written: {args.trace_csv}")
     if args.snapshot:
         save_snapshot(args.snapshot, est.minimizer, params=prm,
                       extra={"lambda_star": est.lambda_star})
@@ -407,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("lambda-star", help="estimate the extremal parameters")
     pl.add_argument("--config", default=None)
-    pl.add_argument("--trace-csv", default=None)
     pl.add_argument("--snapshot", default=None)
     pl.add_argument("--r-sweep", default=None,
                     help="comma-separated truncation radii for a sensitivity report")

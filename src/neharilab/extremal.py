@@ -1,11 +1,11 @@
 """Estimation of the extremal parameters lambda* = inf Lambda_n and lambda_*.
 
 Lambda_n is 0-homogeneous, so the infimum over the positive cone is searched
-on the E = 1 sphere.  A deterministic family x scale lattice pre-search picks
-the start: family_sweep evaluates one profile at a time and keeps only its
-(E, A, B).  The default lattice is the two families that win on sampled
-admissible sets, gaussian and inverse_poly with beta = 1.5, at eight scales.
-A Newton-Krylov iteration on
+on the E = 1 sphere.  A fixed family x scale lattice picks the start:
+family_sweep evaluates one profile at a time and keeps only its (E, A, B).
+The lattice is the two families that win on sampled admissible sets, gaussian
+and inverse_poly with beta = 1.5, at eight scales; it is internal, with no
+setting and no report of its own.  A Newton-Krylov iteration on
 
     f = log Lambda_n = kappa log E - log A - nu log B + const,
     kappa = (2p-q)/(2p-2),  nu = (2-q)/(2p-2),
@@ -56,7 +56,6 @@ rather than optimized separately.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -83,14 +82,6 @@ ROUNDING = 1e-14      # Armijo targets below this take the decrease from differe
 
 
 @dataclass
-class SweepEntry:
-    family: str
-    beta: float | None
-    sigma: float
-    value: float
-
-
-@dataclass
 class DescentOptions:
     max_iters: int = 250
 
@@ -101,34 +92,22 @@ class ExtremalEstimate:
     lambda_sub: float
     minimizer: GridFunction
     kkt_residual: float
-    sweep_trace: list[SweepEntry] = field(repr=False, default_factory=list)
     descent_values: list[float] = field(repr=False, default_factory=list)
-
-    def write_trace_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["family", "beta", "sigma", "lambda_n"])
-            for e in self.sweep_trace:
-                wr.writerow([
-                    e.family,
-                    "" if e.beta is None else format(e.beta, ".17g"),
-                    format(e.sigma, ".17g"),
-                    format(e.value, ".17g"),
-                ])
 
 
 def family_sweep(families, sigmas, grid, params: ProblemParams):
     """Evaluate Lambda_n over the family x scale lattice; return the argmin.
 
     The lattice is taken in its order, family by family.  Each profile is
-    sampled (sample_profile) and evaluated as one vector; one outside the
-    positive cone is skipped.  Only the (E, A, B) floats are kept, and one
-    lambda_n call takes Lambda_n of them all.  A scale that is not finite and
-    positive, and a Cartesian grid (refused by workspace), fail before any
-    profile is sampled.
+    sampled (sample_profile) and evaluated as one vector.  One outside the
+    positive cone is skipped, and so is one whose (E, A, B) is not finite and
+    positive: on a grid whose first node lies far out, B underflows to 0.
+    Only the (E, A, B) floats are kept, and one lambda_n call takes Lambda_n
+    of them all.  A scale that is not finite and positive, and a Cartesian
+    grid (refused by workspace), fail before any profile is sampled.
 
-    Returns (best_value, best_profile, trace): the trace in lattice order
-    (deterministic), the first of equal minima, and the winner, sampled again.
+    Returns (best_value, best_profile): the first of equal minima, and the
+    winner, sampled again.
     """
     families = list(families)
     sigmas = list(sigmas)
@@ -141,17 +120,20 @@ def family_sweep(families, sigmas, grid, params: ProblemParams):
     for fam, beta in families:
         for sigma in sigmas:
             u = sample_profile(fam, sigma, grid, beta=beta)
-            if u.in_positive_cone:
+            if not u.in_positive_cone:
+                continue
+            triple = ws.evaluate(u.values).triple.as_tuple()
+            if all(math.isfinite(x) and x > 0.0 for x in triple):
                 kept.append((fam, beta, sigma))
-                triples.append(ws.evaluate(u.values).triple.as_tuple())
+                triples.append(triple)
     if not kept:
-        raise EmptyFamily("no lattice profile lies in the positive cone")
+        raise EmptyFamily(
+            "no lattice profile lies in the positive cone with finite, positive E, A and B "
+            f"on the grid R = {grid.R}, M = {grid.M}, first node {grid.nodes[0]:.3g}")
     vals = lambda_n(ReducedTriple(*np.array(triples).T), params.p, params.q)
-    trace = [SweepEntry(family=fam, beta=beta, sigma=sigma, value=val)
-             for (fam, beta, sigma), val in zip(kept, vals.tolist())]
     best = int(np.argmin(vals))
     fam, beta, sigma = kept[best]
-    return trace[best].value, sample_profile(fam, sigma, grid, beta=beta), trace
+    return float(vals[best]), sample_profile(fam, sigma, grid, beta=beta)
 
 
 def _log_gradient(ws, ev, kappa: float, nu: float):
@@ -292,7 +274,7 @@ def estimate_lambda_star(params: ProblemParams, grid,
                          opts: DescentOptions | None = None) -> ExtremalEstimate:
     """Family sweep, then the Newton-Krylov refinement from its winner;
     lambda_* = ratio * lambda*."""
-    sweep_val, sweep_u, trace = family_sweep(families, sigmas, grid, params)
+    sweep_val, sweep_u = family_sweep(families, sigmas, grid, params)
     val, minimizer, history, kkt = refine_descent(sweep_u, params, opts)
     best = min(val, sweep_val)
     ratio = fibering_constants(params.p, params.q).ratio
@@ -300,7 +282,6 @@ def estimate_lambda_star(params: ProblemParams, grid,
         lambda_star=best,
         lambda_sub=ratio * best,
         minimizer=minimizer,
-        sweep_trace=trace,
         descent_values=history,
         kkt_residual=kkt,
     )

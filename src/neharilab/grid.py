@@ -130,7 +130,7 @@ class GridFunction:
 
 def build_radial_grid(R: float, M: int, grading: float = 2.0, dim: int = 3) -> RadialGrid:
     """Build the graded radial grid; M >= 16, R finite and positive with
-    R^(N+2) finite, grading finite and >= 1."""
+    R^(N+2) finite and nonzero, grading finite and >= 1."""
     if M < 16:
         raise DegenerateGrid(f"M must be >= 16, got {M}")
     if not (np.isfinite(R) and R > 0.0):
@@ -141,11 +141,16 @@ def build_radial_grid(R: float, M: int, grading: float = 2.0, dim: int = 3) -> R
         raise UnsupportedDimension(f"dim must be >= 3, got {dim}")
 
     N = dim
-    try:    # the largest cell moment's power of R: every moment must be finite
-        float(R) ** (N + 2)
+    # the largest cell moment's power of R: where it overflows a moment is
+    # infinite, and where it underflows to 0 so does every r^(N+2) moment
+    try:
+        top = float(R) ** (N + 2)
     except OverflowError:
         raise GridError(f"R = {R} is too large: the cell moments r^(k+N), k <= 2, of the "
                         f"radial quadrature overflow at N = {N}") from None
+    if top == 0.0:
+        raise GridError(f"R = {R} is too small: the cell moments r^(k+N), k <= 2, of the "
+                        f"radial quadrature underflow at N = {N}")
     i = np.arange(M)
     r = R * ((i + 0.5) / M) ** grading
     edges = R * (np.arange(M + 1) / M) ** grading
@@ -277,20 +282,18 @@ def _values_checksum(values) -> str:
 
 
 def save_snapshot(path, u: GridFunction, params=None, extra=None) -> None:
-    """Write a bit-exact JSON snapshot of a grid function.
+    """Write a bit-exact JSON snapshot of a grid function on a radial grid.
 
     Floats are serialized with shortest round-trip repr, so load_snapshot
     reconstructs the identical doubles; the checksum covers the values array.
     """
     g = u.grid
-    if g.kind == "radial":
-        grid_block = {"kind": "radial", "R": g.R, "M": g.M, "grading": g.grading, "dim": g.dim}
-    else:
-        grid_block = {"kind": "cartesian", "L": g.L, "m": g.m}
+    if g.kind != "radial":
+        raise SnapshotError(f"snapshots hold radial grid functions, got a {g.kind} grid")
     doc = {
         "format": SNAPSHOT_FORMAT,
         "params": dict(params.__dict__) if params is not None else None,
-        "grid": grid_block,
+        "grid": {"kind": "radial", "R": g.R, "M": g.M, "grading": g.grading, "dim": g.dim},
         "values": [float(v) for v in u.values],
         "extra": extra or {},
         "checksum": _values_checksum(u.values),
@@ -316,12 +319,9 @@ def load_snapshot(path):
         raise SnapshotError(f"unknown snapshot format {fmt!r}")
     try:
         gb = doc["grid"]
-        if gb["kind"] == "radial":
-            grid = build_radial_grid(gb["R"], gb["M"], gb["grading"], gb.get("dim", 3))
-        elif gb["kind"] == "cartesian":
-            grid = build_cartesian_grid(gb["L"], gb["m"])
-        else:
+        if gb["kind"] != "radial":
             raise SnapshotError(f"unknown grid kind {gb['kind']!r}")
+        grid = build_radial_grid(gb["R"], gb["M"], gb["grading"], gb.get("dim", 3))
         values, checksum = np.asarray(doc["values"], dtype=float), doc["checksum"]
     except KeyError as err:
         raise SnapshotError(f"snapshot {path} lacks the key {err}") from None

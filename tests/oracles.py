@@ -20,7 +20,6 @@ import numpy as np
 from scipy import integrate, special
 
 from neharilab.errors import EmptyFamily
-from neharilab.extremal import SweepEntry
 from neharilab.fibering import lambda_n
 from neharilab.functionals import reduced_triple
 from neharilab.grid import sample_profile
@@ -256,23 +255,26 @@ def axis_w_u(u_vals, grid, params, hat):
     return r_alpha * conv.reshape(-1)
 
 
-def loop_family_sweep(families, sigmas, grid, params):
-    """The family x scale lattice one profile at a time: sample it, skip it
-    outside the positive cone, else take Lambda_n of its reduced triple; the
-    first minimum wins.  Returns (best_value, best_profile, trace)."""
-    families, sigmas = list(families), list(sigmas)
-    if not families or not sigmas:
-        raise EmptyFamily("family sweep needs at least one family and one scale")
-    best_val, best_u, trace = np.inf, None, []
+def lattice_values(families, sigmas, grid, params):
+    """Lambda_n of each lattice profile in the positive cone, one profile at
+    a time: yields (value, profile) in lattice order."""
     for fam, beta in families:
         for sigma in sigmas:
             u = sample_profile(fam, sigma, grid, beta=beta)
-            if not u.in_positive_cone:
-                continue
-            val = float(lambda_n(reduced_triple(u, params), params.p, params.q))
-            trace.append(SweepEntry(family=fam, beta=beta, sigma=sigma, value=val))
-            if val < best_val:
-                best_val, best_u = val, u
+            if u.in_positive_cone:
+                yield float(lambda_n(reduced_triple(u, params), params.p, params.q)), u
+
+
+def loop_family_sweep(families, sigmas, grid, params):
+    """The family x scale lattice one profile at a time: the first minimum of
+    lattice_values wins.  Returns (best_value, best_profile)."""
+    families, sigmas = list(families), list(sigmas)
+    if not families or not sigmas:
+        raise EmptyFamily("family sweep needs at least one family and one scale")
+    best_val, best_u = np.inf, None
+    for val, u in lattice_values(families, sigmas, grid, params):
+        if val < best_val:
+            best_val, best_u = val, u
     if best_u is None:
         raise EmptyFamily("no lattice profile lies in the positive cone")
-    return best_val, best_u, trace
+    return best_val, best_u

@@ -21,17 +21,18 @@ from neharilab.functionals import workspace
 from neharilab.params import B_FORMS, critical_exponents, gamma3_window, gamma4_floor
 from neharilab.solver import truncated_pcg
 
-from oracles import loop_family_sweep
+from oracles import lattice_values, loop_family_sweep
 
 
 def test_family_sweep_pinned_gaussian_lattice(params, grid):
-    # single gaussian family over sigma in {0.5, 1, 2}: the lattice argmin is
-    # its own oracle; value pinned as a regression fixture (R=16, M=128, g=2)
-    val, best, trace = family_sweep([("gaussian", None)], [0.5, 1.0, 2.0], grid, params)
-    assert len(trace) == 3
-    assert val == pytest.approx(min(e.value for e in trace), rel=0)
+    # single gaussian family over sigma in {0.5, 1, 2}: the least of the three
+    # profiles' values; pinned as a regression fixture (R=16, M=128, g=2)
+    lattice = ([("gaussian", None)], [0.5, 1.0, 2.0], grid, params)
+    val, best = family_sweep(*lattice)
+    values = [v for v, _ in lattice_values(*lattice)]
+    assert len(values) == 3
+    assert val == min(values)
     assert val == pytest.approx(1.7390513300045138, rel=1e-9)
-    assert np.all([e.value >= val for e in trace])
 
 
 def test_family_sweep_scale_invariance(params, grid):
@@ -52,14 +53,10 @@ def test_family_sweep_empty_rejected(params, grid):
 
 
 def _assert_sweeps_agree(got, want):
-    (val, best, trace), (oval, obest, otrace) = got, want
+    (val, best), (oval, obest) = got, want
     assert np.array_equal(best.values, obest.values)
     assert best.values.base is None   # its own array, not a view of a block
-    assert [(e.family, e.beta, e.sigma) for e in trace] == \
-        [(e.family, e.beta, e.sigma) for e in otrace]
-    for e, o in zip(trace, otrace):
-        assert e.value == pytest.approx(o.value, rel=1e-13, abs=0.0)
-    assert val == pytest.approx(oval, rel=1e-13, abs=0.0)
+    assert val == oval
 
 
 @pytest.mark.parametrize("mu, M", [(1.0, 16), (1.0, 128), (1.0, 1024), (1.0, 4096),
@@ -74,20 +71,23 @@ def test_family_sweep_matches_the_per_profile_loop(mu, M):
 
 
 def test_family_sweep_skips_rows_outside_the_cone(params, grid, monkeypatch):
-    # the first scale of each family gets a negative node
+    # the first scale of each family gets a negative node, or a factor 1e-200
+    # that keeps it in the cone but underflows E and B to 0
     sample = extremal.sample_profile
+    for damage in ("negative-node", "underflowing-B"):
+        def first_scale_damaged(family, scale, grid, beta=None):
+            u = sample(family, scale, grid, beta=beta)
+            if scale == DEFAULT_SIGMAS[0]:
+                if damage == "negative-node":
+                    u.values[5] = -1e-3
+                else:
+                    u.values *= 1e-200
+            return u
 
-    def first_scale_negative(family, scale, grid, beta=None):
-        u = sample(family, scale, grid, beta=beta)
-        if scale == DEFAULT_SIGMAS[0]:
-            u.values[5] = -1e-3
-        return u
-
-    monkeypatch.setattr(extremal, "sample_profile", first_scale_negative)
-    got = family_sweep(DEFAULT_FAMILIES, DEFAULT_SIGMAS, grid, params)
-    assert len(got[2]) == len(DEFAULT_FAMILIES) * (len(DEFAULT_SIGMAS) - 1)
-    _assert_sweeps_agree(got, loop_family_sweep(DEFAULT_FAMILIES, DEFAULT_SIGMAS[1:],
-                                                grid, params))
+        monkeypatch.setattr(extremal, "sample_profile", first_scale_damaged)
+        got = family_sweep(DEFAULT_FAMILIES, DEFAULT_SIGMAS, grid, params)
+        _assert_sweeps_agree(got, loop_family_sweep(DEFAULT_FAMILIES, DEFAULT_SIGMAS[1:],
+                                                    grid, params))
 
     def all_zero(family, scale, grid, beta=None):
         return nl.GridFunction(grid, np.zeros(grid.size))
@@ -95,6 +95,21 @@ def test_family_sweep_skips_rows_outside_the_cone(params, grid, monkeypatch):
     monkeypatch.setattr(extremal, "sample_profile", all_zero)
     with pytest.raises(EmptyFamily, match="positive cone"):
         family_sweep(DEFAULT_FAMILIES, DEFAULT_SIGMAS, grid, params)
+
+
+def test_family_sweep_on_a_grid_no_profile_survives_names_the_grid(params):
+    # at R = 1e61, M = 64 the first node is 6.1e56: every gaussian is 0 at
+    # every node, and every inverse_poly's B underflows to 0 while E and A
+    # stay positive; this once ended in a bare ZeroB from lambda_n
+    g = nl.build_radial_grid(1e61, 64)
+    E, A, B = workspace(g, params).evaluate(
+        nl.sample_profile("inverse_poly", 1.0, g, beta=1.5).values).triple.as_tuple()
+    assert E > 0.0 and A > 0.0 and B == 0.0
+    message = r"on the grid R = 1e\+61, M = 64, first node 6.1e\+56$"
+    with pytest.raises(EmptyFamily, match=message):
+        family_sweep(DEFAULT_FAMILIES, DEFAULT_SIGMAS, g, params)
+    with pytest.raises(EmptyFamily, match=message):
+        estimate_lambda_star(params, g)
 
 
 @pytest.mark.parametrize("sweep", [family_sweep, loop_family_sweep])
@@ -118,8 +133,8 @@ def test_family_sweep_errors_and_warnings(params, grid, sweep):
     with pytest.raises(GridError, match="scale must be positive and finite, got nan"):
         sweep([("gaussian", None)], [1.0, np.nan], grid, params)
     with pytest.warns(ProfileNotInX):
-        val, _, trace = sweep([("inverse_poly", 0.4)], [0.5, 1.0], grid, params)
-    assert len(trace) == 2 and np.isfinite(val)
+        val, _ = sweep([("inverse_poly", 0.4)], [0.5, 1.0], grid, params)
+    assert np.isfinite(val)
 
 
 def _extra_peak(fn, *args):
@@ -143,7 +158,7 @@ def test_family_sweep_memory_is_bounded_by_the_loop(params, M):
 
 
 def test_refine_descent_decreases_from_sweep_winner(params, grid):
-    _, start, _ = family_sweep([("gaussian", None)], [0.5, 1.0, 2.0], grid, params)
+    _, start = family_sweep([("gaussian", None)], [0.5, 1.0, 2.0], grid, params)
     start_val = float(lambda_n(nl.reduced_triple(start, params), params.p, params.q))
     val, minimizer, history, _ = refine_descent(start, params)
     assert val <= start_val
@@ -187,9 +202,11 @@ def test_default_lattice_keeps_lambda_star_of_the_wider_one(seed):
 
 
 def test_estimate_upper_bound_property(params, grid, estimate):
-    # every evaluated lattice profile certifies Lambda_n(u) >= reported lambda*
-    for entry in estimate.sweep_trace:
-        assert entry.value >= estimate.lambda_star - 1e-12 * estimate.lambda_star
+    # every lattice profile certifies Lambda_n(u) >= reported lambda*
+    values = [v for v, _ in lattice_values(DEFAULT_FAMILIES, DEFAULT_SIGMAS, grid, params)]
+    assert len(values) == len(DEFAULT_FAMILIES) * len(DEFAULT_SIGMAS)
+    for value in values:
+        assert value >= estimate.lambda_star - 1e-12 * estimate.lambda_star
     assert estimate.lambda_star > 0.0
 
 
@@ -397,11 +414,3 @@ def test_grid_refinement_shrinking_delta(params):
         vals.append(est.lambda_star)
     d1, d2 = abs(vals[1] - vals[0]), abs(vals[2] - vals[1])
     assert d2 < d1  # refinement delta shrinks
-
-
-def test_trace_csv_output(tmp_path, estimate):
-    path = tmp_path / "trace.csv"
-    estimate.write_trace_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "family,beta,sigma,lambda_n"
-    assert len(lines) == len(estimate.sweep_trace) + 1

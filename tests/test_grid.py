@@ -102,6 +102,35 @@ def test_radius_whose_cell_moments_overflow_is_named(R):
             nl.build_radial_grid(R, 256)
 
 
+# the largest R whose R^5 underflows to 0 (N = 3)
+LAST_UNDERFLOWING_R = 1.8991135491519597e-65
+
+
+@pytest.mark.parametrize("R", [1e-200, 1e-70, LAST_UNDERFLOWING_R])
+def test_radius_whose_cell_moments_underflow_is_named(R):
+    # once blamed on the grading (1e-70, by the head rule) or ended in
+    # numpy's invalid-value warning (1e-200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # refused before numpy divides 0 by 0
+        with pytest.raises(GridError, match=f"^R = {re.escape(str(R))} is too small"):
+            nl.build_radial_grid(R, 64)
+
+
+def test_underflow_refusal_leaves_every_radius_that_builds():
+    # from the next float up the check passes: there the head rule still
+    # refuses M = 64, and the smallest radii that build (M = 16, grading 1,
+    # from about 2e-64) still build
+    assert LAST_UNDERFLOWING_R**5 == 0.0
+    above = float(np.nextafter(LAST_UNDERFLOWING_R, 1.0))
+    assert above**5 > 0.0
+    with pytest.raises(GridError, match="head rule"):
+        nl.build_radial_grid(above, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = nl.build_radial_grid(1e-63, 16, 1.0)
+    assert (g.weights > 0.0).all()
+
+
 @pytest.mark.parametrize("R", [1e-9, 1e61])
 def test_extreme_radius_with_finite_cell_moments_builds(R):
     with warnings.catch_warnings():
@@ -326,4 +355,19 @@ def test_malformed_snapshot_is_named_snapshot_error(tmp_path, grid, damage, mess
         del block[key]
         path.write_text(json.dumps(doc))
     with pytest.raises(SnapshotError, match=re.escape(message)):
+        nl.load_snapshot(path)
+
+
+def test_snapshots_are_radial_only(tmp_path, grid):
+    # a box grid is refused on writing, and a file naming one on reading
+    box = nl.build_cartesian_grid(3.0, 8)
+    path = tmp_path / "snap.json"
+    with pytest.raises(SnapshotError, match="got a cartesian grid"):
+        nl.save_snapshot(path, nl.GridFunction(box, np.ones(box.size)))
+    assert not path.exists()
+    nl.save_snapshot(path, nl.GridFunction(grid, np.linspace(0.0, 1.0, grid.M)))
+    doc = json.loads(path.read_text())
+    doc["grid"] = {"kind": "cartesian", "L": 3.0, "m": 8}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SnapshotError, match="unknown grid kind 'cartesian'"):
         nl.load_snapshot(path)
