@@ -33,7 +33,7 @@ normal part along Gu is removed.
   decrease is log(Lambda_n(u) / Lambda_n(u')) while the Armijo target is at
   least ROUNDING.  Below it, two rounded evaluations of f cannot resolve the
   decrease, so it is computed from differences, each free of cancellation:
-      dE = (u'-u)^T G (u'+u),
+      dE = (u'-u)^T (G u' + G u),
       dA = sum omega w a u^q expm1(q log1p(delta/u)),
       dB = sum omega w (rho'-rho)(w_u'+w_u),
            rho'-rho = b u^p expm1(p log1p(delta/u)),
@@ -79,6 +79,10 @@ STEP_MAX = 4.0
 BACKTRACK_MAX = 40
 ARMIJO = 0.25
 ROUNDING = 1e-14      # Armijo targets below this take the decrease from differences
+# |E - 1| within which a start counts as on the sphere and is not rescaled:
+# rescaling a returned minimizer moves Lambda_n by a few ulps, so a restart
+# from it could read a value above the one reported
+SPHERE_ROUNDING = 1e-12
 
 
 @dataclass
@@ -141,7 +145,7 @@ def _log_gradient(ws, ev, kappa: float, nu: float):
     ev, with the A and B gradients g_A, g_B that the Hessian's rank terms need."""
     E, A, B = ev.triple.as_tuple()
     gA, gB = ws.grad_A(ev.u), ws.grad_B(ev)
-    grad = ws.apply_G(ev.u, 2.0 * kappa / E)
+    grad = ev.Gu * (2.0 * kappa / E)
     grad = daxpy(gA, grad, a=-1.0 / A)
     return daxpy(gB, grad, a=-nu / B), gA, gB
 
@@ -168,7 +172,7 @@ def _log_decrease(ws, ev, trial, kappa: float, nu: float) -> float:
     E, A, B = ev.triple.as_tuple()
     quad = g.omega * g.weights
     delta = trial.u - u
-    dE = float(delta @ ws.apply_G(trial.u + u))
+    dE = float(delta @ (trial.Gu + ev.Gu))
     dA = float(quad @ (ws.a * _power_difference(u, delta, q)))
     dB = float(quad @ (ws.b * _power_difference(u, delta, p) * (trial.w_u + ev.w_u)))
     return -kappa * math.log1p(dE / E) + math.log1p(dA / A) + nu * math.log1p(dB / B)
@@ -184,9 +188,10 @@ def _newton_system(ws, ev, gA, gB, kappa: float, nu: float):
     -grad^2 log A, which is positive, goes into P and is then divided in place
     by s = 2 p nu / B and handed to ws.hessian, which folds in B's diagonal:
     so s (hessian - G) is -nu H_B / B, and one ws.apply_G adds the
-    2 kappa G / E part.  Each product is one kernel apply.
+    2 kappa G / E part.  Each product is one kernel apply.  Both projections
+    read G u from ev, as u^T G y = (G u)^T y.
     """
-    p, q, u = ws.params.p, ws.params.q, ev.u
+    p, q, u, Gu = ws.params.p, ws.params.q, ev.u, ev.Gu
     E, A, B = ev.triple.as_tuple()
     diag = ws.singular_diag(u, q * (1.0 - q) / A)
     solve_P = ws.factor(diag, 2.0 * kappa / E)
@@ -200,12 +205,12 @@ def _newton_system(ws, ev, gA, gB, kappa: float, nu: float):
         out = ws.apply_G(v, 2.0 * kappa / E - s, out, s)
         out = daxpy(gA, out, a=cA * float(gA @ v))
         out = daxpy(gB, out, a=cB * float(gB @ v))
-        return ws.apply_G(u, -float(u @ out) / E, out, 1.0)
+        return daxpy(Gu, out, a=-float(u @ out) / E)
 
     def precondition(r, out):
         # T P^-1 r, written into out
         y = solve_P(r, out)
-        return daxpy(u, y, a=-float(u @ ws.apply_G(y)) / E)
+        return daxpy(u, y, a=-float(Gu @ y) / E)
 
     return apply, precondition
 
@@ -213,7 +218,8 @@ def _newton_system(ws, ev, gA, gB, kappa: float, nu: float):
 def refine_descent(start: GridFunction, params: ProblemParams,
                    opts: DescentOptions | None = None):
     """Minimize log Lambda_n on the E = 1 sphere from `start` by Newton-Krylov
-    steps (module docstring).
+    steps (module docstring).  The start is scaled onto the sphere unless it
+    lies there within SPHERE_ROUNDING.
 
     Stops when the KKT residual ||grad log Lambda_n||_{G^-1} reaches KKT_TOL,
     when no step is accepted, or after opts.max_iters steps.  Returns
@@ -229,7 +235,9 @@ def refine_descent(start: GridFunction, params: ProblemParams,
     p, q = params.p, params.q
     C = fibering_constants(p, q)
     kappa, nu = C.kappa, C.nu
-    ev = ws.evaluate(start.values / np.sqrt(ws.norm_sq(start.values)))
+    E = ws.norm_sq(start.values)
+    ev = ws.evaluate(start.values.copy() if abs(E - 1.0) <= SPHERE_ROUNDING
+                     else start.values / math.sqrt(E))
     val = float(lambda_n(ev.triple, p, q))
     history = [val]
     step = STEP0
@@ -240,7 +248,7 @@ def refine_descent(start: GridFunction, params: ProblemParams,
         if kkt <= KKT_TOL or len(history) > opts.max_iters:
             break
         hess, precondition = _newton_system(ws, ev, gA, gB, kappa, nu)
-        del gA, gB   # ev stays: a decrease below ROUNDING needs its w_u
+        del gA, gB   # ev stays: a decrease below ROUNDING needs its w_u and G u
         x, slope, newton = truncated_pcg(hess, precondition, g, kkt)
         del g, hess, precondition
         s = 1.0 if newton else step

@@ -8,12 +8,17 @@ with central differences (one-sided closure at both ends, hard zero at r = R)
 so the discrete inner product is the bilinear form of a symmetric positive
 definite matrix G built once per (grid, potential) pair.  G = omega (D^T W D
 + diag(w V)) is pentadiagonal, so it is stored as its three upper bands,
-assembled in O(M) and factored by banded Cholesky.  G is the only energy
-operator: FunctionalWorkspace, which holds it, is radial only, and
-workspace() raises UnsupportedDimension on a box, the direct engine's input.
-Other modules reach G's bands only through FunctionalWorkspace.apply_G and
-factor, which factors scale G + diag(shift) by LAPACK's banded Cholesky
-dpbtrf and solves by dpbtrs, both called directly (a matrix that is not SPD
+assembled in O(M) and applied by BLAS dsbmv.  Its first off-diagonal band
+is zero but for G[0, 1]: node i couples only to i -/+ 2, and node 0 to 1.
+So along the odd-even chain M-1|M-2, ..., 3, 1, 0, 2, 4, ... (odd nodes
+descending, then even ones ascending) G is tridiagonal, and it is factored
+there in O(M) by LAPACK's tridiagonal LDL^T, dpttrf, and solved by dpttrs,
+both called directly: no BLAS call inside, where the banded Cholesky of a
+bandwidth-2 matrix makes two per column.  G is the only energy operator:
+FunctionalWorkspace, which holds it, is radial only, and workspace() raises
+UnsupportedDimension on a box, the direct engine's input.  Other modules
+reach G's bands only through FunctionalWorkspace.apply_G and factor, which
+factors scale G + diag(shift) along the chain (a matrix that is not SPD
 raises numpy's LinAlgError).  FunctionalWorkspace also holds the only
 formulas for the derivatives of (E, A, B): grad_A = q omega w a u_f^(q-1),
 grad_B = 2p omega w b u^(p-1) w_u and singular_diag = c omega w a u_f^(q-2),
@@ -67,11 +72,11 @@ against exact values of B, not against the direct one:
 Both engines evaluate B through the nonlocal potential w_u, so grad_B . u,
 2p int b |u|^p w_u, is 2p B(u) exactly.
 
-One evaluation per point: FunctionalWorkspace.evaluate computes w_u once for
-a node vector and returns it with (E, A, B); the triple, the energy, the weak
-gradient and its residual are all read from that record.  E is not expanded
-into band sums of u^2 and shifted products, a form that cancels and drifts
-1e-12 relative at M = 1024.
+One evaluation per point: FunctionalWorkspace.evaluate computes w_u and G u
+once for a node vector and returns them with (E, A, B); the triple, the
+energy, the weak gradient and its residual are all read from that record.
+E is not expanded into band sums of u^2 and shifted products, a form that
+cancels and drifts 1e-12 relative at M = 1024.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg.blas import daxpy, dsbmv, dsymv
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (
     GridTooLarge,
@@ -120,10 +125,11 @@ class ReducedTriple:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """A nodal vector u with its nonlocal potential w_u and its (E, A, B)."""
+    """A nodal vector u with its nonlocal potential w_u, G u and (E, A, B)."""
 
     u: np.ndarray
     w_u: np.ndarray
+    Gu: np.ndarray
     triple: ReducedTriple
 
 
@@ -171,13 +177,54 @@ class FunctionalWorkspace:
         Gb *= g.omega
         self.Gb = Gb
 
+    @staticmethod
+    def _to_chain(x, out):
+        """x in chain order, written into out: its odd entries descending,
+        then its even entries ascending (module docstring)."""
+        n = len(x) // 2
+        out[:n] = x[1::2][::-1]
+        out[n:] = x[0::2]
+        return out
+
+    @staticmethod
+    def _chain_solve(d, e, r, out):
+        """Solve the system factored along the chain as (d, e) by LAPACK
+        dpttrs; r and the solution written into out are in node order."""
+        b = FunctionalWorkspace._to_chain(r, np.empty_like(r))
+        y = dpttrs(d, e, b, overwrite_b=1)[0]
+        n = len(y) // 2
+        out[1::2] = y[:n][::-1]
+        out[0::2] = y[n:]
+        return out
+
+    def _chain_ldl(self, shift, scale):
+        """The LDL^T factor (d, e) of scale G + diag(shift) along the chain
+        (module docstring) by LAPACK dpttrf; LinAlgError unless SPD.
+
+        Gb[1] is zero but for G[0, 1], so the chain's couplings are Gb[0]
+        along the odd nodes, read toward node 1, then G[0, 1], then Gb[0]
+        along the even nodes.
+        """
+        Gb, n = self.Gb, self.grid.M // 2
+        d = self._to_chain(Gb[2] * scale + shift, np.empty(self.grid.M))
+        e = np.empty(self.grid.M - 1)
+        e[:n - 1] = Gb[0, 3::2][::-1]
+        e[n - 1] = Gb[1, 1]
+        e[n:] = Gb[0, 2::2]
+        e *= scale
+        d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+        return d, e
+
     def cho(self):
+        """G's factor along the chain, built once."""
         if self._cho is None:
-            self._cho = _banded_cholesky(self.Gb.copy(order="F"))
+            self._cho = self._chain_ldl(0.0, 1.0)
         return self._cho
 
     def solve_G(self, rhs):
-        return dpbtrs(self.cho(), rhs)[0]
+        return self._chain_solve(*self.cho(), rhs, np.empty_like(rhs))
 
     def solve_shifted(self, diag, rhs):
         """Solve (G + diag(diag)) z = rhs; the shift must keep it SPD
@@ -185,18 +232,10 @@ class FunctionalWorkspace:
         return self.factor(diag)(rhs, np.empty_like(rhs))
 
     def factor(self, shift, scale=1.0):
-        """Factor scale G + diag(shift) once by banded Cholesky (LinAlgError
-        unless SPD) and return solve(r, out), which writes the solution of
-        that system into out and returns it."""
-        ab = self.Gb * scale   # the one (3, M) copy, F-ordered as Gb is
-        ab[2] += shift
-        cb = _banded_cholesky(ab)
-
-        def solve(r, out):
-            out[:] = r
-            return dpbtrs(cb, out, overwrite_b=1)[0]
-
-        return solve
+        """Factor scale G + diag(shift) once, tridiagonal along the chain
+        (LinAlgError unless SPD), and return solve(r, out), which writes the
+        solution of that system into out and returns it; r is kept."""
+        return partial(self._chain_solve, *self._chain_ldl(shift, scale))
 
     # -- kernel ---------------------------------------------------------------
 
@@ -278,9 +317,9 @@ class FunctionalWorkspace:
         g = self.grid
         return float(g.omega * (vals @ g.weights))
 
-    def norm_sq(self, u_vals) -> float:
-        """u.Gu (BLAS dsbmv)."""
-        return float(u_vals @ self.apply_G(u_vals))
+    def norm_sq(self, u_vals, Gu=None) -> float:
+        """u.Gu (BLAS dsbmv), with G u written into Gu when it is given."""
+        return float(u_vals @ self.apply_G(u_vals, y=Gu))
 
     def apply_G(self, v, alpha=1.0, y=None, beta=0.0):
         """alpha G v + beta y (BLAS dsbmv), written into y when it is given."""
@@ -350,12 +389,13 @@ class FunctionalWorkspace:
     # -- one evaluation per point ---------------------------------------------
 
     def evaluate(self, u_vals) -> Evaluation:
-        """w_u(u) and (E, A, B) = (u.Gu, int a|u|^q, int b|u|^p w_u), one w_u
-        and one density b|u|^p."""
+        """w_u(u), G u and (E, A, B) = (u.Gu, int a|u|^q, int b|u|^p w_u):
+        one w_u, one G product and one density b|u|^p."""
         f = self._density(u_vals)
         wu = self.w_u(u_vals, f)
-        return Evaluation(u_vals, wu, ReducedTriple(
-            E=self.norm_sq(u_vals),
+        Gu = np.empty_like(u_vals)
+        return Evaluation(u_vals, wu, Gu, ReducedTriple(
+            E=self.norm_sq(u_vals, Gu),
             A=self.space_integral(self.a * np.abs(u_vals) ** self.params.q),
             B=self.space_integral(f * wu),
         ))
@@ -373,7 +413,7 @@ class FunctionalWorkspace:
         the dominant balance.
         """
         quad = self.grid.omega * self.grid.weights
-        grad = self.apply_G(ev.u)
+        grad = ev.Gu.copy()   # daxpy below writes into it
         squares = [float(grad @ (grad / quad))]
         c, term = lam / self.params.q, self.grad_A(ev.u)
         squares.append(c * c * float(term @ (term / quad)))
@@ -525,15 +565,6 @@ def _box_chunk(m):
     """c = ceil(2m / _BOX_CHUNKS), the axis-1 frequencies of one chunk of the
     direct engine's axis-0 pass."""
     return -(-2 * m // _BOX_CHUNKS)
-
-
-def _banded_cholesky(ab):
-    """The upper banded Cholesky factor of ab, in ab's F-ordered memory
-    (LAPACK dpbtrf); LinAlgError unless the matrix is SPD."""
-    c, info = dpbtrf(ab, overwrite_ab=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
-    return c
 
 
 # --------------------------------------------------------------------------

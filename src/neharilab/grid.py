@@ -130,7 +130,9 @@ class GridFunction:
 
 def build_radial_grid(R: float, M: int, grading: float = 2.0, dim: int = 3) -> RadialGrid:
     """Build the graded radial grid; M >= 16, R finite and positive with
-    R^(N+2) finite and nonzero, grading finite and >= 1."""
+    R^(N+2) finite and nonzero, grading finite and >= 1.  Where R^(N+2) is
+    subnormal the r^(N+2) moments have lost precision, and a nonpositive
+    weight is blamed on R, not on the grading."""
     if M < 16:
         raise DegenerateGrid(f"M must be >= 16, got {M}")
     if not (np.isfinite(R) and R > 0.0):
@@ -178,6 +180,12 @@ def build_radial_grid(R: float, M: int, grading: float = 2.0, dim: int = 3) -> R
     w[-3:] += (left[-1], centre[-1], right[-1])
 
     if not np.all(w > 0.0):
+        if top < np.finfo(float).tiny:
+            raise GridError(
+                f"R = {R} is too small: the cell moments r^(k+N), k <= 2, of the radial "
+                f"quadrature are subnormal at N = {N}, so the rule built on them (the "
+                f"exact-mass head rule, then the quadratic one) leaves a nonpositive "
+                f"quadrature weight at node {int(np.argmin(w))}")
         # the quadratic of cell h gives node h - 1 a negative term that, on
         # strongly graded grids, outweighs the exact mass of head cell h - 1
         raise GridError(

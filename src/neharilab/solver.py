@@ -31,16 +31,16 @@ FunctionalWorkspace.factor.  The step x differs by branch:
   curvature (keeping the last iterate, or P^-1 g at the first step) or after
   CG_MAX steps.  N+ keeps the gradient step: Newton there stalls near a saddle.
 
-One evaluation per point (FunctionalWorkspace.evaluate: w_u and (E, A, B))
-supplies an iterate's energy, defect and residual.  Each backtracking trial
-gets one evaluation for its projection, and its Nehari point t * trial reuses
-it through the exact scalings w_u(t u) = t^p w_u(u) and (E, A, B)(t u) =
-scale_triple, applied in place; the start's projection is reused the same
-way.  Acceptance is Armijo sufficient decrease along -x with slope g.x, with
-a residual-decrease fallback once energy differences sit at machine
-precision.  The final iterate is evaluated afresh once, so its residual,
-energy and projection time t_at_convergence (which must sit at 1) do not
-rest on the scalings.
+One evaluation per point (FunctionalWorkspace.evaluate: w_u, G u and
+(E, A, B)) supplies an iterate's energy, defect and residual.  Each
+backtracking trial gets one evaluation for its projection, and its Nehari
+point t * trial reuses it through the exact scalings w_u(t u) = t^p w_u(u),
+G(t u) = t G u and (E, A, B)(t u) = scale_triple, applied in place; the
+start's projection is reused the same way.  Acceptance is Armijo
+sufficient decrease along -x with slope g.x, with a residual-decrease
+fallback once energy differences sit at machine precision.  The final
+iterate is evaluated afresh once, so its residual, energy and projection
+time t_at_convergence (which must sit at 1) do not rest on the scalings.
 """
 
 from __future__ import annotations
@@ -127,12 +127,13 @@ def _project_values(params, ev, lam, branch):
 
 def _to_branch(params, ev, lam, branch):
     """The evaluation of t * u, the Nehari point of ev's ray on the branch:
-    u and w_u are scaled in place by t and t^p (w_u is p-homogeneous)."""
+    u, G u and w_u are scaled in place by t, t and t^p (w_u is p-homogeneous)."""
     t, triple = _project_values(params, ev, lam, branch)
-    u, w_u = ev.u, ev.w_u
+    u, Gu, w_u = ev.u, ev.Gu, ev.w_u
     u *= t
+    Gu *= t
     w_u *= t ** params.p
-    return Evaluation(u, w_u, triple)
+    return Evaluation(u, w_u, Gu, triple)
 
 
 def strong_form_defect(u: GridFunction, lam: float, params: ProblemParams) -> np.ndarray:
@@ -178,13 +179,14 @@ def _initial_ray(ws, lam, branch, init, grid, params):
 
 
 def _hessian_along_u(ws, ev, diag):
-    """H u with no kernel apply, diag as ws.hessian(ev, diag) left it.
+    """H u with no kernel apply and no G product, diag as ws.hessian(ev,
+    diag) left it.
 
     c u = b u^p r^-a w is w_u's own kernel input, so K(c u) = w_u / (2 pi
-    r^-a) and H u = G u + diag u - g_B / 2.
+    r^-a) and H u = G u + diag u - g_B / 2, G u read from ev.
     """
-    hu = ws.apply_G(ev.u)
-    hu += diag * ev.u
+    hu = diag * ev.u
+    hu += ev.Gu
     return daxpy(ws.grad_B(ev), hu, a=-0.5)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import neharilab as nl
-from neharilab import extremal, functionals
+from neharilab import extremal, functionals, solver
 from neharilab.errors import EmptyFamily, GridError, ProfileNotInX, UnsupportedDimension
 from neharilab.extremal import (
     DEFAULT_FAMILIES,
@@ -381,6 +381,49 @@ def test_difference_form_resolves_a_decrease_below_rounding(params, grid, estima
     assert decrease == pytest.approx(0.5 * slope, rel=1e-4)
     # the quotient moves in steps of ~1e-16, so not even within a factor 2
     assert not 0.5 * decrease < quotient < 2.0 * decrease
+
+
+def test_evaluated_points_need_no_further_G_product(params, grid, estimate, monkeypatch):
+    # evaluate forms G u once per point; the weak gradient, H u, grad log
+    # Lambda_n, the difference form's dE and both tangent projections read it
+    ws, (kappa, nu) = workspace(grid, params), _kappa_nu(params)
+    u = estimate.minimizer.values
+    ev, trial = ws.evaluate(u.copy()), ws.evaluate(1.01 * u)
+    dsbmv, calls = functionals.dsbmv, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dsbmv(*args, **kwargs)
+
+    monkeypatch.setattr(functionals, "dsbmv", counted)
+    ws.defect(ev, 0.5 * estimate.lambda_star)
+    solver._hessian_along_u(ws, ev, ws.singular_diag(u, 0.5))
+    g, gA, gB = extremal._log_gradient(ws, ev, kappa, nu)
+    extremal._log_decrease(ws, ev, trial, kappa, nu)
+    hess, precondition = extremal._newton_system(ws, ev, gA, gB, kappa, nu)
+    precondition(g, np.empty_like(g))
+    assert calls == []
+    # a Hessian product applies G to its argument only (ws.hessian's G v and
+    # the 2 kappa G v / E part), not to u for its projection
+    v = np.sin(grid.nodes) * u
+    hess(v)
+    assert len(calls) == 2 and all(args[3] is v for args in calls)
+
+
+def test_start_on_the_sphere_is_not_rescaled(params, grid, estimate):
+    # a start with E = 1 to rounding is taken as it is, so a restart reads
+    # the value its own evaluation gives; one off the sphere is scaled onto it
+    ws = workspace(grid, params)
+    on = estimate.minimizer.values * (1.0 + 1e-14)
+    assert ws.norm_sq(on) != 1.0
+    val, minimizer, history, _ = refine_descent(nl.GridFunction(grid, on), params,
+                                                DescentOptions(max_iters=0))
+    assert history == [val] and np.array_equal(minimizer.values, on)
+    assert val == float(lambda_n(ws.evaluate(on).triple, params.p, params.q))
+    val2, minimizer, _, _ = refine_descent(nl.GridFunction(grid, 2.0 * on), params,
+                                           DescentOptions(max_iters=0))
+    assert np.array_equal(minimizer.values, 2.0 * on / np.sqrt(ws.norm_sq(2.0 * on)))
+    assert val2 == pytest.approx(val, rel=1e-14)
 
 
 @pytest.mark.parametrize("overrides", [{}, {"mu": 1.5, "p": 3.5, "b_form": "constant"}],

@@ -66,7 +66,7 @@ def test_cartesian_energy_norm_unsupported(params):
 # --- banded energy operator ------------------------------------------------------
 
 def _dense_bands(G):
-    """Upper bands of G in the (3, M) layout of scipy's banded Cholesky."""
+    """Upper bands of G in the (3, M) layout of BLAS dsbmv."""
     M = len(G)
     Gb = np.zeros((3, M))
     for k in range(3):
@@ -85,7 +85,26 @@ def test_energy_operator_bands_match_dense_oracle(params, M):
     assert np.all(np.abs(ws.Gb - ref) <= 1e-14 * np.abs(ref))
 
 
-@pytest.mark.parametrize("M", [64, 256])
+def _chain_order(M):
+    """The nodes along the odd-even chain: odd ones descending, then even ones."""
+    return np.concatenate([np.arange(1, M, 2)[::-1], np.arange(0, M, 2)])
+
+
+@pytest.mark.parametrize("M", [63, 64, 65, 256])
+def test_energy_operator_is_tridiagonal_along_the_chain(params, M):
+    # the factor rests on this: the first off-diagonal band holds G[0, 1]
+    # only, so G couples i to i -/+ 2 and 0 to 1, a path through every node
+    g = nl.build_radial_grid(20.0, M, 2.0)
+    ws = workspace(g, params)
+    assert np.flatnonzero(ws.Gb[1]).tolist() == [1]
+    chain = _chain_order(M)
+    assert sorted(chain.tolist()) == list(range(M))
+    G = dense_energy_operator(g, ws.V)[np.ix_(chain, chain)]
+    assert not np.any(np.triu(G, 2))
+    assert np.all(np.diagonal(G, 1) < 0.0)   # every link of the path couples
+
+
+@pytest.mark.parametrize("M", [64, 256, 63, 65])
 def test_banded_operations_match_dense_linear_algebra(params, rng, M):
     g = nl.build_radial_grid(20.0, M, 2.0)
     ws = workspace(g, params)
@@ -130,6 +149,21 @@ def test_factor_refuses_a_shift_that_is_not_spd(params):
         ws.factor(np.zeros(g.M), -1.0)
 
 
+@pytest.mark.parametrize("M", [63, 64])
+def test_factor_refuses_one_negative_pivot_anywhere_on_the_chain(params, M):
+    # LAPACK dpttrf reports a failed pivot inside the chain and a last pivot
+    # that completes but is not positive alike: both are LinAlgError
+    g = nl.build_radial_grid(20.0, M, 2.0)
+    ws = workspace(g, params)
+    chain = _chain_order(M)
+    for node in (chain[0], 1, 0, chain[-1]):
+        shift = np.zeros(M)
+        shift[node] = -2.0 * ws.Gb[2, node]
+        with pytest.raises(np.linalg.LinAlgError):
+            ws.factor(shift)
+    ws.factor(np.zeros(M))   # G itself is SPD
+
+
 def test_kernel_apply_is_built_once(params, grid):
     ws = workspace(grid, params)
     assert ws.kernel() is ws.kernel()
@@ -155,6 +189,14 @@ def test_evaluate_calls_w_u_and_norm_sq_once(params, grid, gaussian, monkeypatch
     ev = workspace(grid, params).evaluate(gaussian.values)
     assert calls == {"w_u": 1, "norm_sq": 1}
     assert ev.triple.B > 0.0
+
+
+def test_evaluation_carries_G_u(params, grid, gaussian):
+    ws = workspace(grid, params)
+    ev = ws.evaluate(gaussian.values)
+    Gu = ws.apply_G(ev.u)
+    assert np.max(np.abs(ev.Gu - Gu)) <= 1e-14 * np.max(np.abs(Gu))
+    assert ev.triple.E == float(ev.u @ ev.Gu)
 
 
 def test_workspace_cache_does_not_keep_grid_alive(params):
@@ -591,8 +633,11 @@ def test_newton_workspace_stores_no_matrix(params):
     ws.w_u(np.exp(-g.nodes**2))
     ws.cho()
     assert ws._K.shape == (g.M,)
-    arrays = [v for v in vars(ws).values() if isinstance(v, np.ndarray)]
+    # the factor is a tuple of arrays, (d, e) along the chain
+    arrays = [a for v in vars(ws).values() for a in (v if isinstance(v, tuple) else (v,))
+              if isinstance(a, np.ndarray)]
     assert arrays and all(a.size <= 3 * g.M for a in arrays)
+    assert [a.size for a in ws.cho()] == [g.M, g.M - 1]
 
 
 def test_newton_w_u_memory_is_linear(params):

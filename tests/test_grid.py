@@ -131,6 +131,17 @@ def test_underflow_refusal_leaves_every_radius_that_builds():
     assert (g.weights > 0.0).all()
 
 
+@pytest.mark.parametrize("grading", [1.0, 1.5, 2.0])
+def test_radius_whose_cell_moments_are_subnormal_is_named(grading):
+    # R^5 = 1e-320 is subnormal: the moments have lost their precision and
+    # the rule leaves a nonpositive weight; R is named, not the grading
+    assert 0.0 < 1e-64**5 < np.finfo(float).tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridError, match=r"^R = 1e-64 is too small: .* subnormal"):
+            nl.build_radial_grid(1e-64, 64, grading)
+
+
 @pytest.mark.parametrize("R", [1e-9, 1e61])
 def test_extreme_radius_with_finite_cell_moments_builds(R):
     with warnings.catch_warnings():

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dsbmv
 
 import neharilab as nl
 from neharilab import functionals, solver
@@ -198,6 +199,10 @@ def test_branch_scaling_matches_fresh_evaluation(mu, M):
         fresh = ws.evaluate(scaled.u)
         assert abs(np.max(scaled.u) / np.max(u) - 1.0) > 0.01   # a real move
         assert np.max(np.abs(scaled.w_u - fresh.w_u) / fresh.w_u) <= 1e-13
+        # G u is scaled by t with u and matches a fresh product to rounding,
+        # entry by entry on the scale |G| |u| of the terms it sums
+        terms = dsbmv(2, 1.0, np.abs(ws.Gb), np.abs(scaled.u))
+        assert np.all(np.abs(scaled.Gu - ws.apply_G(scaled.u)) <= 1e-14 * terms)
         for x, y in zip(scaled.triple.as_tuple(), fresh.triple.as_tuple()):
             assert x == pytest.approx(y, rel=1e-13)
 
