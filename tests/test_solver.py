@@ -382,6 +382,63 @@ def test_nonstrict_returns_diagnostics_on_cap(params, grid, estimate, lam):
     assert np.isfinite(res.weak_residual)
 
 
+# --- backtracking -------------------------------------------------------------------
+
+def _spied_to_branch(monkeypatch, miss=lambda k: False):
+    """Record (point handed in, point returned) for each solver._to_branch
+    call, copied around its in-place scaling; call k misses when miss(k)."""
+    calls, to_branch = [], solver._to_branch
+
+    def spy(params, ev, lam, branch):
+        before = ev.u.copy()
+        if miss(len(calls)):
+            calls.append((before, None))
+            raise RayMissesNehari("a miss on purpose")
+        out = to_branch(params, ev, lam, branch)
+        calls.append((before, out.u.copy()))
+        return out
+
+    monkeypatch.setattr(solver, "_to_branch", spy)
+    return calls
+
+
+def test_backtracking_halves_past_a_trial_clipped_to_zero(params, grid, estimate, lam,
+                                                          monkeypatch):
+    # along x = 4 u the trials s = 1, 1/2, 1/4 clip to zero everywhere: they
+    # are skipped unevaluated, and the first trial evaluated is u - u / 2
+    calls = _spied_to_branch(monkeypatch)
+    monkeypatch.setattr(functionals.FunctionalWorkspace, "solve_shifted",
+                        lambda self, shift, r: 4.0 * calls[0][1])
+    minimize_on_branch(lam, Branch.NPLUS, estimate.minimizer, params, grid=grid,
+                       opts=SolverOptions(max_iters=1))
+    assert np.array_equal(calls[1][0], 0.5 * calls[0][1])
+
+
+def test_backtracking_halves_past_a_ray_that_misses(params, grid, estimate, lam, monkeypatch):
+    # a trial whose ray carries no Nehari point is skipped as a rejected one
+    # is: the next trial takes half the step, and the iteration goes on
+    calls = _spied_to_branch(monkeypatch, miss=lambda k: k == 1)
+    res = minimize_on_branch(lam, Branch.NPLUS, estimate.minimizer, params, grid=grid,
+                             opts=SolverOptions(max_iters=1))
+    (_, u), (first, missed), (second, _) = calls[:3]
+    assert missed is None and res.iterations == 1
+    pos = first > 0.0   # so second > 0 there too
+    half = 0.5 * (u[pos] - first[pos])
+    assert np.all(np.abs(u[pos] - second[pos] - half) <= 1e-15 * (u[pos] + np.abs(first[pos])))
+
+
+def test_no_accepted_step_ends_the_solve_at_its_start(params, grid, estimate, lam,
+                                                      monkeypatch):
+    # when no trial of a step is accepted the backtracking gives up after
+    # BACKTRACK_MAX trials, and the solve returns its start, unconverged
+    calls = _spied_to_branch(monkeypatch, miss=lambda k: k > 0)
+    res = minimize_on_branch(lam, Branch.NMINUS, estimate.minimizer, params, grid=grid)
+    assert len(calls) == 1 + solver.BACKTRACK_MAX
+    assert res.iterations == 0 and res.energy_history == [res.energy]
+    assert not res.converged
+    assert np.array_equal(res.solution.values, calls[0][1])
+
+
 # --- N- Newton-Krylov step ---------------------------------------------------------
 
 @pytest.mark.parametrize("mu", [1.0, 1.5, 2.0])
