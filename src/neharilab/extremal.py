@@ -29,10 +29,12 @@ normal part along Gu is removed.
   G + singular shift.  P^-1 r is projected back onto the tangent space.
 * On nonpositive curvature at the first CG step the step is that
   preconditioned gradient, with a step-length memory doubling up to STEP_MAX.
-* A step is accepted on Armijo decrease of f, with halving backtracking.  The
-  decrease is log(Lambda_n(u) / Lambda_n(u')) while the Armijo target is at
-  least ROUNDING.  Below it, two rounded evaluations of f cannot resolve the
-  decrease, so it is computed from differences, each free of cancellation:
+* Steps go through solver.line_search, the solver's Armijo backtracking; the
+  attempt retracts u - s x to the sphere, clipped as below, and takes the
+  decrease of f as log(Lambda_n(u) / Lambda_n(u')) while the target
+  ARMIJO s slope is at least ROUNDING.  Below it, two rounded evaluations of
+  f cannot resolve the decrease, so it is computed from differences, each
+  free of cancellation:
       dE = (u'-u)^T (G u' + G u),
       dA = sum omega w a u^q expm1(q log1p(delta/u)),
       dB = sum omega w (rho'-rho)(w_u'+w_u),
@@ -68,7 +70,7 @@ from .fibering import lambda_n
 from .functionals import ReducedTriple, reduced_triple, workspace  # noqa: F401
 from .grid import GridFunction, _check_scale, sample_profile
 from .params import ProblemParams, fibering_constants
-from .solver import truncated_pcg
+from .solver import ARMIJO, line_search, truncated_pcg  # noqa: F401 (ARMIJO: see ROUNDING)
 
 DEFAULT_FAMILIES = (("gaussian", None), ("inverse_poly", 1.5))
 DEFAULT_SIGMAS = (0.35, 0.5, 0.7, 1.0, 1.4, 2.0, 2.8, 4.0)
@@ -77,7 +79,6 @@ FLOOR = 0.1           # a step keeps every node at or above this share of its va
 STEP0 = 1.0           # first length of a preconditioned gradient step
 STEP_MAX = 4.0
 BACKTRACK_MAX = 40
-ARMIJO = 0.25
 ROUNDING = 1e-14      # Armijo targets below this take the decrease from differences
 # |E - 1| within which a start counts as on the sphere and is not rescaled:
 # rescaling a returned minimizer moves Lambda_n by a few ulps, so a restart
@@ -251,24 +252,23 @@ def refine_descent(start: GridFunction, params: ProblemParams,
         del gA, gB   # ev stays: a decrease below ROUNDING needs its w_u and G u
         x, slope, newton = truncated_pcg(hess, precondition, g, kkt)
         del g, hess, precondition
-        s = 1.0 if newton else step
-        for _bt in range(BACKTRACK_MAX):
+
+        def attempt(s, target):
             trial = np.maximum(u - s * x, FLOOR * u)
             trial /= math.sqrt(ws.norm_sq(trial))
             trial_ev = ws.evaluate(trial)
             tval = float(lambda_n(trial_ev.triple, p, q))
-            target = ARMIJO * s * slope
             if target < ROUNDING:
                 decrease = _log_decrease(ws, ev, trial_ev, kappa, nu)
             else:
                 decrease = math.log(val / tval)
-            if decrease >= target:
-                break
-            s *= 0.5
-        else:
+            return (trial_ev, tval) if decrease >= target else None
+
+        accepted = line_search(attempt, 1.0 if newton else step, slope, BACKTRACK_MAX)
+        del x   # the next step must not hold it (peak memory)
+        if accepted is None:
             break   # no step accepted: u stays the minimizer
-        del x, trial   # the next step must not hold them (peak memory)
-        ev = trial_ev
+        ev, tval, s = accepted
         # a decrease below rounding can leave the rounded tval a hair above val
         val = min(val, tval)
         history.append(val)

@@ -36,9 +36,12 @@ One evaluation per point (FunctionalWorkspace.evaluate: w_u, G u and
 backtracking trial gets one evaluation for its projection, and its Nehari
 point t * trial reuses it through the exact scalings w_u(t u) = t^p w_u(u),
 G(t u) = t G u and (E, A, B)(t u) = scale_triple, applied in place; the
-start's projection is reused the same way.  Acceptance is Armijo
-sufficient decrease along -x with slope g.x, with a residual-decrease
-fallback once energy differences sit at machine precision.  The final
+start's projection is reused the same way.  Steps are accepted by
+line_search, the one Armijo backtracking of this solver and of the lambda*
+refinement; the solver's attempt skips a trial that clips to zero or whose
+ray misses the Nehari set, then tests the energy against the target along -x
+with slope g.x, or, once energy differences sit at machine precision, the
+residual's decrease.  The final
 iterate is evaluated afresh once, so its residual, energy and projection
 time t_at_convergence (which must sit at 1) do not rest on the scalings.
 """
@@ -68,7 +71,7 @@ from .params import ProblemParams
 REINIT_SIGMAS = (1.0, 0.5, 2.0, 0.25, 4.0, 0.125)
 STEP_MAX = 1.0        # a full preconditioned step, and the first one tried
 BACKTRACK_MAX = 60
-ARMIJO = 0.25
+ARMIJO = 0.25         # share of the predicted decrease s * slope a step must realize
 CG_MAX = 20           # inner iterations of one Newton-Krylov step
 
 
@@ -202,15 +205,6 @@ def _branch_hessian(ws, ev, diag):
     return apply
 
 
-def _newton_krylov_step(ws, ev, shift, g, res):
-    """The N- step x ~ H_hat^-1 g by truncated PCG (module docstring) and its
-    slope g.x; g is consumed as the residual.
-    """
-    precondition = ws.factor(shift)
-    hess = _branch_hessian(ws, ev, shift)   # folds the nonlocal diagonal into shift
-    return truncated_pcg(hess, precondition, g, res)[:2]
-
-
 def truncated_pcg(hess, precondition, r, res):
     """Truncated PCG (Steihaug 1983) for hess x = r, from x = 0.
 
@@ -247,6 +241,21 @@ def truncated_pcg(hess, precondition, r, res):
     return x, slope, True
 
 
+def line_search(attempt, s, slope, tries):
+    """Armijo backtracking: `tries` lengths from s on, halving each time.
+
+    attempt(s, target) retracts and tests the trial of length s against the
+    decrease target ARMIJO s slope: (point, value) if it accepts, else None.
+    Returns (point, value, s) for the first accepted length, or None.
+    """
+    for _ in range(tries):
+        accepted = attempt(s, ARMIJO * s * slope)
+        if accepted is not None:
+            return (*accepted, s)
+        s *= 0.5
+    return None
+
+
 def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
                        params: ProblemParams, grid=None,
                        opts: SolverOptions | None = None) -> SolveResult:
@@ -280,35 +289,32 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
             z = ws.solve_shifted(shift, grad)
             slope = float(grad @ z)  # directional derivative along -z
         else:
-            z, slope = _newton_krylov_step(ws, ev, shift, grad, res)
-        accepted = None
-        s = step
-        for _bt in range(BACKTRACK_MAX):
+            precondition = ws.factor(shift)   # grad is consumed as the CG residual
+            hess = _branch_hessian(ws, ev, shift)   # folds the nonlocal diagonal into shift
+            z, slope = truncated_pcg(hess, precondition, grad, res)[:2]
+            del hess, precondition   # not held through the line search (peak memory)
+
+        def attempt(s, target):
             trial = u - s * z
             np.maximum(trial, 0.0, out=trial)
             if not (trial > 0.0).any():
-                s *= 0.5
-                continue
+                return None
             try:
                 trial_ev = _to_branch(params, ws.evaluate(trial), lam, branch)
             except RayMissesNehari:
-                s *= 0.5
-                continue
-            if energy_from_triple(trial_ev.triple, lam, params) <= J - ARMIJO * s * slope:
-                accepted = trial_ev
-                break
-            if ARMIJO * s * slope < 8e-15 * abs(J):
-                # energy differences at machine precision: fall back to a
-                # residual-decrease acceptance for the Newton endgame
-                if ws.defect(trial_ev, lam)[1] < 0.7 * res:
-                    accepted = trial_ev
-                    break
-            s *= 0.5
+                return None
+            trial_J = energy_from_triple(trial_ev.triple, lam, params)
+            # energy differences at machine precision: a residual decrease accepts
+            if trial_J <= J - target or (target < 8e-15 * abs(J)
+                                         and ws.defect(trial_ev, lam)[1] < 0.7 * res):
+                return trial_ev, trial_J
+            return None
+
+        accepted = line_search(attempt, step, slope, BACKTRACK_MAX)
         del z  # the next step must not hold this one (peak memory)
         if accepted is None:
             break
-        ev = accepted
-        J = energy_from_triple(ev.triple, lam, params)
+        ev, J, s = accepted
         history.append(J)
         step = min(2.0 * s, STEP_MAX)
 

@@ -384,6 +384,23 @@ def test_nonstrict_returns_diagnostics_on_cap(params, grid, estimate, lam):
 
 # --- backtracking -------------------------------------------------------------------
 
+def test_line_search_halves_to_the_first_accepted_length():
+    # attempt sees s, s/2, s/4, ... with the target ARMIJO s slope; the first
+    # length it accepts comes back with its point and value, and after
+    # `tries` refusals the search gives up
+    seen = []
+
+    def attempt(s, target):
+        seen.append((s, target))
+        return ("point", -s) if s <= 0.25 else None
+
+    assert solver.line_search(attempt, 2.0, 3.0, 10) == ("point", -0.25, 0.25)
+    assert seen == [(s, solver.ARMIJO * s * 3.0) for s in (2.0, 1.0, 0.5, 0.25)]
+    seen.clear()
+    assert solver.line_search(attempt, 2.0, 3.0, 3) is None
+    assert [s for s, _ in seen] == [2.0, 1.0, 0.5]
+
+
 def _spied_to_branch(monkeypatch, miss=lambda k: False):
     """Record (point handed in, point returned) for each solver._to_branch
     call, copied around its in-place scaling; call k misses when miss(k)."""
