@@ -187,9 +187,9 @@ def _newton_system(ws, ev, gA, gB, kappa: float, nu: float):
     T v = v - u (u^T G v) / E; the preconditioner is r -> T P^-1 r through
     ws.factor(diag, 2 kappa / E), the factored P.  The diagonal of
     -grad^2 log A, which is positive, goes into P and is then divided in place
-    by s = 2 p nu / B and handed to ws.hessian, which folds in B's diagonal:
-    so s (hessian - G) is -nu H_B / B, and one ws.apply_G adds the
-    2 kappa G / E part.  Each product is one kernel apply.  Both projections
+    by s = 2 p nu / B and handed to ws.hessian with G's weight 2 kappa / (E s),
+    which folds in B's diagonal: so s hessian is 2 kappa G / E - nu H_B / B.
+    Each product is one kernel apply and one G product.  Both projections
     read G u from ev, as u^T G y = (G u)^T y.
     """
     p, q, u, Gu = ws.params.p, ws.params.q, ev.u, ev.Gu
@@ -198,12 +198,12 @@ def _newton_system(ws, ev, gA, gB, kappa: float, nu: float):
     solve_P = ws.factor(diag, 2.0 * kappa / E)
     s = 2.0 * p * nu / B
     diag /= s
-    hess = ws.hessian(ev, diag)
+    hess = ws.hessian(ev, diag, 2.0 * kappa / (E * s))
     cA, cB = 1.0 / (A * A), nu / (B * B)
 
     def apply(v, out=None):
         out = hess(v, out)
-        out = ws.apply_G(v, 2.0 * kappa / E - s, out, s)
+        out *= s
         out = daxpy(gA, out, a=cA * float(gA @ v))
         out = daxpy(gB, out, a=cB * float(gB @ v))
         return daxpy(Gu, out, a=-float(u @ out) / E)

@@ -354,10 +354,11 @@ class FunctionalWorkspace:
         g, q = self.grid, self.params.q
         return g.omega * g.weights * self.a * c * self.floored(u_vals) ** (q - 2.0)
 
-    def hessian(self, ev: "Evaluation", diag):
-        """The operator v -> H v, H the Hessian of J_lambda at ev (radial):
+    def hessian(self, ev: "Evaluation", diag, weight=1.0):
+        """The operator v -> H v, H the Hessian of J_lambda at ev (radial)
+        with G weighted by `weight` (1 for the solver's):
 
-            H v = G v + diag v - 2 pi omega p c K(c v),  c = b u^(p-1) r^-a w.
+            H v = weight G v + diag v - 2 pi omega p c K(c v),  c = b u^(p-1) r^-a w.
 
         On entry diag holds the singular part, singular_diag(u, lambda (1-q));
         the nonlocal diagonal (p-1) omega w b u^(p-2) w_u is subtracted from it
@@ -378,7 +379,7 @@ class FunctionalWorkspace:
             out = np.multiply(c, v, out=out)
             k = K(out)
             k *= c
-            out = self.apply_G(v, y=out)
+            out = self.apply_G(v, weight, out)
             out = daxpy(k, out, a=coef)
             np.multiply(diag, v, out=k)
             out += k
