@@ -3,7 +3,8 @@
 Subcommands: validate | fibering | lambda-star | solve | sweep | invariants.
 Each command puts its report together from library calls: `fibering` calls
 the fibering functions one by one, and `lambda-star --r-sweep` runs the
-estimate on the config with each listed radius.
+estimate on the config with each listed radius.  Both compute their numbers
+before printing the first line, so a failure leaves no partial report.
 Configuration is a sectioned key/value (INI) file read through one table,
 `_KEYS`: each value is parsed and checked by its row, a refusal names
 `[section] key`, and keys not in the table are ignored.  `[problem] lambda`
@@ -241,19 +242,18 @@ def cmd_lambda_star(args) -> int:
         r_cfg.build_grid()
     if args.snapshot:
         _output_file("--snapshot", args.snapshot)
+    # every estimate runs before the first line is printed; the truncation
+    # error on [0, R] is reported empirically, by the deltas between radii,
+    # so only the value outlives each radius's estimate
     grid, prm, est = _estimate(cfg)
+    r_vals = [_estimate(r_cfg)[2].lambda_star for r_cfg in r_cfgs]
     print(f"lambda_star = {_fmt(est.lambda_star)}")
     print(f"lambda_sub  = {_fmt(est.lambda_sub)}")
     print(f"descent steps: {len(est.descent_values) - 1}, "
           f"kkt residual = {format(est.kkt_residual, '.3e')}")
-    # the truncation error on [0, R] is reported empirically, by the deltas
-    # between radii; only the value outlives each estimate
-    prev = None
-    for r_cfg in r_cfgs:
-        val = _estimate(r_cfg)[2].lambda_star
-        delta = "" if prev is None else f"  delta = {_fmt(abs(val - prev))}"
+    for k, (r_cfg, val) in enumerate(zip(r_cfgs, r_vals)):
+        delta = f"  delta = {_fmt(abs(val - r_vals[k - 1]))}" if k else ""
         print(f"R = {_fmt(r_cfg.R)}: lambda_star = {_fmt(val)}{delta}")
-        prev = val
     if args.snapshot:
         save_snapshot(args.snapshot, est.minimizer, params=prm,
                       extra={"lambda_star": est.lambda_star})

@@ -331,6 +331,7 @@ def test_r_sweep_radius_no_lattice_profile_survives_is_named(small_config, capsy
                                    "positive cone")
     assert "R = 1e+61, M = 64" in captured.err
     assert "R = 1e+61: lambda_star" not in captured.out
+    assert "lambda_star =" not in captured.out
 
 
 def test_sweep_csv_deterministic(small_config, tmp_path, capsys):
