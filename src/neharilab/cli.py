@@ -3,8 +3,8 @@
 Subcommands: validate | fibering | lambda-star | solve | sweep | invariants.
 Each command puts its report together from library calls: `fibering` calls
 the fibering functions one by one, and `lambda-star --r-sweep` runs the
-estimate on the config with each listed radius.  Both compute their numbers
-before printing the first line, so a failure leaves no partial report.
+estimate on the config with each listed radius; both print no line until
+every number is computed, so a failure leaves no partial report.
 Configuration is a sectioned key/value (INI) file read through one table,
 `_KEYS`: each value is parsed and checked by its row, a refusal names
 `[section] key`, and keys not in the table are ignored.  `[problem] lambda`
@@ -242,9 +242,8 @@ def cmd_lambda_star(args) -> int:
         r_cfg.build_grid()
     if args.snapshot:
         _output_file("--snapshot", args.snapshot)
-    # every estimate runs before the first line is printed; the truncation
-    # error on [0, R] is reported empirically, by the deltas between radii,
-    # so only the value outlives each radius's estimate
+    # every estimate runs before the first print; the truncation error on
+    # [0, R] is reported by the deltas between radii, so only values are kept
     grid, prm, est = _estimate(cfg)
     r_vals = [_estimate(r_cfg)[2].lambda_star for r_cfg in r_cfgs]
     print(f"lambda_star = {_fmt(est.lambda_star)}")

@@ -29,12 +29,11 @@ normal part along Gu is removed.
   G + singular shift.  P^-1 r is projected back onto the tangent space.
 * On nonpositive curvature at the first CG step the step is that
   preconditioned gradient, with a step-length memory doubling up to STEP_MAX.
-* Steps go through solver.line_search, the solver's Armijo backtracking; the
-  attempt retracts u - s x to the sphere, clipped as below, and takes the
-  decrease of f as log(Lambda_n(u) / Lambda_n(u')) while the target
-  ARMIJO s slope is at least ROUNDING.  Below it, two rounded evaluations of
-  f cannot resolve the decrease, so it is computed from differences, each
-  free of cancellation:
+* Steps go through solver.line_search, the solver's Armijo backtracking, by
+  an attempt that retracts u - s x to the sphere (clipped as below) and takes
+  the decrease as log(Lambda_n(u) / Lambda_n(u')) while the target is at
+  least ROUNDING.  Below it, two rounded evaluations of f cannot resolve the
+  decrease, so it is computed from differences, each free of cancellation:
       dE = (u'-u)^T (G u' + G u),
       dA = sum omega w a u^q expm1(q log1p(delta/u)),
       dB = sum omega w (rho'-rho)(w_u'+w_u),

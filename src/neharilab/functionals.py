@@ -321,9 +321,9 @@ class FunctionalWorkspace:
         """u.Gu (BLAS dsbmv), with G u written into Gu when it is given."""
         return float(u_vals @ self.apply_G(u_vals, y=Gu))
 
-    def apply_G(self, v, alpha=1.0, y=None, beta=0.0):
-        """alpha G v + beta y (BLAS dsbmv), written into y when it is given."""
-        return dsbmv(2, alpha, self.Gb, v, beta=beta, y=y, overwrite_y=y is not None)
+    def apply_G(self, v, alpha=1.0, y=None):
+        """alpha G v (BLAS dsbmv), written into y when it is given."""
+        return dsbmv(2, alpha, self.Gb, v, y=y, overwrite_y=y is not None)
 
     def floored(self, u_vals):
         """max(u, FLOOR_FACTOR max(u)): u as the singular term sees it."""
@@ -355,8 +355,7 @@ class FunctionalWorkspace:
         return g.omega * g.weights * self.a * c * self.floored(u_vals) ** (q - 2.0)
 
     def hessian(self, ev: "Evaluation", diag, weight=1.0):
-        """The operator v -> H v, H the Hessian of J_lambda at ev (radial)
-        with G weighted by `weight` (1 for the solver's):
+        """The operator v -> H v, at weight = 1 the Hessian of J_lambda at ev (radial):
 
             H v = weight G v + diag v - 2 pi omega p c K(c v),  c = b u^(p-1) r^-a w.
 
@@ -374,7 +373,7 @@ class FunctionalWorkspace:
         K = self.kernel()
 
         def apply(v, out=None):
-            # c v is the kernel's input and G v overwrites it (beta = 0), so
+            # c v is the kernel's input and G v overwrites it, so
             # one apply holds out and the kernel's own buffers at most
             out = np.multiply(c, v, out=out)
             k = K(out)

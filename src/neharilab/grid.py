@@ -11,8 +11,7 @@ its neighbours, except on the first few cells where the exact cell mass is
 used unchanged (keeps every weight positive without measurable accuracy
 loss — those cells carry ~1e-14 of the total mass on graded grids).  The rule
 integrates r^k, k <= 2, to machine precision and sums exactly to R^N / N
-while R^(N+2) is a normal float; where it is subnormal the moments lose
-precision (N = 3, R = 1e-63, M = 16: the sum holds only within 3.0e-6).
+while R^(N+2) is normal (subnormal at N = 3, R = 1e-63: only within 3.0e-6).
 The head rule holds up to a grading that falls with N (about 3.59 at N = 3,
 2.87 at N = 4, 2.39 at N = 5, the same at every M); beyond it weight 3
 turns nonpositive and the build raises GridError saying so.

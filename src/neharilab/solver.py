@@ -36,12 +36,11 @@ One evaluation per point (FunctionalWorkspace.evaluate: w_u, G u and
 backtracking trial gets one evaluation for its projection, and its Nehari
 point t * trial reuses it through the exact scalings w_u(t u) = t^p w_u(u),
 G(t u) = t G u and (E, A, B)(t u) = scale_triple, applied in place; the
-start's projection is reused the same way.  Steps are accepted by
-line_search, the one Armijo backtracking of this solver and of the lambda*
-refinement; the solver's attempt skips a trial that clips to zero or whose
-ray misses the Nehari set, then tests the energy against the target along -x
-with slope g.x, or, once energy differences sit at machine precision, the
-residual's decrease.  The final
+start's projection is reused the same way.  Steps go through line_search,
+the Armijo backtracking shared with the lambda* refinement: the solver's
+attempt skips a trial that clips to zero or whose ray misses the Nehari set,
+and accepts on the energy's decrease along -x (slope g.x), or on the
+residual's once energy differences sit at machine precision.  The final
 iterate is evaluated afresh once, so its residual, energy and projection
 time t_at_convergence (which must sit at 1) do not rest on the scalings.
 """
@@ -242,15 +241,12 @@ def truncated_pcg(hess, precondition, r, res):
 
 
 def line_search(attempt, s, slope, tries):
-    """Armijo backtracking: `tries` lengths from s on, halving each time.
-
-    attempt(s, target) retracts and tests the trial of length s against the
-    decrease target ARMIJO s slope: (point, value) if it accepts, else None.
-    Returns (point, value, s) for the first accepted length, or None.
-    """
+    """Armijo backtracking over the lengths s, s/2, ... (`tries` of them):
+    attempt(s, target) tests the trial of length s against the target
+    ARMIJO s slope and returns (point, value) if it accepts it, else None.
+    Returns (point, value, s) for the first accepted length, or None."""
     for _ in range(tries):
-        accepted = attempt(s, ARMIJO * s * slope)
-        if accepted is not None:
+        if (accepted := attempt(s, ARMIJO * s * slope)) is not None:
             return (*accepted, s)
         s *= 0.5
     return None
@@ -304,7 +300,6 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
             except RayMissesNehari:
                 return None
             trial_J = energy_from_triple(trial_ev.triple, lam, params)
-            # energy differences at machine precision: a residual decrease accepts
             if trial_J <= J - target or (target < 8e-15 * abs(J)
                                          and ws.defect(trial_ev, lam)[1] < 0.7 * res):
                 return trial_ev, trial_J
@@ -322,7 +317,6 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
     J = history[-1] = energy_from_triple(ev.triple, lam, params)
     ufun = GridFunction(grid, ev.u)
     res = ws.defect(ev, lam)[1]
-    converged = bool(res <= opts.tol)
     # every iterate is an absorbed projection, so the converged state's own
     # projection time must sit at 1 up to the root tolerance
     t_final = _project_values(params, ev, lam, branch)[0]
@@ -333,7 +327,7 @@ def minimize_on_branch(lam: float, branch: Branch, init: GridFunction | None,
         energy=J,
         weak_residual=res,
         iterations=len(history) - 1,
-        converged=converged,
+        converged=bool(res <= opts.tol),
         t_at_convergence=t_final,
         floored_mass=floored_fraction(ufun, params),
         triple=ev.triple,
