@@ -69,7 +69,7 @@ from .fibering import lambda_n
 from .functionals import ReducedTriple, reduced_triple, workspace  # noqa: F401
 from .grid import GridFunction, _check_scale, sample_profile
 from .params import ProblemParams, fibering_constants
-from .solver import ARMIJO, line_search, truncated_pcg  # noqa: F401 (ARMIJO: see ROUNDING)
+from .solver import ARMIJO, line_search, truncated_pcg  # noqa: F401 (ARMIJO: re-exported)
 
 DEFAULT_FAMILIES = (("gaussian", None), ("inverse_poly", 1.5))
 DEFAULT_SIGMAS = (0.35, 0.5, 0.7, 1.0, 1.4, 2.0, 2.8, 4.0)
