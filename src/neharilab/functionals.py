@@ -7,11 +7,13 @@ On the truncated radial domain the energy-space norm is
 with central differences (one-sided closure at both ends, hard zero at r = R)
 so the discrete inner product is the bilinear form of a symmetric positive
 definite matrix G built once per (grid, potential) pair.  G = omega (D^T W D
-+ diag(w V)) is pentadiagonal, so it is stored as its three upper bands,
-assembled in O(M) and applied by BLAS dsbmv.  Its first off-diagonal band
-is zero but for G[0, 1]: node i couples only to i -/+ 2, and node 0 to 1.
-So along the odd-even chain M-1|M-2, ..., 3, 1, 0, 2, 4, ... (odd nodes
-descending, then even ones ascending) G is tridiagonal, and it is factored
++ diag(w V)) is pentadiagonal, but its first off-diagonal band is zero but
+for G[0, 1]: node i couples only to i -/+ 2, and node 0 to 1.  So G is held
+as two bands and a scalar, assembled in O(M): its main diagonal G0, its
+offset-2 band G2 and G01 = G[0, 1].  G v is three slice products plus the
+G01 coupling of nodes 0 and 1.  Along the odd-even chain M-1|M-2, ..., 3,
+1, 0, 2, 4, ... (odd nodes descending, then even ones ascending) G is
+tridiagonal, its couplings gathered from G2 and G01, and it is factored
 there in O(M) by LAPACK's tridiagonal LDL^T, dpttrf, and solved by dpttrs,
 both called directly: no BLAS call inside, where the banded Cholesky of a
 bandwidth-2 matrix makes two per column.  G is the only energy operator:
@@ -23,7 +25,8 @@ raises numpy's LinAlgError).  FunctionalWorkspace also holds the only
 formulas for the derivatives of (E, A, B): grad_A = q omega w a u_f^(q-1),
 grad_B = 2p omega w b u^(p-1) w_u and singular_diag = c omega w a u_f^(q-2),
 the singular term evaluated at the floored u_f = max(u, FLOOR_FACTOR max(u))
-since it is not differentiable at u = 0.  defect is the weak gradient
+since it is not differentiable at u = 0.  The prefixes omega w a and
+omega w b are formed once, with the workspace.  defect is the weak gradient
 J'_lambda(u) = Gu - (lambda/q) grad_A - grad_B/(2p).
 
 The nonlocal interaction
@@ -43,10 +46,10 @@ against exact values of B, not against the direct one:
   analytically over the cell; all smooth factors are frozen at cell centers.
   At mu = 1 the kernel is Newton's k_1(r, s) = 2/max(r, s), so applying it
   to h is 2/r_i times the sum of h_j below i plus the sum of 2 h_j/r_j above
-  i, plus the diagonal cell (2r - d/3)/r^2 h_i: two running sums, O(M) time
-  and memory.  Any other mu stores the dense M x M matrix (M <= 4096) and
-  applies it by BLAS dsymv, which reads one triangle: half the memory traffic
-  of a general product.  The build fills one triangle, the one dsymv reads,
+  i, plus the diagonal cell (2r - d/3)/r^2 h_i: two exclusive running sums,
+  O(M) time and memory.  Any other mu stores the dense M x M matrix
+  (M <= 4096) and applies it by BLAS dsymv, which reads one triangle: half
+  the memory traffic of a general product.  The build fills one triangle, the one dsymv reads,
   so it evaluates each pair (r, s) once; dsymv applies the symmetric matrix
   that triangle defines.
 * direct: midpoint pair sum over a Cartesian box with lattice kernel
@@ -72,8 +75,8 @@ against exact values of B, not against the direct one:
 Both engines evaluate B through the nonlocal potential w_u, so grad_B . u,
 2p int b |u|^p w_u, is 2p B(u) exactly.
 
-One evaluation per point: FunctionalWorkspace.evaluate computes w_u and G u
-once for a node vector and returns them with (E, A, B); the triple, the
+One evaluation per point: FunctionalWorkspace.evaluate computes |u|, w_u and
+G u once for a node vector and returns them with (E, A, B); the triple, the
 energy, the weak gradient and its residual are all read from that record.
 E is not expanded into band sums of u^2 and shifted products, a form that
 cancels and drifts 1e-12 relative at M = 1024.
@@ -88,7 +91,7 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg.blas import daxpy, dsbmv, dsymv
+from scipy.linalg.blas import daxpy, dsymv
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (
@@ -146,36 +149,37 @@ class FunctionalWorkspace:
         r = grid.nodes
         self.a = params.a_values(r)
         self.b = params.b_values(r)
-        self.V = params.v_values(r)
         self._r_alpha = r ** (-params.alpha)
-        self._build_radial_operator()
+        # omega w a and omega w b, the left prefixes of grad_A, singular_diag
+        # and grad_B, so those products keep their order
+        self._wa = grid.omega * grid.weights * self.a
+        self._wb = grid.omega * grid.weights * self.b
+        self._build_radial_operator(params.v_values(r))
         # w_u = 2 pi r^-a k(f r^-a w); the products keep this order
         self._w_out = 2.0 * np.pi * self._r_alpha
         self._K = self._apply_K = self._cho = None  # built lazily
 
     # -- radial operator -----------------------------------------------------
 
-    def _build_radial_operator(self):
-        """Upper bands Gb of G: Gb[2 + i - j, j] = G[i, j] for j - 2 <= i <= j.
+    def _build_radial_operator(self, V):
+        """G's two bands: G0, its main diagonal, G2[i] = G[i, i + 2] and the
+        scalar G01 = G[0, 1], the only nonzero entry of the band between.
 
         Row i of D has entries c_i at two columns, so it adds w_i c_i^2 to
         both diagonal entries and -w_i c_i^2 to the coupling between them.
         """
         g = self.grid
-        r, w, M = g.nodes, g.weights, g.M
-        Gb = np.zeros((3, M), order="F")  # the layout BLAS and LAPACK take
-        main = Gb[2]
-        main[:] = w * self.V
+        r, w = g.nodes, g.weights
+        main = w * V
         t0 = w[0] / (r[1] - r[0]) ** 2          # row 0: one-sided, columns 0, 1
         main[:2] += t0
-        Gb[1, 1] = -t0
         t = w[1:-1] / (r[2:] - r[:-2]) ** 2      # interior rows: columns i -/+ 1
         main[:-2] += t
         main[2:] += t
-        Gb[0, 2:] = -t
         main[-1] += w[-1] / (g.R - r[-1]) ** 2  # hard zero at r = R
-        Gb *= g.omega
-        self.Gb = Gb
+        main *= g.omega
+        t *= -g.omega
+        self.G0, self.G2, self.G01 = main, t, -t0 * g.omega
 
     @staticmethod
     def _to_chain(x, out):
@@ -201,16 +205,15 @@ class FunctionalWorkspace:
         """The LDL^T factor (d, e) of scale G + diag(shift) along the chain
         (module docstring) by LAPACK dpttrf; LinAlgError unless SPD.
 
-        Gb[1] is zero but for G[0, 1], so the chain's couplings are Gb[0]
-        along the odd nodes, read toward node 1, then G[0, 1], then Gb[0]
-        along the even nodes.
+        The chain's couplings are G2 along the odd nodes, read toward node
+        1, then G01, then G2 along the even nodes.
         """
-        Gb, n = self.Gb, self.grid.M // 2
-        d = self._to_chain(Gb[2] * scale + shift, np.empty(self.grid.M))
-        e = np.empty(self.grid.M - 1)
-        e[:n - 1] = Gb[0, 3::2][::-1]
-        e[n - 1] = Gb[1, 1]
-        e[n:] = Gb[0, 2::2]
+        M, n = self.grid.M, self.grid.M // 2
+        d = self._to_chain(self.G0 * scale + shift, np.empty(M))
+        e = np.empty(M - 1)
+        e[:n - 1] = self.G2[1::2][::-1]
+        e[n - 1] = self.G01
+        e[n:] = self.G2[0::2]
         e *= scale
         d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
         if info != 0:
@@ -318,12 +321,22 @@ class FunctionalWorkspace:
         return float(g.omega * (vals @ g.weights))
 
     def norm_sq(self, u_vals, Gu=None) -> float:
-        """u.Gu (BLAS dsbmv), with G u written into Gu when it is given."""
+        """u.Gu, with G u written into Gu when it is given."""
         return float(u_vals @ self.apply_G(u_vals, y=Gu))
 
     def apply_G(self, v, alpha=1.0, y=None):
-        """alpha G v (BLAS dsbmv), written into y when it is given."""
-        return dsbmv(2, alpha, self.Gb, v, y=y, overwrite_y=y is not None)
+        """alpha G v from G's two bands, written into y when it is given."""
+        G2, G01 = self.G2, self.G01
+        y = np.multiply(self.G0, v, out=y)
+        t = G2 * v[2:]
+        y[:-2] += t
+        np.multiply(G2, v[:-2], out=t)
+        y[2:] += t
+        y[0] += G01 * v[1]
+        y[1] += G01 * v[0]
+        if alpha != 1.0:
+            y *= alpha
+        return y
 
     def floored(self, u_vals):
         """max(u, FLOOR_FACTOR max(u)): u as the singular term sees it."""
@@ -335,24 +348,24 @@ class FunctionalWorkspace:
         """w_u(x) = int b(y)|u(y)|^p / (|x|^a |x-y|^mu |y|^a) dy at the nodes.
         f is the density b|u|^p when the caller has formed it."""
         if f is None:
-            f = self._density(u_vals)
+            f = self._density(np.abs(u_vals))
         return self._w_out * self.kernel()(f * self._r_alpha * self.grid.weights)
 
     def grad_A(self, u_vals):
         """A's gradient g_A = q omega w a u_f^(q-1), u_f = floored(u)."""
-        g, q = self.grid, self.params.q
-        return g.omega * g.weights * self.a * q * self.floored(u_vals) ** (q - 1.0)
+        q = self.params.q
+        return self._wa * q * self.floored(u_vals) ** (q - 1.0)
 
     def grad_B(self, ev: Evaluation):
         """B's gradient g_B = 2p omega w b u^(p-1) w_u at ev (u >= 0)."""
-        g, p = self.grid, self.params.p
-        return g.omega * g.weights * self.b * (2.0 * p) * ev.u ** (p - 1.0) * ev.w_u
+        p = self.params.p
+        return self._wb * (2.0 * p) * ev.u ** (p - 1.0) * ev.w_u
 
     def singular_diag(self, u_vals, c):
         """c omega w a u_f^(q-2): c = lambda (1-q) gives the singular term of
         J_lambda's Hessian, c = q(1-q)/A that of -log A's."""
-        g, q = self.grid, self.params.q
-        return g.omega * g.weights * self.a * c * self.floored(u_vals) ** (q - 2.0)
+        q = self.params.q
+        return self._wa * c * self.floored(u_vals) ** (q - 2.0)
 
     def hessian(self, ev: "Evaluation", diag, weight=1.0):
         """The operator v -> H v, at weight = 1 the Hessian of J_lambda at ev (radial):
@@ -390,19 +403,20 @@ class FunctionalWorkspace:
 
     def evaluate(self, u_vals) -> Evaluation:
         """w_u(u), G u and (E, A, B) = (u.Gu, int a|u|^q, int b|u|^p w_u):
-        one w_u, one G product and one density b|u|^p."""
-        f = self._density(u_vals)
+        one w_u, one G product, one |u| and one density b|u|^p."""
+        abs_u = np.abs(u_vals)
+        f = self._density(abs_u)
         wu = self.w_u(u_vals, f)
         Gu = np.empty_like(u_vals)
         return Evaluation(u_vals, wu, Gu, ReducedTriple(
             E=self.norm_sq(u_vals, Gu),
-            A=self.space_integral(self.a * np.abs(u_vals) ** self.params.q),
+            A=self.space_integral(self.a * abs_u ** self.params.q),
             B=self.space_integral(f * wu),
         ))
 
-    def _density(self, u_vals):
-        """b |u|^p, the nonlocal term's density."""
-        return self.b * np.abs(u_vals) ** self.params.p
+    def _density(self, abs_u):
+        """b |u|^p from |u|, the nonlocal term's density."""
+        return self.b * abs_u ** self.params.p
 
     def defect(self, ev: Evaluation, lam: float):
         """The weak gradient J'_lambda(u) = Gu - (lambda/q) g_A - g_B/(2p) at
@@ -443,14 +457,17 @@ def workspace(grid, params: ProblemParams) -> FunctionalWorkspace:
 
 def _apply_newton(r, cells, h):
     """sum_j k_1(r_i, r_j) h_j: 2/r_i times the sum of h below i, plus the
-    sum of 2 h_j/r_j above i, plus the diagonal cell.  Computed in place,
-    in the order of 2 (below / r + above) + cells h, in three buffers."""
-    out = np.add.accumulate(h)
-    out -= h
+    sum of 2 h_j/r_j above i, plus the diagonal cell.  Both sums are
+    exclusive running sums written in place, and the result is formed in the
+    order of 2 (below / r + above) + cells h, in three buffers."""
+    out = np.empty_like(h)
+    out[0] = 0.0
+    np.add.accumulate(h[:-1], out=out[1:])
     out /= r
     t = h / r
-    above = np.add.accumulate(t[::-1])[::-1]
-    above -= t
+    above = np.empty_like(h)
+    above[-1] = 0.0
+    np.add.accumulate(t[:0:-1], out=above[-2::-1])
     out += above
     out *= 2.0
     np.multiply(cells, h, out=t)
@@ -579,7 +596,7 @@ def norm_sq(u: GridFunction, params: ProblemParams) -> float:
 def steinweiss_B_radial(u: GridFunction, params: ProblemParams) -> float:
     """B(u) on a radial grid via the closed-form angular kernel (N = 3)."""
     ws = workspace(u.grid, params)
-    f = ws._density(u.values)
+    f = ws._density(np.abs(u.values))
     return ws.space_integral(f * ws.w_u(u.values, f))
 
 

@@ -65,24 +65,19 @@ def test_cartesian_energy_norm_unsupported(params):
 
 # --- banded energy operator ------------------------------------------------------
 
-def _dense_bands(G):
-    """Upper bands of G in the (3, M) layout of BLAS dsbmv."""
-    M = len(G)
-    Gb = np.zeros((3, M))
-    for k in range(3):
-        Gb[2 - k, k:] = np.diagonal(G, k)
-    return Gb
-
-
 @pytest.mark.parametrize("M", [64, 256])
 def test_energy_operator_bands_match_dense_oracle(params, M):
     g = nl.build_radial_grid(20.0, M, 2.0)
     ws = workspace(g, params)
-    G = dense_energy_operator(g, ws.V)
-    # the central difference couples nodes i -/+ 1: nothing beyond offset 2
+    G = dense_energy_operator(g, params.v_values(g.nodes))
+    # the central difference couples nodes i -/+ 1: nothing beyond offset 2,
+    # and the band between holds G[0, 1] only
     assert not np.any(np.triu(G, 3))
-    ref = _dense_bands(G)
-    assert np.all(np.abs(ws.Gb - ref) <= 1e-14 * np.abs(ref))
+    assert np.flatnonzero(np.diagonal(G, 1)).tolist() == [0]
+    for band, ref in ((ws.G0, np.diagonal(G)), (ws.G2, np.diagonal(G, 2))):
+        assert band.shape == ref.shape
+        assert np.all(np.abs(band - ref) <= 1e-14 * np.abs(ref))
+    assert abs(ws.G01 - G[0, 1]) <= 1e-14 * abs(G[0, 1])
 
 
 def _chain_order(M):
@@ -95,20 +90,20 @@ def test_energy_operator_is_tridiagonal_along_the_chain(params, M):
     # the factor rests on this: the first off-diagonal band holds G[0, 1]
     # only, so G couples i to i -/+ 2 and 0 to 1, a path through every node
     g = nl.build_radial_grid(20.0, M, 2.0)
-    ws = workspace(g, params)
-    assert np.flatnonzero(ws.Gb[1]).tolist() == [1]
+    G = dense_energy_operator(g, params.v_values(g.nodes))
+    assert np.flatnonzero(np.diagonal(G, 1)).tolist() == [0]
     chain = _chain_order(M)
     assert sorted(chain.tolist()) == list(range(M))
-    G = dense_energy_operator(g, ws.V)[np.ix_(chain, chain)]
+    G = G[np.ix_(chain, chain)]
     assert not np.any(np.triu(G, 2))
     assert np.all(np.diagonal(G, 1) < 0.0)   # every link of the path couples
 
 
-@pytest.mark.parametrize("M", [64, 256, 63, 65])
+@pytest.mark.parametrize("M", [64, 256, 63, 65, 1024])
 def test_banded_operations_match_dense_linear_algebra(params, rng, M):
     g = nl.build_radial_grid(20.0, M, 2.0)
     ws = workspace(g, params)
-    G = dense_energy_operator(g, ws.V)
+    G = dense_energy_operator(g, params.v_values(g.nodes))
     u = rng.uniform(0.0, 1.0, M)
     Gu = G @ u
     np.testing.assert_allclose(ws.apply_G(u), Gu, rtol=0, atol=1e-14 * np.max(np.abs(Gu)))
@@ -140,7 +135,7 @@ def test_banded_operations_match_dense_linear_algebra(params, rng, M):
 def test_factor_refuses_a_shift_that_is_not_spd(params):
     g = nl.build_radial_grid(20.0, 64, 2.0)
     ws = workspace(g, params)
-    shift = -2.0 * ws.Gb[2]   # every diagonal entry of G + diag(shift) negative
+    shift = -2.0 * ws.G0   # every diagonal entry of G + diag(shift) negative
     with pytest.raises(np.linalg.LinAlgError):
         ws.factor(shift)
     with pytest.raises(np.linalg.LinAlgError):
@@ -158,7 +153,7 @@ def test_factor_refuses_one_negative_pivot_anywhere_on_the_chain(params, M):
     chain = _chain_order(M)
     for node in (chain[0], 1, 0, chain[-1]):
         shift = np.zeros(M)
-        shift[node] = -2.0 * ws.Gb[2, node]
+        shift[node] = -2.0 * ws.G0[node]
         with pytest.raises(np.linalg.LinAlgError):
             ws.factor(shift)
     ws.factor(np.zeros(M))   # G itself is SPD
@@ -604,14 +599,14 @@ def test_newton_w_u_matches_dense_oracle(rng, M):
 
 @pytest.mark.parametrize("M", [256, 4096])
 def test_newton_apply_in_place_is_bit_identical(rng, M):
-    # the in-place running sums keep the operation order of the plain
-    # expression, so w_u does not move by a single bit
+    # the in-place exclusive running sums keep the operation order of the
+    # plain expression, so w_u does not move by a single bit
     r = nl.build_radial_grid(20.0, M, 2.0).nodes
     cells = rng.uniform(0.0, 2.0, M) / r
     for h in (rng.uniform(0.0, 1.0, M), rng.standard_normal(M) * np.exp(-r)):
-        below = np.cumsum(h) - h
+        below = np.concatenate(([0.0], np.cumsum(h[:-1])))
         t = h / r
-        above = np.cumsum(t[::-1])[::-1] - t
+        above = np.concatenate((np.cumsum(t[:0:-1])[::-1], [0.0]))
         plain = 2.0 * (below / r + above) + cells * h
         assert np.array_equal(functionals._apply_newton(r, cells, h), plain)
 
@@ -638,6 +633,20 @@ def test_newton_workspace_stores_no_matrix(params):
               if isinstance(a, np.ndarray)]
     assert arrays and all(a.size <= 3 * g.M for a in arrays)
     assert [a.size for a in ws.cho()] == [g.M, g.M - 1]
+
+
+def test_workspace_holds_eleven_vectors_at_mu_1(params):
+    # a, b, r^-a, 2 pi r^-a, omega w a, omega w b, G's two bands, the kernel's
+    # diagonal cells and the (d, e) factor: 11 M-vectors less 3 entries.  A
+    # coefficient vector added without another one dropped fails here
+    M = 1024
+    g = nl.build_radial_grid(20.0, M, 2.0)
+    ws = workspace(g, params)
+    ws.evaluate(np.exp(-g.nodes**2))
+    ws.cho()
+    nbytes = sum(a.nbytes for v in vars(ws).values()
+                 for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray))
+    assert nbytes <= 11 * M * 8
 
 
 def test_newton_w_u_memory_is_linear(params):
