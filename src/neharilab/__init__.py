@@ -26,12 +26,8 @@ from .fibering import (
     DoubleRoot,
     NoRoot,
     TwoRoots,
-    classify,
-    lambda_e,
     lambda_n,
     nehari_roots,
-    t_max_e,
-    t_max_n,
 )
 from .extremal import (
     ExtremalEstimate,

@@ -1,10 +1,9 @@
 """Command-line frontend.
 
-Subcommands: validate | fibering | lambda-star | solve | sweep | invariants.
-Each command puts its report together from library calls: `fibering` calls
-the fibering functions one by one, and `lambda-star --r-sweep` runs the
-estimate on the config with each listed radius; both print no line until
-every number is computed, so a failure leaves no partial report.
+Subcommands: validate | lambda-star | solve | sweep.
+Each command puts its report together from library calls: `lambda-star
+--r-sweep` runs the estimate on the config with each listed radius and prints
+no line until every number is computed, so a failure leaves no partial report.
 Configuration is a sectioned key/value (INI) file read through one table,
 `_KEYS`: each value is parsed and checked by its row, a refusal names
 `[section] key`, and keys not in the table are ignored.  `[problem] lambda`
@@ -15,9 +14,8 @@ estimate runs: an output file's missing directory is created, and a path that
 is a directory or lies under a file, or a radius that is not finite and
 positive, is a usage error naming its flag (or `[output] dir`); each radius's
 grid is built once, so one the grid builder refuses fails by its GridError.
-Exit codes: 0 success, 1 domain error (validation failure, no convergence,
-failed invariant), 2 usage error.  All numeric output is deterministic given
-config + seed.
+Exit codes: 0 success, 1 domain error (validation failure, no convergence),
+2 usage error.  All numeric output is deterministic given the config.
 """
 
 from __future__ import annotations
@@ -30,12 +28,11 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from . import fibering, sweep as sweep_mod
+from . import sweep as sweep_mod
 from .errors import ConfigError, NehariLabError, NoSignChange
 from .extremal import DEFAULT_FAMILIES, DEFAULT_SIGMAS, DescentOptions, estimate_lambda_star
-from .functionals import ReducedTriple, reduced_triple
+from .functionals import reduced_triple
 from .grid import build_radial_grid, save_snapshot
-from .invariants import run_invariants
 from .params import ProblemParams, critical_exponents, fibering_constants, gamma3_window, validate
 from .solver import SolverOptions, solution_distance, solve_pair
 
@@ -65,7 +62,6 @@ class RunConfig:
     sigmas: tuple = DEFAULT_SIGMAS
     descent: DescentOptions = field(default_factory=DescentOptions)
     output_dir: str = "out"
-    seed: int = 12345
 
     def build_grid(self):
         return build_radial_grid(self.R, self.M, self.grading, self.params.N)
@@ -108,7 +104,6 @@ _KEYS = (
     ("sweep", "spacing", None, "sweep_spacing", str),
     ("extremal", "descent_iters", "descent", "max_iters", int, _AT_LEAST_ZERO),
     ("output", "dir", None, "output_dir", str),
-    ("run", "seed", None, "seed", int, _AT_LEAST_ZERO),
 )
 
 
@@ -197,31 +192,6 @@ def cmd_validate(args) -> int:
     print(f"valid: gamma3 window ({_fmt(g3[0])}, {_fmt(g3[1])}), gamma3 = {_fmt(prm.gamma3)}")
     consts = fibering_constants(prm.p, prm.q)
     print(f"constants: C_pq = {_fmt(consts.c_pq)}, ratio = {_fmt(consts.ratio)}")
-    return 0
-
-
-def cmd_fibering(args) -> int:
-    try:
-        E, A, B = (float(x) for x in args.triple.split(","))
-    except ValueError as err:
-        raise ConfigError(f"--triple expects E,A,B, got {args.triple!r}") from err
-    triple, p, q, lam = ReducedTriple(E=E, A=A, B=B), args.p, args.q, args.lam
-    # every line is computed before any is printed, and (p, q) is checked first
-    fibering_constants(p, q)
-    lines = [f"t_n = {_fmt(fibering.t_max_n(triple, p, q))}",
-             f"t_e = {_fmt(fibering.t_max_e(triple, p, q))}",
-             f"Lambda_n = {_fmt(fibering.lambda_n(triple, p, q))}",
-             f"Lambda_e = {_fmt(fibering.lambda_e(triple, p, q))}"]
-    if lam is not None:
-        roots = fibering.nehari_roots(triple, lam, p, q)
-        if isinstance(roots, fibering.TwoRoots):
-            lines.append(f"roots: t_plus = {_fmt(roots.t_plus)}, t_minus = {_fmt(roots.t_minus)}")
-        elif isinstance(roots, fibering.DoubleRoot):
-            lines.append(f"roots: double root at t_n = {_fmt(roots.t_n)}")
-        else:
-            lines.append("roots: none (lambda above Lambda_n)")
-        lines.append(f"branch of t=1: {fibering.classify(triple, lam, p, q).value}")
-    print("\n".join(lines))
     return 0
 
 
@@ -344,22 +314,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_invariants(args) -> int:
-    if args.seed is not None and args.seed < 0:   # [run] seed's rule, for the flag
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    cfg = load_config(args.config)
-    prm = validate(cfg.params)
-    grid = build_radial_grid(cfg.R, max(cfg.M, 64), cfg.grading, prm.N)
-    checks = run_invariants(prm, grid, cfg.seed if args.seed is None else args.seed)
-    failed = [name for name, ok, _ in checks if not ok]
-    for name, ok, detail in checks:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    if failed:
-        print(f"error: failed invariants: {', '.join(failed)}")
-        return 1
-    return 0
-
-
 # --------------------------------------------------------------------------
 # entry point
 # --------------------------------------------------------------------------
@@ -375,13 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("validate", help="validate a problem configuration")
     pv.add_argument("--config", required=True)
     pv.set_defaults(func=cmd_validate)
-
-    pf = sub.add_parser("fibering", help="fibering structure of one reduced triple")
-    pf.add_argument("--triple", required=True, help="E,A,B")
-    pf.add_argument("--p", type=float, required=True)
-    pf.add_argument("--q", type=float, required=True)
-    pf.add_argument("--lambda", dest="lam", type=float, default=None)
-    pf.set_defaults(func=cmd_fibering)
 
     pl = sub.add_parser("lambda-star", help="estimate the extremal parameters")
     pl.add_argument("--config", default=None)
@@ -405,11 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--frac-max", type=float, default=None)
     pw.add_argument("--spacing", default=None)
     pw.set_defaults(func=cmd_sweep)
-
-    pi = sub.add_parser("invariants", help="run the invariant battery")
-    pi.add_argument("--config", default=None)
-    pi.add_argument("--seed", type=int, default=None)
-    pi.set_defaults(func=cmd_invariants)
 
     return parser
 

@@ -28,10 +28,10 @@ and each root has a closed-form bracket,
     tau_minus in [max(1, ((kappa-rho)/nu)^(1/(2p-2))), (kappa/nu)^(1/(2p-2))],
 
 on which nehari_roots runs float Newton with a bisection fallback from
-1 -+ sqrt(2(1-rho)/((2-q)(2p-q))).  All other functions accept numpy arrays
-in the triple fields and in t.  The module has no report type: the
-`fibering` command calls t_max_n, t_max_e, lambda_n, lambda_e and, given
-lambda, nehari_roots and classify itself.
+1 -+ sqrt(2(1-rho)/((2-q)(2p-q))).  lambda_n and scale_triple accept numpy
+arrays in the triple fields.  The solver, the lambda* search and the sweep
+are the callers; the tests check each closed form against an independent
+maximizer of Q_n and Q_e.
 """
 
 from __future__ import annotations
@@ -49,14 +49,8 @@ from .params import fibering_constants
 
 ROOT_RTOL = 1e-12        # |Q_n(t) - lambda| <= ROOT_RTOL * Lambda_n
 DOUBLE_ROOT_BAND = 1e-12  # |lambda - Lambda_n| <= band * Lambda_n -> tangency
-CLASSIFY_RTOL = 1e-9
 _NEWTON_MAX = 100
 _EPS = 2.0**-52           # double-precision machine epsilon
-
-
-def _check_t(t):
-    if (np.asarray(t) <= 0.0).any():
-        raise NonpositiveT("fibering maps are defined for t > 0")
 
 
 def _positive_finite(x) -> bool:
@@ -81,23 +75,7 @@ def scale_triple(triple: ReducedTriple, s, p: float, q: float) -> ReducedTriple:
     return ReducedTriple(E=s**2 * triple.E, A=s**q * triple.A, B=s ** (2 * p) * triple.B)
 
 
-# --- fibering map -----------------------------------------------------------
-
-def phi(t, triple: ReducedTriple, lam, p: float, q: float):
-    _check_t(t)
-    t = np.asarray(t, dtype=float) if not np.isscalar(t) else t
-    return t**2 * triple.E / 2.0 - lam * t**q * triple.A / q - t ** (2 * p) * triple.B / (2 * p)
-
-
-def phi_prime(t, triple: ReducedTriple, lam, p: float, q: float):
-    _check_t(t)
-    return t * triple.E - lam * t ** (q - 1) * triple.A - t ** (2 * p - 1) * triple.B
-
-
-def phi_second(t, triple: ReducedTriple, lam, p: float, q: float):
-    _check_t(t)
-    return _phi_second(t, triple, lam, p, q)
-
+# --- the ray's second derivative and Nehari quotient, checked at the roots ------
 
 def _phi_second(t, triple, lam, p, q):
     return (
@@ -107,59 +85,12 @@ def _phi_second(t, triple, lam, p, q):
     )
 
 
-# --- nonlinear Rayleigh quotients on the ray ---------------------------------
-
-def q_n(t, triple: ReducedTriple, p: float, q: float):
-    _check_t(t)
-    _check_A(triple)
-    return _q_n(t, triple, p, q)
-
-
 def _q_n(t, triple, p, q):
     # factored so the exact exponent 2p-2 carries the cancellation near t_n
     return t ** (2 - q) * (triple.E - t ** (2 * p - 2) * triple.B) / triple.A
 
 
-def q_n_prime(t, triple: ReducedTriple, p: float, q: float):
-    _check_t(t)
-    _check_A(triple)
-    return (
-        (2 - q) * t ** (1 - q) * triple.E - (2 * p - q) * t ** (2 * p - q - 1) * triple.B
-    ) / triple.A
-
-
-def q_e(t, triple: ReducedTriple, p: float, q: float):
-    _check_t(t)
-    _check_A(triple)
-    return q * (t ** (2 - q) * triple.E / 2.0 - t ** (2 * p - q) * triple.B / (2 * p)) / triple.A
-
-
-def q_e_prime(t, triple: ReducedTriple, p: float, q: float):
-    _check_t(t)
-    _check_A(triple)
-    return (
-        q
-        * ((2 - q) / 2.0 * t ** (1 - q) * triple.E
-           - (2 * p - q) / (2 * p) * t ** (2 * p - q - 1) * triple.B)
-        / triple.A
-    )
-
-
-# --- closed-form critical points and values ----------------------------------
-
-def t_max_n(triple: ReducedTriple, p: float, q: float):
-    """Maximizer of Q_n: ((2-q)E / ((2p-q)B))^(1/(2p-2)), in log space."""
-    _check_B(triple)
-    return np.exp(
-        (np.log((2 - q) * np.asarray(triple.E)) - np.log((2 * p - q) * np.asarray(triple.B)))
-        / (2 * p - 2)
-    )
-
-
-def t_max_e(triple: ReducedTriple, p: float, q: float):
-    """Maximizer of Q_e: p^(1/(2p-2)) * t_n > t_n."""
-    return p ** (1.0 / (2 * p - 2)) * t_max_n(triple, p, q)
-
+# --- the closed-form maximum of Q_n -------------------------------------------
 
 def lambda_n(triple: ReducedTriple, p: float, q: float):
     """Lambda_n = max_t Q_n(t), evaluated in log space."""
@@ -171,11 +102,6 @@ def lambda_n(triple: ReducedTriple, p: float, q: float):
         - np.log(np.asarray(triple.A))
         - C.nu * np.log(np.asarray(triple.B))
     )
-
-
-def lambda_e(triple: ReducedTriple, p: float, q: float):
-    """Lambda_e = max_t Q_e(t) = ratio * Lambda_n."""
-    return fibering_constants(p, q).ratio * lambda_n(triple, p, q)
 
 
 # --- Nehari roots -------------------------------------------------------------
@@ -244,8 +170,8 @@ def nehari_roots(triple: ReducedTriple, lam: float, p: float, q: float) -> Roots
     itself, with phi''(t_plus) > 0 > phi''(t_minus).  Within the tangency band
     |lambda - Lambda_n| <= 1e-12 Lambda_n: DoubleRoot(t_n).  Above: NoRoot.
     lambda and the triple are validated once, here; nothing below re-checks.
-    Lambda_n and t_n are those of lambda_n and t_max_n, evaluated in the same
-    log-space order on floats by math.
+    Lambda_n is that of lambda_n, evaluated in the same log-space order on
+    floats by math, and t_n its maximizer ((2-q)E / ((2p-q)B))^(1/(2p-2)).
     """
     if not 0.0 < lam < math.inf:
         raise NonpositiveT(f"nehari_roots needs finite lambda > 0, got {lam!r}")
@@ -285,23 +211,8 @@ def nehari_roots(triple: ReducedTriple, lam: float, p: float, q: float) -> Roots
     return TwoRoots(t_plus=t_plus, t_minus=t_minus, t_n=tn)
 
 
-# --- Nehari branch classification ----------------------------------------------
+# --- Nehari branches -------------------------------------------------------------
 
 class Branch(Enum):
     NPLUS = "Nplus"
     NMINUS = "Nminus"
-    NZERO = "Nzero"
-    NOT_ON_NEHARI = "NotOnNehari"
-
-
-def classify(triple: ReducedTriple, lam: float, p: float, q: float,
-             rtol: float = CLASSIFY_RTOL) -> Branch:
-    """Classify the point t = 1 of the ray by the signs of phi'(1), phi''(1)."""
-    scale = max(triple.E, lam * triple.A, triple.B)
-    d1 = phi_prime(1.0, triple, lam, p, q)
-    d2 = phi_second(1.0, triple, lam, p, q)
-    if abs(d1) > rtol * scale:
-        return Branch.NOT_ON_NEHARI
-    if abs(d2) <= rtol * scale:
-        return Branch.NZERO
-    return Branch.NPLUS if d2 > 0.0 else Branch.NMINUS

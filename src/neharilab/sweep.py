@@ -13,7 +13,7 @@ A sweep row also holds the Nehari roots t_plus/t_minus of one fixed reference
 ray, computed by the exact fibering algebra and so free of solver noise; the
 endpoint probe has no reference ray and leaves them NaN.  The identities the
 rows are read against (roots monotone in lambda, dJ/dlambda = -t^q A/q) are
-checked in invariants.
+checked by the test suite.
 
 Both ladders trace the branches u+(lambda) and u-(lambda) by natural-parameter
 continuation (Allgower & Georg 1990): each branch's solve starts from a

@@ -8,10 +8,11 @@ dense D^T W D product, the quadrature weights from a per-cell loop and the
 dense radial kernel from its closed form on broadcast (M, M) arrays, the
 direct engine's FFT convolution from the full (2m)^3 lag array and
 whole-box transforms or from fresh arrays transformed one axis at a time,
-and the lambda* lattice search from one profile at a time.  The Q_n / Q_e
-maximizer (maximize_on_ray, q_n_raw) and the random triple and exponent
-samplers live in neharilab.invariants, which runs the invariant battery on
-them; they are re-exported here.
+and the lambda* lattice search from one profile at a time.  The scalar
+algebra of a ray is written out from its definitions: Q_n and Q_e, the ray
+energy phi and its second derivative, and the branch of t = 1 by the signs
+of phi'(1) and phi''(1); none goes through the closed forms in
+neharilab.fibering.
 """
 
 import math
@@ -20,10 +21,64 @@ import numpy as np
 from scipy import integrate, special
 
 from neharilab.errors import EmptyFamily
-from neharilab.fibering import lambda_n
-from neharilab.functionals import reduced_triple
+from neharilab.fibering import Branch, lambda_n
+from neharilab.functionals import ReducedTriple, reduced_triple
 from neharilab.grid import sample_profile
-from neharilab.invariants import maximize_on_ray, q_n_raw, random_exponents, random_triples
+
+_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def q_n_raw(t, E, A, B, p, q):
+    # factored: near t_n for p near 1 the exact exponent 2p-2 carries the cancellation
+    return t ** (2 - q) * (E - t ** (2 * p - 2) * B) / A
+
+
+def q_e_raw(t, E, A, B, p, q):
+    return q * t ** (2 - q) * (E / 2.0 - t ** (2 * p - 2) * B / (2 * p)) / A
+
+
+def phi(t, triple, lam, p, q):
+    """The ray energy t^2 E/2 - lambda t^q A/q - t^(2p) B/(2p)."""
+    return t**2 * triple.E / 2.0 - lam * t**q * triple.A / q - t ** (2 * p) * triple.B / (2 * p)
+
+
+def phi_second(t, triple, lam, p, q):
+    return (triple.E - (q - 1) * lam * t ** (q - 2) * triple.A
+            - (2 * p - 1) * t ** (2 * p - 2) * triple.B)
+
+
+def classify(triple, lam, p, q, rtol=1e-9):
+    """Branch of the point t = 1 of the ray: NPLUS or NMINUS by the sign of
+    phi''(1) where phi'(1) = E - lambda A - B vanishes to rtol of the largest
+    term; None off the Nehari set or where phi''(1) vanishes too."""
+    scale = max(triple.E, lam * triple.A, triple.B)
+    d2 = phi_second(1.0, triple, lam, p, q)
+    if abs(triple.E - lam * triple.A - triple.B) > rtol * scale or abs(d2) <= rtol * scale:
+        return None
+    return Branch.NPLUS if d2 > 0.0 else Branch.NMINUS
+
+
+def maximize_on_ray(f, decades=35, coarse=1400, iters=120):
+    """argmax and max of a unimodal t -> f(t) on t > 0: a log-grid scan of [10^-decades,
+    10^decades], then golden section in ln t; with arrays of rays in f, one per ray."""
+    ts = np.logspace(-decades, decades, coarse)
+    k = np.argmax(f(ts.reshape((coarse,) + (1,) * np.ndim(f(1.0)))), axis=0)
+    lo, hi = np.log(ts[np.maximum(k - 1, 0)]), np.log(ts[np.minimum(k + 1, coarse - 1)])
+    for _ in range(iters):
+        m1, m2 = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+        left = f(np.exp(m1)) >= f(np.exp(m2))
+        lo, hi = np.where(left, lo, m1), np.where(left, m2, hi)
+    t_star = np.exp(0.5 * (lo + hi))
+    return t_star[()], f(t_star)[()]
+
+
+def random_triples(rng, n, decades=3.0):
+    E, A, B = 10.0 ** rng.uniform(-decades, decades, (3, n))
+    return ReducedTriple(E=E, A=A, B=B)
+
+
+def random_exponents(rng, n, p_lo=1.15, p_hi=4.5, q_lo=0.05, q_hi=0.95):
+    return rng.uniform(p_lo, p_hi, n), rng.uniform(q_lo, q_hi, n)
 
 
 def bisect_q_n(E, A, B, p, q, lam, lo, hi, iters=200):

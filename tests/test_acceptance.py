@@ -2,13 +2,17 @@
 
 Each test enforces its stated tolerance and runtime budget and prints one
 PASS line with the measured numbers (visible under `pytest -s`).  Criteria
-1 - 5 are the invariant battery of neharilab.invariants, the list that
-`neharilab invariants` runs: the exact fibering algebra against independent
-oracles, one test per entry and seed.  Criteria 6 - 10 run the full
-numerical stack.  All run on the default configuration (radial R = 20,
-M = 256, grading 2).
+1 - 5 are the identity battery: the closed forms the solver and the lambda*
+search rely on (nehari_roots, lambda_n, fibering_constants), the derivative
+identity dJ/dlambda = -t^q A/q and the quadrature's exactness, checked
+against independent oracles, one test per identity and seed.  Each seeded
+defect of the closed forms or the oracle fails the identity it breaks.
+Criteria 6 - 10 run the full numerical stack.  All run on the default
+configuration (radial R = 20, M = 256, grading 2).
 """
 
+import dataclasses
+import sys
 import time
 
 import numpy as np
@@ -16,18 +20,27 @@ import pytest
 
 import neharilab as nl
 from neharilab import fibering as fib
+from neharilab import params as params_mod
 from neharilab import sweep as sw
 from neharilab.extremal import estimate_lambda_star
 from neharilab.fibering import Branch
-from neharilab.functionals import workspace
-from neharilab.invariants import BATTERY, run_check
+from neharilab.functionals import ReducedTriple, workspace
+from neharilab.params import fibering_constants
 from neharilab.solver import project_to_nehari, solve_pair, strong_form_defect
 
-# the seeds criteria 1 - 4 used one each, and the default config seed
+import oracles
+from oracles import (classify, maximize_on_ray, phi_second, q_e_raw, q_n_raw, random_exponents,
+                     random_triples)
+
+# the random rays of criteria 1 - 5 are drawn at each of these seeds
 SEEDS = (101, 202, 303, 404, 12345)
-# seconds per entry and seed: the tightest of the former per-criterion
+# seconds per identity and seed: the tightest of the former per-criterion
 # budgets (criterion 1 had 10 s, criteria 2 - 5 had 5 s)
 BATTERY_BUDGET = 5.0
+
+_FIXED = ReducedTriple(E=1.3, A=0.7, B=2.1)
+_UNIT = ReducedTriple(E=1.0, A=1.0, B=1.0)
+_FIXED_RAYS = (_FIXED, ReducedTriple(E=1.9, A=0.31, B=4.2), _UNIT)
 
 
 def _report(num, name, detail, elapsed, budget):
@@ -49,16 +62,205 @@ def acc_estimate(acc_params, acc_grid):
     return estimate_lambda_star(acc_params, acc_grid)
 
 
+# --- criteria 1 - 5: the identity battery; random rays draw their own (p, q) ---
+
+def _random_rays(rng, n, decades=3.0):
+    """n random rays (triple, p, q) of floats, p in (1.2, 4) and q in (0.05, 0.95)."""
+    tr, (ps, qs) = random_triples(rng, n, decades), random_exponents(rng, n, 1.2, 4.0)
+    return [(ReducedTriple(E, A, B), p, q)
+            for E, A, B, p, q in zip(*(x.tolist() for x in (*tr.as_tuple(), ps, qs)))]
+
+
+def _ray_maxima(raw, rng):
+    """1000 random rays and the oracle's argmax and max of raw on each."""
+    rays = _random_rays(rng, 1000)
+    E, A, B, p, q = np.array([(*ray.as_tuple(), p, q) for ray, p, q in rays]).T
+    t_star, f_max = maximize_on_ray(lambda t: raw(t, E, A, B, p, q), decades=30, coarse=1000)
+    return rays, t_star, f_max
+
+
+def _worst_rel(values, refs):
+    return float(np.max(np.abs(np.asarray(values) / refs - 1.0)))
+
+
+def constants_ratio_window(params, grid, rng):
+    ps, qs = random_exponents(rng, 10_000, 1.05, 4.8, 0.02, 0.98)
+    ratios = np.array([fibering_constants(p, q).ratio for p, q in zip(ps, qs)])
+    err = _worst_rel(ratios, qs * ps ** ((2 - qs) / (2 * ps - 2)) / 2.0)
+    ref_err = abs(fibering_constants(2.0, 0.5).ratio / 2.0**-1.25 - 1.0)   # 2^(3/4) / 4
+    assert err <= 1e-12, f"ratio vs q p^((2-q)/(2p-2))/2 on 10000 (p, q): max rel err {err:.2e}"
+    assert ref_err <= 1e-13, f"ratio(2, 0.5) vs 2^(3/4)/4: rel err {ref_err:.1e}"
+    assert np.all((0.0 < ratios) & (ratios < 1.0)), "ratio outside (0, 1)"
+    return (f"ratio = q p^((2-q)/(2p-2))/2 in (0, 1) on 10000 (p, q): max rel err {err:.2e} "
+            f"(tol 1e-12); ratio(2, 0.5) = 2^(3/4)/4 to {ref_err:.1e} (tol 1e-13)")
+
+
+def c_pq_matches_qn_maximum(params, grid, rng):
+    rays, t_star, l_max = _ray_maxima(q_n_raw, rng)
+    Ln = [float(fib.lambda_n(*ray)) for ray in rays]
+    # above Lambda_n nehari_roots reports t_n with no root (NoRoot)
+    t_n = [fib.nehari_roots(ray, 2.0 * L, p, q).t_n for (ray, p, q), L in zip(rays, Ln)]
+    t_err, l_err = _worst_rel(t_n, t_star), _worst_rel(Ln, l_max)
+    c_pq = fibering_constants(params.p, params.q).c_pq
+    _, c_max = maximize_on_ray(lambda t: q_n_raw(t, 1.0, 1.0, 1.0, params.p, params.q))
+    c_err = abs(c_pq - c_max) / c_max
+    assert t_err <= 1e-6, f"t_n vs argmax Q_n on 1000 random rays: rel err {t_err:.2e}"
+    assert l_err <= 1e-8, f"Lambda_n vs max Q_n on 1000 random rays: rel err {l_err:.2e}"
+    assert c_err <= 1e-8, f"C_pq vs max Q_n on the unit ray: rel err {c_err:.2e}"
+    return (f"vs max Q_n on 1000 random rays: t_n err {t_err:.2e} (tol 1e-6), Lambda_n err "
+            f"{l_err:.2e} (tol 1e-8); C_pq err {c_err:.2e} (tol 1e-8) on the unit ray")
+
+
+def lambda_e_matches_qe_maximum(params, grid, rng):
+    # the library reports lambda_ = ratio * lambda* through Lambda_e = ratio * Lambda_n
+    rays, _, e_max = _ray_maxima(q_e_raw, rng)
+    l_err = _worst_rel([fibering_constants(p, q).ratio * float(fib.lambda_n(ray, p, q))
+                        for ray, p, q in rays], e_max)
+    assert l_err <= 1e-8, f"ratio * Lambda_n vs max Q_e on 1000 random rays: rel err {l_err:.2e}"
+    return f"ratio * Lambda_n vs max Q_e on 1000 random rays: err {l_err:.2e} (tol 1e-8)"
+
+
+def lambda_n_zero_homogeneous(params, grid, rng):
+    p, q, tr = params.p, params.q, random_triples(rng, 1000)
+    scaled = fib.scale_triple(tr, 10.0 ** rng.uniform(-2, 2, 1000), p, q)
+    worst = _worst_rel(fib.lambda_n(scaled, p, q), fib.lambda_n(tr, p, q))
+    assert worst <= 1e-12, f"Lambda_n(s u) vs Lambda_n(u) on 1000 rays: rel err {worst:.2e}"
+    return f"Lambda_n(s u) = Lambda_n(u) on 1000 rays: err {worst:.2e} (tol 1e-12)"
+
+
+def quadrature_exactness(params, grid, rng):
+    N, r, w = grid.dim, grid.nodes, grid.weights
+    err = max(abs(float(w @ r**k) * (k + N) / grid.R ** (k + N) - 1.0) for k in range(3))
+    assert err <= 1e-9, f"r^k, k <= 2 at M = {grid.M}: max rel err {err:.2e}"
+    return f"r^k, k <= 2 at M = {grid.M}: max rel err {err:.2e} (tol 1e-9)"
+
+
+def _tangency_residual(ray, t0, Ln, p, q):
+    """The ray rescaled by its double root t0 at Lambda_n and divided by E must have
+    A = (2p-2)/(Lambda_n (2p-q)) and B = (2-q)/(2p-q); the worst relative residual."""
+    s = fib.scale_triple(ray, t0, p, q)
+    return max(abs(s.A / s.E * Ln * (2 * p - q) / (2 * p - 2) - 1.0),
+               abs(s.B / s.E * (2 * p - q) / (2 - q) - 1.0))
+
+
+def two_root_structure(params, grid, rng):
+    rays = [*_random_rays(rng, 250), *((ray, params.p, params.q) for ray in _FIXED_RAYS)]
+    worst = 0.0
+    for ray, p, q in rays:
+        Ln = float(fib.lambda_n(ray, p, q))
+        roots = fib.nehari_roots(ray, 0.5 * Ln, p, q)
+        double = fib.nehari_roots(ray, Ln, p, q)
+        assert isinstance(roots, fib.TwoRoots) and roots.t_plus < roots.t_n < roots.t_minus, ray
+        assert (phi_second(roots.t_plus, ray, 0.5 * Ln, p, q) > 0.0
+                > phi_second(roots.t_minus, ray, 0.5 * Ln, p, q)), ray
+        assert [classify(fib.scale_triple(ray, t, p, q), 0.5 * Ln, p, q)
+                for t in (roots.t_plus, roots.t_minus)] == [Branch.NPLUS, Branch.NMINUS], ray
+        assert isinstance(double, fib.DoubleRoot), ray
+        worst = max(worst, _tangency_residual(ray, double.t_n, Ln, p, q))
+    assert worst <= 1e-10, f"tangency A, B residual at the double root {worst:.2e}"
+    return (f"t_plus < t_n < t_minus, phi'' signs, N+/N- at Lambda_n/2 and a double root at "
+            f"Lambda_n on {len(rays)} rays; tangency A, B residual {worst:.2e} (tol 1e-10)")
+
+
+def _dJ_dlambda_error(ray, lam, p, q):
+    """Worst relative error, over both branches, of a central difference of
+    lambda -> J_lambda(t(lambda) u) = phi(t(lambda)) against -t^q A/q."""
+    h = 1e-4 * lam
+    lams = (lam - h, lam, lam + h)
+    ts = [np.array([r.t_plus, r.t_minus]) for r in (fib.nehari_roots(ray, x, p, q) for x in lams)]
+    # phi is read off the module so that a seeded defect in it takes effect
+    J = [oracles.phi(t, ray, x, p, q) for t, x in zip(ts, lams)]
+    return _worst_rel((J[2] - J[0]) / (2 * h), -ts[1] ** q * ray.A / q)
+
+
+def monotone_in_lambda(params, grid, rng):
+    p, q = params.p, params.q
+    Ln = float(fib.lambda_n(_FIXED, p, q))
+    roots = [fib.nehari_roots(_FIXED, lam, p, q) for lam in np.linspace(0.05, 0.95, 32) * Ln]
+    assert np.all(np.diff([r.t_plus for r in roots]) > 0.0), "t_plus not strictly up in lambda"
+    assert np.all(np.diff([r.t_minus for r in roots]) < 0.0), "t_minus not strictly down in lambda"
+    worst = max(_dJ_dlambda_error(ray, frac * float(fib.lambda_n(ray, p, q)), p, q)
+                for ray in (_FIXED, _UNIT) for frac in (0.25, 0.5, 0.75))
+    assert worst <= 1e-5, f"dJ/dlambda vs -t^q A/q on both branches: rel err {worst:.2e}"
+    return ("t_plus strictly up, t_minus strictly down over 32 lambda in [0.05, 0.95] Lambda_n; "
+            f"dJ/dlambda = -t^q A/q on both branches of 2 rays: err {worst:.2e} (tol 1e-5)")
+
+
+IDENTITIES = (constants_ratio_window, c_pq_matches_qn_maximum, lambda_e_matches_qe_maximum,
+              lambda_n_zero_homogeneous, quadrature_exactness, two_root_structure,
+              monotone_in_lambda)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("check", BATTERY, ids=lambda check: check.__name__)
+@pytest.mark.parametrize("check", IDENTITIES, ids=lambda check: check.__name__)
 def test_invariant_battery(check, seed, acc_params, acc_grid):
     start = time.perf_counter()
-    ok, detail = run_check(check, acc_params, acc_grid, seed)
+    detail = check(acc_params, acc_grid, np.random.default_rng(seed))
     elapsed = time.perf_counter() - start
-    assert ok, detail
     assert elapsed < BATTERY_BUDGET
     print(f"ACCEPTANCE PASS  {check.__name__} (seed {seed}): {detail}  "
           f"[{elapsed:.2f} s < {BATTERY_BUDGET} s]")
+
+
+# --- seeded defects: each fails the identity it breaks --------------------------
+
+def _corrupt_constants(monkeypatch, field):
+    """Scale one field of fibering_constants by 1.01 in the package and here."""
+    real = params_mod.fibering_constants
+
+    def corrupted(p, q):
+        consts = real(p, q)
+        return dataclasses.replace(consts, **{field: 1.01 * getattr(consts, field)})
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "neharilab" and getattr(module, "fibering_constants", None) is real:
+            monkeypatch.setattr(module, "fibering_constants", corrupted)
+    monkeypatch.setitem(globals(), "fibering_constants", corrupted)
+
+
+def _run(check, acc_params, acc_grid):
+    return check(acc_params, acc_grid, np.random.default_rng(SEEDS[-1]))
+
+
+def test_corrupted_constant_fails_by_name(acc_params, acc_grid, monkeypatch):
+    _corrupt_constants(monkeypatch, "c_pq")
+    with pytest.raises(AssertionError, match="Lambda_n vs max Q_n"):
+        _run(c_pq_matches_qn_maximum, acc_params, acc_grid)
+
+
+def test_corrupted_ratio_fails_by_name(acc_params, acc_grid, monkeypatch):
+    _corrupt_constants(monkeypatch, "ratio")
+    with pytest.raises(AssertionError, match="ratio vs q p"):
+        _run(constants_ratio_window, acc_params, acc_grid)
+    with pytest.raises(AssertionError, match="ratio \\* Lambda_n vs max Q_e"):
+        _run(lambda_e_matches_qe_maximum, acc_params, acc_grid)
+
+
+def test_corrupted_double_root_fails_by_name(acc_params, acc_grid, monkeypatch):
+    # a double root reported 1% off t_n breaks only the tangency identities
+    real = fib.nehari_roots
+
+    def shifted(triple, lam, p, q):
+        roots = real(triple, lam, p, q)
+        if isinstance(roots, fib.DoubleRoot):
+            return fib.DoubleRoot(t_n=1.01 * roots.t_n)
+        return roots
+
+    monkeypatch.setattr(fib, "nehari_roots", shifted)
+    with pytest.raises(AssertionError, match="tangency A, B residual"):
+        _run(two_root_structure, acc_params, acc_grid)
+
+
+def test_corrupted_fibering_map_fails_by_name(acc_params, acc_grid, monkeypatch):
+    # a 1% heavier singular term in phi breaks only dJ/dlambda = -t^q A/q
+    real = oracles.phi
+
+    def heavier(t, triple, lam, p, q):
+        return real(t, triple, lam, p, q) - 0.01 * lam * t**q * triple.A / q
+
+    monkeypatch.setattr(oracles, "phi", heavier)
+    with pytest.raises(AssertionError, match="dJ/dlambda vs -t\\^q A/q"):
+        _run(monotone_in_lambda, acc_params, acc_grid)
 
 
 def test_criterion_06_engine_agreement():
@@ -66,8 +268,6 @@ def test_criterion_06_engine_agreement():
     # sized to the profile (f = u^p is ~1e-11 of its peak at |x| = 3.5)
     budget = 60.0
     start = time.perf_counter()
-    import dataclasses
-
     prm = dataclasses.replace(nl.ProblemParams(), b_form="constant")
     rgrid = nl.build_radial_grid(20.0, 512, 2.0)
     u_rad = nl.sample_profile("gaussian", 1.0, rgrid)
@@ -97,8 +297,8 @@ def test_criterion_07_solver_structure(acc_params, acc_grid, acc_estimate):
     assert plus.weak_residual <= 1e-4 and minus.weak_residual <= 1e-4
     assert plus.energy < 0.0
     assert plus.energy <= minus.energy
-    assert fib.phi_second(1.0, plus.triple, lam, acc_params.p, acc_params.q) > 0.0
-    assert fib.phi_second(1.0, minus.triple, lam, acc_params.p, acc_params.q) < 0.0
+    assert classify(plus.triple, lam, acc_params.p, acc_params.q) is Branch.NPLUS
+    assert classify(minus.triple, lam, acc_params.p, acc_params.q) is Branch.NMINUS
     assert plus.floored_mass < 0.01 and minus.floored_mass < 0.01
     assert elapsed < budget
     _report(7, "solver structure at lambda = 0.5 lambda*",

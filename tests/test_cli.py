@@ -1,14 +1,11 @@
 import configparser
 import dataclasses
 import re
-import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from neharilab import cli, fibering, params
-from neharilab.invariants import BATTERY
+from neharilab import cli, params
 
 
 SMALL_CONFIG = """\
@@ -32,9 +29,6 @@ max_iters = 300
 
 [extremal]
 descent_iters = 120
-
-[run]
-seed = 7
 """
 
 
@@ -96,55 +90,17 @@ def test_cross_check_is_not_a_command(capsys):
     assert "invalid choice: 'cross-check'" in capsys.readouterr().err
 
 
-# `fibering --triple 1,1,1 --p 2 --q 0.5` byte for byte: t_n = sqrt(3/7),
-# t_e = sqrt(2) t_n, Lambda_e = 2^(3/4)/4 Lambda_n; with --lambda, below,
-# at (the double-root band) and above Lambda_n
-FIBERING_HEAD = """\
-t_n = 0.654653670708
-t_e = 0.925820099773
-Lambda_n = 0.302676959271
-Lambda_e = 0.127259985015
-"""
-FIBERING_ROOTS = {
-    "0.15": "roots: t_plus = 0.300726846311, t_minus = 0.909417215086\n",
-    "0.302676959271": "roots: double root at t_n = 0.654653670708\n",
-    "0.5": "roots: none (lambda above Lambda_n)\n",
-}
+@pytest.mark.parametrize("command", ["fibering", "invariants"])
+def test_scalar_calculator_commands_are_gone(capsys, command):
+    # the fibering identities are checked by the acceptance suite's battery
+    with pytest.raises(SystemExit) as err:
+        cli.main([command])
+    assert err.value.code == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
-def test_fibering_reference_output(capsys):
-    assert cli.main(["fibering", "--triple", "1,1,1", "--p", "2", "--q", "0.5"]) == 0
-    assert capsys.readouterr().out == FIBERING_HEAD
-
-
-def test_fibering_with_lambda_prints_roots(capsys):
-    for lam, roots in FIBERING_ROOTS.items():
-        assert cli.main(["fibering", "--triple", "1,1,1", "--p", "2", "--q", "0.5",
-                         "--lambda", lam]) == 0
-        assert capsys.readouterr().out == (FIBERING_HEAD + roots
-                                           + "branch of t=1: NotOnNehari\n")
-
-
-def test_fibering_malformed_triple_usage_error(capsys):
-    assert cli.main(["fibering", "--triple", "1,1", "--p", "2", "--q", "0.5"]) == 2
-
-
-@pytest.mark.parametrize("p,q", [("1", "0.5"), ("2", "1.5")])
-def test_fibering_bad_exponents_fail_before_any_output(capsys, p, q):
-    assert cli.main(["fibering", "--triple", "1,1,1", "--p", p, "--q", q]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ParameterValidationError")
-
-
-@pytest.mark.parametrize("triple,error", [("nan,1,1", "ZeroB"), ("1,1,inf", "ZeroB"),
-                                          ("1,-inf,1", "ZeroA"), ("1,nan,1", "ZeroA")])
-@pytest.mark.parametrize("lam", [[], ["--lambda", "0.1"]])
-def test_fibering_nonfinite_triple_fails_before_any_output(capsys, triple, error, lam):
-    assert cli.main(["fibering", "--triple", triple, "--p", "2", "--q", "0.5", *lam]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {error}")
+def test_help_lists_the_four_commands():
+    assert "{validate,lambda-star,solve,sweep}" in cli.build_parser().format_help()
 
 
 def test_lambda_star_with_artifacts(small_config, tmp_path, capsys):
@@ -421,14 +377,16 @@ def test_zero_iteration_caps_stay_legal(tmp_path, capsys):
 
 def test_removed_option_keys_are_ignored(small_config, tmp_path, capsys):
     # step0, floor_factor, reinit_budget and v_form each had one usable value,
-    # and l and m_axis set the box of a retired command; a config that still
-    # sets them, even to values once refused, loads as the config without them
+    # l and m_axis set the box of a retired command, and seed the random rays
+    # of another; a config that still sets them, even to values once refused,
+    # loads as the config without them
     path = tmp_path / "removed-keys.ini"
     path.write_text(SMALL_CONFIG
                     .replace("grading = 2.0", "grading = 2.0\nl = nan\nm_axis = 78")
                     .replace("max_iters = 300", "max_iters = 300\nstep0 = 0\n"
                              "floor_factor = -1\nreinit_budget = 0")
-                    .replace("gamma4 = 1.0", "gamma4 = 1.0\nv_form = other"))
+                    .replace("gamma4 = 1.0", "gamma4 = 1.0\nv_form = other")
+                    + "\n[run]\nseed = -1\n")
     cfg = cli.load_config(str(path))
     assert cfg == cli.load_config(small_config)
     assert [f.name for f in dataclasses.fields(cfg.solver)] == ["tol", "max_iters"]
@@ -469,7 +427,7 @@ UNPARSABLE = [
     ("grid", "r", "abc"), ("grid", "m", "abc"), ("grid", "m", "5%"), ("grid", "grading", ""),
     ("solver", "tol", "abc"),
     ("solver", "max_iters", "1e3"), ("sweep", "points", "many"), ("sweep", "frac_min", "abc"),
-    ("sweep", "frac_max", "abc"), ("extremal", "descent_iters", "abc"), ("run", "seed", "abc"),
+    ("sweep", "frac_max", "abc"), ("extremal", "descent_iters", "abc"),
 ]
 OUT_OF_RANGE = [
     ("problem", "n", "4", "[problem] n must be 3, got 4"),
@@ -480,7 +438,6 @@ OUT_OF_RANGE = [
     ("solver", "tol", "-inf", "[solver] tol must be finite and positive, got -inf"),
     ("solver", "max_iters", "-5", "[solver] max_iters must be >= 0, got -5"),
     ("extremal", "descent_iters", "-1", "[extremal] descent_iters must be >= 0, got -1"),
-    ("run", "seed", "-1", "[run] seed must be >= 0, got -1"),
 ]
 
 
@@ -509,22 +466,7 @@ def test_bad_config_value_is_usage_error_naming_its_key(tmp_path, capsys, sectio
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command", ["validate", "invariants"])
-def test_negative_seed_is_usage_error(tmp_path, capsys, command):
-    # numpy refuses a negative seed: invariants once ended in its traceback
-    assert cli.main([command, "--config", _config_with(tmp_path, "run", "seed", "-1")]) == 2
-    assert "usage error: [run] seed must be >= 0, got -1" in capsys.readouterr().err
-
-
-def test_negative_seed_flag_is_usage_error(small_config, capsys):
-    # the flag overrides [run] seed and is held to its rule
-    assert cli.main(["invariants", "--config", small_config, "--seed", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "usage error: --seed must be >= 0, got -1\n"
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("command", ["validate", "invariants", "lambda-star", "solve", "sweep"])
+@pytest.mark.parametrize("command", ["validate", "lambda-star", "solve", "sweep"])
 def test_dimension_other_than_3_is_refused_by_every_command(tmp_path, capsys, command):
     # gamma3 = 1.7 and gamma4 = 1.0 lie inside N = 4's windows: the paper's
     # hypotheses hold, the radial kernel does not
@@ -585,9 +527,6 @@ descent_iters = 45
 
 [output]
 dir = results
-
-[run]
-seed = 99
 """)
     ini = configparser.ConfigParser()
     ini.read(path)
@@ -598,7 +537,7 @@ seed = 99
         lam=0.3, R=15.0, M=96, grading=1.5,
         solver=cli.SolverOptions(tol=2e-5, max_iters=123),
         sweep_points=7, sweep_frac_min=0.22, sweep_frac_max=0.8, sweep_spacing="linear",
-        descent=cli.DescentOptions(max_iters=45), output_dir="results", seed=99,
+        descent=cli.DescentOptions(max_iters=45), output_dir="results",
     )
     want, default = _fields(expected), _fields(cli.RunConfig())
     assert [name for name in want if want[name] == default[name]] == \
@@ -648,77 +587,3 @@ def test_grading_beyond_the_head_rule_in_config_is_named_grid_error(tmp_path, ca
             "cells) cannot take N = 3 with grading = 4.0") in captured.err
     assert "internal" not in captured.err
     assert captured.out == ""
-
-
-def test_invariants_pass(small_config, capsys):
-    assert cli.main(["invariants", "--config", small_config]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    # the CLI prints the list the acceptance suite runs, in order
-    assert [line.split(":")[0] for line in lines] == [f"PASS {c.__name__}" for c in BATTERY]
-
-
-def _corrupt_constants(monkeypatch, field):
-    """Scale one field of fibering_constants by 1.01 wherever the package binds it."""
-    real = params.fibering_constants
-
-    def corrupted(p, q):
-        consts = real(p, q)
-        return dataclasses.replace(consts, **{field: 1.01 * getattr(consts, field)})
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "neharilab" and getattr(module, "fibering_constants", None) is real:
-            monkeypatch.setattr(module, "fibering_constants", corrupted)
-
-
-def test_invariants_corrupted_constant_fails_by_name(small_config, capsys, monkeypatch):
-    _corrupt_constants(monkeypatch, "c_pq")
-    assert cli.main(["invariants", "--config", small_config]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL c_pq_matches_qn_maximum" in out
-    assert "failed invariants: c_pq_matches_qn_maximum" in out
-
-
-def test_invariants_corrupted_ratio_fails_by_name(small_config, capsys, monkeypatch):
-    _corrupt_constants(monkeypatch, "ratio")
-    assert cli.main(["invariants", "--config", small_config]) == 1
-    out = capsys.readouterr().out
-    assert ("error: failed invariants: constants_ratio_window, lambda_e_matches_qe_maximum"
-            in out.splitlines())
-
-
-def test_invariants_corrupted_double_root_fails_by_name(small_config, capsys, monkeypatch):
-    # a double root reported 1% off t_n breaks only the tangency identities
-    real = fibering.nehari_roots
-
-    def shifted(triple, lam, p, q):
-        roots = real(triple, lam, p, q)
-        if isinstance(roots, fibering.DoubleRoot):
-            return fibering.DoubleRoot(t_n=1.01 * roots.t_n)
-        return roots
-
-    monkeypatch.setattr(fibering, "nehari_roots", shifted)
-    assert cli.main(["invariants", "--config", small_config]) == 1
-    out = capsys.readouterr().out
-    assert "0 of 252 rays fail; tangency A, B residual" in out
-    assert "error: failed invariants: two_root_structure" in out.splitlines()
-
-
-def test_invariants_corrupted_fibering_map_fails_by_name(small_config, capsys, monkeypatch):
-    # a 1% heavier singular term in phi breaks only dJ/dlambda = -t^q A/q
-    real = fibering.phi
-
-    def heavier(t, triple, lam, p, q):
-        return real(t, triple, lam, p, q) - 0.01 * lam * t**q * triple.A / q
-
-    monkeypatch.setattr(fibering, "phi", heavier)
-    assert cli.main(["invariants", "--config", small_config]) == 1
-    out = capsys.readouterr().out
-    assert "error: failed invariants: monotone_in_lambda" in out.splitlines()
-
-
-def test_invariants_deterministic_given_seed(small_config, capsys):
-    cli.main(["invariants", "--config", small_config, "--seed", "3"])
-    first = capsys.readouterr().out
-    cli.main(["invariants", "--config", small_config, "--seed", "3"])
-    second = capsys.readouterr().out
-    assert first == second

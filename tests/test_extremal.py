@@ -16,7 +16,7 @@ from neharilab.extremal import (
     family_sweep,
     refine_descent,
 )
-from neharilab.fibering import lambda_e, lambda_n, scale_triple
+from neharilab.fibering import lambda_n
 from neharilab.functionals import workspace
 from neharilab.params import B_FORMS, critical_exponents, gamma3_window, gamma4_floor
 from neharilab.solver import truncated_pcg
@@ -218,20 +218,6 @@ def test_estimate_regression_value(estimate):
 def test_lambda_sub_exact_ratio(params, estimate):
     ratio = nl.fibering_constants(params.p, params.q).ratio
     assert estimate.lambda_sub == pytest.approx(ratio * estimate.lambda_star, rel=1e-12)
-
-
-def test_lambda_e_pointwise_ratio_on_lattice(params, grid):
-    # independently minimizing Lambda_e over the same lattice yields
-    # ratio * (Lambda_n minimum): the two lattices share argmins
-    ratio = nl.fibering_constants(params.p, params.q).ratio
-    vals_n, vals_e = [], []
-    for sigma in (0.5, 0.7, 1.0, 1.4, 2.0):
-        u = nl.sample_profile("gaussian", sigma, grid)
-        t = nl.reduced_triple(u, params)
-        vals_n.append(float(lambda_n(t, params.p, params.q)))
-        vals_e.append(float(lambda_e(t, params.p, params.q)))
-        assert vals_e[-1] == pytest.approx(ratio * vals_n[-1], rel=1e-12)
-    assert min(vals_e) == pytest.approx(ratio * min(vals_n), rel=1e-10)
 
 
 def test_descent_zero_gradient_no_move(params, grid, estimate):
