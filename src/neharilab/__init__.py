@@ -15,8 +15,6 @@ from .grid import (
 )
 from .functionals import (
     ReducedTriple,
-    energy,
-    norm_sq,
     reduced_triple,
     steinweiss_B_direct,
     steinweiss_B_radial,

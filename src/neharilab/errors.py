@@ -74,13 +74,13 @@ class NotInPositiveCone(NehariLabError, ValueError):
 
 
 class KernelDomain(NehariLabError, ValueError):
-    """Kernel exponent mu outside (0, N)."""
+    """Kernel exponent mu outside (0, 3)."""
 
 
 # --- fibering -------------------------------------------------------------
 
-class NonpositiveT(NehariLabError, ValueError):
-    pass
+class BadLambda(NehariLabError, ValueError):
+    """nehari_roots refuses a lambda that is not finite and positive."""
 
 
 class ZeroA(NehariLabError, ValueError):

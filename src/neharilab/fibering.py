@@ -43,7 +43,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import NonpositiveT, RootBracketFailure, ZeroA, ZeroB
+from .errors import BadLambda, RootBracketFailure, ZeroA, ZeroB
 from .functionals import ReducedTriple
 from .params import fibering_constants
 
@@ -174,7 +174,7 @@ def nehari_roots(triple: ReducedTriple, lam: float, p: float, q: float) -> Roots
     floats by math, and t_n its maximizer ((2-q)E / ((2p-q)B))^(1/(2p-2)).
     """
     if not 0.0 < lam < math.inf:
-        raise NonpositiveT(f"nehari_roots needs finite lambda > 0, got {lam!r}")
+        raise BadLambda(f"nehari_roots needs finite lambda > 0, got {lam!r}")
     _check_A(triple)
     _check_B(triple)
     E, A, B = float(triple.E), float(triple.A), float(triple.B)

@@ -588,11 +588,6 @@ def _box_chunk(m):
 # public operations
 # --------------------------------------------------------------------------
 
-def norm_sq(u: GridFunction, params: ProblemParams) -> float:
-    """Energy-space norm squared ||u||^2 (Dirichlet zero beyond r = R)."""
-    return workspace(u.grid, params).norm_sq(u.values)
-
-
 def steinweiss_B_radial(u: GridFunction, params: ProblemParams) -> float:
     """B(u) on a radial grid via the closed-form angular kernel (N = 3)."""
     ws = workspace(u.grid, params)
@@ -624,10 +619,6 @@ def reduced_triple(u: GridFunction, params: ProblemParams) -> ReducedTriple:
     return workspace(u.grid, params).evaluate(u.values).triple
 
 
-def energy(u: GridFunction, lam: float, params: ProblemParams) -> float:
-    """J_lambda(u) = ||u||^2/2 - (lambda/q) A(u) - B(u)/(2p)."""
-    return energy_from_triple(reduced_triple(u, params), lam, params)
-
-
 def energy_from_triple(triple: ReducedTriple, lam: float, params: ProblemParams) -> float:
+    """J_lambda(u) = ||u||^2/2 - (lambda/q) A(u) - B(u)/(2p) from u's triple."""
     return 0.5 * triple.E - lam / params.q * triple.A - triple.B / (2.0 * params.p)

@@ -7,6 +7,7 @@ import pytest
 
 from neharilab import cli, params
 
+DEFAULT_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "default.ini")
 
 SMALL_CONFIG = """\
 [problem]
@@ -304,6 +305,15 @@ def test_sweep_csv_deterministic(small_config, tmp_path, capsys):
                       "residual_plus,residual_minus,converged_plus,converged_minus")
 
 
+def test_sweep_on_the_default_config(tmp_path, capsys):
+    # every row of the continued sweep converges, and the bound-state sign
+    # change lands within one grid cell of ratio * lambda*
+    assert cli.main(["sweep", "--config", DEFAULT_CONFIG, "--out", str(tmp_path / "s.csv")]) == 0
+    rows, _, sign_change = capsys.readouterr().out.splitlines()
+    assert rows == "rows: 9, converged: 9"
+    assert sign_change.endswith("within one cell: yes)")
+
+
 def test_sweep_with_unconverged_rows_exits_1(tmp_path, capsys):
     path = tmp_path / "cfg.ini"
     path.write_text(SMALL_CONFIG.replace("max_iters = 300", "max_iters = 1"))
@@ -555,8 +565,7 @@ def test_empty_lambda_families_and_sigmas_stay_unset(tmp_path):
 
 
 def test_default_config_file_loads_as_the_built_in_defaults():
-    config = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
-    assert cli.load_config(str(config)) == cli.RunConfig()
+    assert cli.load_config(DEFAULT_CONFIG) == cli.RunConfig()
 
 
 def test_nonfinite_config_lambda_is_rejected_by_name(tmp_path, capsys, no_estimate):

@@ -267,15 +267,27 @@ def test_log_lambda_n_hessian_matches_gradient_difference(grid, mu):
         assert np.max(np.abs(fd - hv)) <= 1e-6 * np.max(np.abs(hv))
 
 
-@pytest.mark.parametrize("case, max_steps", [("test-grid", 7), ("general-256", 15)])
+# case: (overrides of the default parameters, M at R = 20 and grading 2, the
+# lambda* it keeps)
+KKT_CASES = {
+    "general-256": ({"mu": 1.5, "p": 3.5, "b_form": "constant"}, 256, 0.646649918029),
+    "default-16": ({}, 16, 0.793708939388),
+    "default-4096": ({}, 4096, 1.16035020296),
+}
+
+
+@pytest.mark.parametrize("case, max_steps", [("test-grid", 7), ("general-256", 15),
+                                             ("default-16", 9), ("default-4096", 8)])
 def test_refinement_reaches_kkt_tolerance(params, grid, estimate, case, max_steps):
-    # measured: 5 steps on the test grid, 12 at mu = 1.5, p = 3.5, b = 1, M = 256
+    # measured: 5 steps on the test grid, 12 at mu = 1.5, p = 3.5, b = 1, M = 256,
+    # 7 and 6 at the default parameters with M = 16 and 4096
     if case == "test-grid":
         prm, est = params, estimate
     else:
-        prm = nl.validate(dataclasses.replace(nl.ProblemParams(), mu=1.5, p=3.5,
-                                              b_form="constant"))
-        est = estimate_lambda_star(prm, nl.build_radial_grid(20.0, 256, 2.0))
+        overrides, M, lambda_star = KKT_CASES[case]
+        prm = nl.validate(dataclasses.replace(nl.ProblemParams(), **overrides))
+        est = estimate_lambda_star(prm, nl.build_radial_grid(20.0, M, 2.0))
+        assert est.lambda_star == pytest.approx(lambda_star, rel=1e-9)
     assert est.kkt_residual <= KKT_TOL
     assert len(est.descent_values) - 1 <= max_steps
     # the reported residual is that of the returned minimizer
@@ -360,7 +372,7 @@ def test_difference_form_resolves_a_decrease_below_rounding(params, grid, estima
     g, gA, gB = extremal._log_gradient(ws, ev, kappa, nu)
     hess, precondition = extremal._newton_system(ws, ev, gA, gB, kappa, nu)
     x, slope, newton = truncated_pcg(hess, precondition, g, extremal._kkt(ws, g))
-    assert newton and 0.0 < extremal.ARMIJO * slope < extremal.ROUNDING
+    assert newton and 0.0 < solver.ARMIJO * slope < extremal.ROUNDING
     ev, trial, quotient = _step_to(ws, u, np.maximum(u - x, extremal.FLOOR * u))
     decrease = extremal._log_decrease(ws, ev, trial, kappa, nu)
     assert decrease > 0.0

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import neharilab as nl
 from neharilab import fibering as fib
-from neharilab.errors import NonpositiveT, ZeroA, ZeroB
+from neharilab.errors import BadLambda, ZeroA, ZeroB
 from neharilab.functionals import ReducedTriple
 
 from oracles import bisect_q_n, phi_second, q_n_raw, random_exponents, random_triples
@@ -61,7 +61,7 @@ def test_nonfinite_triples_and_lambda_rejected(bad):
         fib.nehari_roots(ReducedTriple(E=1.0, A=bad, B=1.0), 0.1, P, Q)
     with pytest.raises(ZeroB):
         fib.lambda_n(ReducedTriple(E=np.ones(3), A=1.0, B=np.array([1.0, bad, 1.0])), P, Q)
-    with pytest.raises(NonpositiveT):
+    with pytest.raises(BadLambda):
         fib.nehari_roots(UNIT, bad, P, Q)
 
 

@@ -11,7 +11,7 @@ from scipy import integrate as scipy_integrate
 import neharilab as nl
 from neharilab.errors import GridTooLarge, NotInPositiveCone, UnsupportedDimension
 from neharilab import functionals
-from neharilab.functionals import workspace
+from neharilab.functionals import energy_from_triple, workspace
 
 from oracles import (
     axis_w_u,
@@ -39,26 +39,27 @@ def smooth(grid):
 # --- norm ----------------------------------------------------------------------
 
 def test_norm_zero_function(grid, params):
-    assert nl.norm_sq(nl.GridFunction(grid, np.zeros(grid.M)), params) == 0.0
+    assert workspace(grid, params).norm_sq(np.zeros(grid.M)) == 0.0
 
 
 def test_norm_homogeneity(grid, params, gaussian):
-    base = nl.norm_sq(gaussian, params)
-    assert nl.norm_sq(gaussian.scaled(3.0), params) == pytest.approx(9.0 * base, rel=1e-12)
+    ws = workspace(grid, params)
+    base = ws.norm_sq(gaussian.values)
+    assert ws.norm_sq(3.0 * gaussian.values) == pytest.approx(9.0 * base, rel=1e-12)
 
 
 def test_norm_gaussian_oracle(params):
     # u = e^{-r^2/2}, V = 1 + r^2: ||u||^2 = 4 pi^{3/2} (gaussian moments)
     g = nl.build_radial_grid(12.0, 512, 2.0)
-    u = nl.GridFunction(g, np.exp(-g.nodes**2 / 2.0))
-    assert nl.norm_sq(u, params) == pytest.approx(4.0 * np.pi**1.5, rel=5e-3)
+    u = np.exp(-g.nodes**2 / 2.0)
+    assert workspace(g, params).norm_sq(u) == pytest.approx(4.0 * np.pi**1.5, rel=5e-3)
 
 
 def test_cartesian_energy_norm_unsupported(params):
     # the box carries the direct B engine only; G is the one energy operator
     u = nl.sample_profile("gaussian", 1.0, nl.build_cartesian_grid(3.0, 8))
     with pytest.raises(UnsupportedDimension):
-        nl.norm_sq(u, params)
+        workspace(u.grid, params)
     with pytest.raises(UnsupportedDimension):
         nl.reduced_triple(u, params)
 
@@ -833,12 +834,13 @@ def test_floored_fraction_counts_dead_tail(params, grid):
 def test_energy_reference_arithmetic():
     triple = nl.ReducedTriple(E=1.0, A=1.0, B=1.0)
     prm = nl.ProblemParams()
-    val = nl.functionals.energy_from_triple(triple, 0.1, prm)
+    val = energy_from_triple(triple, 0.1, prm)
     assert val == pytest.approx(0.5 - 0.2 - 0.25, abs=1e-15)
 
 
 def test_energy_decreasing_in_lambda(params, smooth):
-    assert nl.energy(smooth, 0.3, params) < nl.energy(smooth, 0.1, params)
+    triple = nl.reduced_triple(smooth, params)
+    assert energy_from_triple(triple, 0.3, params) < energy_from_triple(triple, 0.1, params)
 
 
 def test_reduced_triple_requires_cone(grid, params):
@@ -893,7 +895,8 @@ def test_gradient_action_finite_difference_oracle(grid, mu, overrides):
     eps = 1e-5
     up = nl.GridFunction(grid, u.values * (1 + eps * psi))
     um = nl.GridFunction(grid, u.values * (1 - eps * psi))
-    fd = (nl.energy(up, lam, prm) - nl.energy(um, lam, prm)) / (2 * eps)
+    fd = (energy_from_triple(nl.reduced_triple(up, prm), lam, prm)
+          - energy_from_triple(nl.reduced_triple(um, prm), lam, prm)) / (2 * eps)
     grad = ws.defect(ws.evaluate(u.values), lam)[0]
     assert grad @ (psi * u.values) == pytest.approx(fd, rel=1e-5)
 

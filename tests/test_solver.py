@@ -7,7 +7,7 @@ import neharilab as nl
 from neharilab import functionals, solver
 from neharilab.errors import NotInPositiveCone, RayMissesNehari
 from neharilab.fibering import DOUBLE_ROOT_BAND, Branch
-from neharilab.functionals import workspace
+from neharilab.functionals import energy_from_triple, workspace
 from neharilab.solver import (
     SolverOptions,
     minimize_on_branch,
@@ -90,7 +90,7 @@ def test_envelope_gradient_matches_reduced_fd(params, grid, estimate, lam):
 
     def reduced(vals):
         proj = project_to_nehari(nl.GridFunction(grid, vals), lam, Branch.NPLUS, params)
-        return nl.energy(proj, lam, params)
+        return energy_from_triple(nl.reduced_triple(proj, params), lam, params)
 
     fd = (reduced(u.values * (1 + eps * psi)) - reduced(u.values * (1 - eps * psi))) / (2 * eps)
     assert pairing == pytest.approx(fd, rel=1e-4)
@@ -514,21 +514,24 @@ def test_hessian_along_u_reads_w_u(grid, monkeypatch, mu):
 # lambda / lambda* and exponents where a gradient step on N- needs up to 36 iterations
 NEWTON_FRACS = (0.1, 0.5, 0.9, 0.99)
 NEWTON_CASES = {
-    # (mu, p): N+ iterations at NEWTON_FRACS, which the N- step must not change
+    # (mu, p[, b_form]): N+ iterations at NEWTON_FRACS, which the N- step must not change
     (1.0, 2.0): (3, 4, 6, 6),
     (1.0, 3.0): (3, 3, 3, 3),
     (1.0, 3.5): (3, 3, 3, 3),
     (1.0, 4.0): (3, 3, 3, 3),
     (1.5, 3.5): (3, 3, 3, 3),
+    (1.5, 3.5, "constant"): (3, 3, 3, 3),   # b = 1
 }
 
 
-@pytest.fixture(scope="module", params=sorted(NEWTON_CASES), ids=lambda c: f"mu{c[0]}-p{c[1]}")
+@pytest.fixture(scope="module", params=sorted(NEWTON_CASES),
+                ids=lambda c: "-".join((f"mu{c[0]}", f"p{c[1]}") + c[2:]))
 def newton_case(request):
     from neharilab.extremal import estimate_lambda_star
 
-    mu, p = request.param
-    prm = nl.validate(dataclasses.replace(nl.ProblemParams(), mu=mu, p=p))
+    mu, p, *b_form = request.param
+    overrides = {"b_form": b_form[0]} if b_form else {}
+    prm = nl.validate(dataclasses.replace(nl.ProblemParams(), mu=mu, p=p, **overrides))
     g = nl.build_radial_grid(20.0, 256, 2.0)
     return request.param, prm, g, estimate_lambda_star(prm, g)
 
